@@ -19,11 +19,7 @@ ITLINQ_ETA = 0.4
 def _top_pf_per_pool(env: NetworkEnv):
     """Each AP's highest true-PF UE; ties broken by lowest UE id."""
     pf = env.true_pf()
-    sel = []
-    for pool in env.pools:
-        best = min(pool, key=lambda j: (-pf[j], j))
-        sel.append(int(best))
-    return np.asarray(sel), pf
+    return env.pool_argmax(pf), pf
 
 
 def full_reuse_decide(env: NetworkEnv) -> list[ScheduleDecision]:

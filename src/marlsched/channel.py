@@ -112,15 +112,3 @@ def create_fading(num_ues: int, num_aps: int, num_sinusoids: int,
         interval_duration=interval_duration,
     )
 
-
-def fading_sample(process: FadingProcess, j: int, i: int, t: int) -> complex:
-    """Short-term gain of link (UE j, AP i) at scheduling interval t >= 1."""
-    if t < 1:
-        raise ValueError("interval index starts at 1")
-    return complex(process.sample_all(t)[j, i])
-
-
-def channel_gain(long_term: LongTermGains, process: FadingProcess,
-                 j: int, i: int, t: int) -> complex:
-    """Composite channel gain H_ji * h~_ji(t)."""
-    return long_term.H[j, i] * fading_sample(process, j, i, t)

@@ -116,11 +116,27 @@ class EnvConfig:
 
 @dataclass
 class FeedbackSnapshot:
-    """Synchronous report of all UEs' (weight, SINR) measured at t_measured."""
+    """Synchronous report of all UEs' (weight, SINR) measured at t_measured.
 
-    t_measured: int
-    weight: np.ndarray     # (K,)
-    sinr_db: np.ndarray    # (K,)
+    A report is frozen once made; readers only pick a snapshot. Its
+    pf = weight * log2(1 + 10**(sinr_db/10)) is computed once, when the
+    report is made, so every reader of one report sees the same bits.
+    t_measured is None for the defaults visible before the first report.
+
+    The observation build fills in, on first use, `slots`: each AP's pool in
+    observation-slot order (descending pf with ties to the lower UE id;
+    ascending UE id when observations are unsorted), cut to top_k and padded
+    with -1; and `table`: the (weight, sinr_db) pair of every UE. Both end
+    with a padding row (slots: all -1; table: the default pair), so
+    gathering with index -1 yields padding.
+    """
+
+    t_measured: int | None
+    weight: np.ndarray                 # (K,)
+    sinr_db: np.ndarray                # (K,)
+    pf: np.ndarray                     # (K,)
+    slots: np.ndarray | None = None    # (N + 1, top_k) UE ids
+    table: np.ndarray | None = None    # (K + 1, 2) (weight, sinr_db) per UE
 
 
 class NetworkEnv:
@@ -156,9 +172,13 @@ class NetworkEnv:
             cfg.interval_duration_s, rng)
         self.pools = dep.pools()
         self.association = assoc
+        self._index_layout()
         self.stats = LinkStats.initial(dep.num_ues, cfg.rate_floor)
         self.rate_sum = np.zeros(dep.num_ues)
         self._snapshots: list[FeedbackSnapshot] = []
+        self._defaults = self._snapshot(
+            None, np.full(dep.num_ues, cfg.default_weight),
+            np.full(dep.num_ues, cfg.default_sinr_db))
         self._done = False
         self.t = 1
         self._refresh_interval_state()
@@ -166,29 +186,76 @@ class NetworkEnv:
         self._slot_map, self._last_obs_mask = slots, mask
         return obs
 
+    def _index_layout(self):
+        """Per-episode constants of the interval path.
+
+        _pool_matrix (N, W): each AP's pool UE ids ascending, padded with -1;
+        W = max(largest pool, top_k), so every row has top_k slots.
+        _block_aps (N, num_remote + 1): the AP behind each observation block,
+        the agent itself first and then its remote APs by ascending distance;
+        -1 marks a missing block (num_remote >= N).
+        """
+        cfg, dep = self.config, self.deployment
+        n_aps = dep.num_aps
+        width = max(max(len(pool) for pool in self.pools), cfg.top_k)
+        self._pool_matrix = np.full((n_aps, width), -1)
+        self._block_aps = np.full((n_aps, cfg.num_remote + 1), -1)
+        for i, (pool, remote) in enumerate(zip(self.pools, dep.remote_agents)):
+            self._pool_matrix[i, :len(pool)] = pool
+            self._block_aps[i, 0] = i
+            self._block_aps[i, 1:1 + len(remote)] = remote
+        self._ap_ids = np.arange(n_aps)
+        self._ue_ids = np.arange(dep.num_ues)
+        self._power = self.long_term.power
+        # action a >= 1 selects slot (a-1) % top_k at power level (a-1) // top_k;
+        # action 0 is off (its slot entry is a placeholder)
+        self._action_slot = np.r_[0, np.tile(np.arange(cfg.top_k), cfg.power_levels)]
+        self._action_power = np.r_[0.0, np.repeat(cfg.power_level_watts(), cfg.top_k)]
+
     # ------------------------------------------------------------- per-interval
 
     def _refresh_interval_state(self):
         """Gains for interval t, plus feedback generation on the report cadence."""
         cfg = self.config
         h = self.fading.sample_all(self.t)
-        self.g2 = self.long_term.power * np.abs(h) ** 2
+        self.g2 = self._power * np.abs(h) ** 2
         if self.t % cfg.feedback_period == 0:
             sinr = linklevel.measured_sinr(
-                self.g2[np.arange(self.deployment.num_ues), self.association],
+                self.g2[self._ue_ids, self.association],
                 cfg.p_max_w, self.stats.avg_interference, cfg.noise_w)
-            self._snapshots.append(FeedbackSnapshot(
-                t_measured=self.t,
-                weight=self.stats.weight.copy(),
-                sinr_db=10.0 * np.log10(sinr)))
+            self._snapshots.append(self._snapshot(
+                self.t, self.stats.weight.copy(), 10.0 * np.log10(sinr)))
         # drop snapshots that can never be the latest visible one again
         horizon = self.t - cfg.feedback_delay - cfg.backhaul_delay
         while len(self._snapshots) >= 2 and self._snapshots[1].t_measured <= horizon:
             self._snapshots.pop(0)
 
-    def _latest_visible(self, extra_delay: int) -> FeedbackSnapshot | None:
+    def _snapshot(self, t_measured, weight, sinr_db) -> FeedbackSnapshot:
+        pf = linklevel.pf_ratio(weight, 10.0 ** (sinr_db / 10.0))
+        return FeedbackSnapshot(t_measured, weight, sinr_db, pf)
+
+    def _observation_tables(self, snap: FeedbackSnapshot):
+        """snap's slot matrix and value table, built once on first use.
+
+        Rollouts that never build observations (the baselines) skip this.
+        """
+        if snap.slots is None:
+            cfg = self.config
+            order = self._pool_matrix
+            if cfg.sort_by_pf:
+                # primary key -pf (padding last), secondary key the UE id
+                key = np.where(order >= 0, -snap.pf[order], np.inf)
+                order = np.take_along_axis(order, np.lexsort((order, key), axis=1), axis=1)
+            snap.slots = np.full((len(order) + 1, cfg.top_k), -1)
+            snap.slots[:-1] = order[:, :cfg.top_k]
+            snap.table = np.empty((len(snap.weight) + 1, 2))
+            snap.table[:-1, 0], snap.table[:-1, 1] = snap.weight, snap.sinr_db
+            snap.table[-1] = cfg.default_weight, cfg.default_sinr_db
+        return snap.slots, snap.table
+
+    def _latest_visible(self, extra_delay: int) -> FeedbackSnapshot:
         limit = self.t - self.config.feedback_delay - extra_delay
-        vis = None
+        vis = self._defaults
         for snap in self._snapshots:
             if snap.t_measured <= limit:
                 vis = snap
@@ -198,64 +265,56 @@ class NetworkEnv:
         """Delayed per-UE (weight, sinr_db, pf, t_measured) as seen by the APs.
 
         remote=True applies the extra backhaul delay. Defaults fill in before
-        the first report becomes visible.
+        the first report becomes visible (t_measured is then None).
         """
-        cfg = self.config
-        snap = self._latest_visible(cfg.backhaul_delay if remote else 0)
-        k_ues = self.deployment.num_ues
-        if snap is None:
-            w = np.full(k_ues, cfg.default_weight)
-            s = np.full(k_ues, cfg.default_sinr_db)
-            t_meas = None
-        else:
-            w, s, t_meas = snap.weight, snap.sinr_db, snap.t_measured
-        pf = linklevel.pf_ratio(w, 10.0 ** (s / 10.0))
-        return w, s, pf, t_meas
+        snap = self._latest_visible(self.config.backhaul_delay if remote else 0)
+        return snap.weight, snap.sinr_db, snap.pf, snap.t_measured
 
     def _build_observations(self):
-        """Fixed-size per-agent observation vectors.
+        """Fixed-size per-agent observation vectors, gathered in one pass.
 
         Layout per agent: (local block, then remote blocks by ascending AP
         distance), each block holding top_k (weight, sinr_db) slot pairs.
+        The local block reads the latest locally visible report, the remote
+        blocks the latest one visible over the backhaul. A block's slots are
+        its AP's pool ordered by that report's pf, descending, with ties to
+        the lower UE id (unsorted variant: ascending UE id); slots beyond the
+        pool, and whole blocks beyond the available remote APs, are padding
+        with the default (weight, sinr_db).
+
+        pf is frozen per report. Each report's slot order is sorted once, on
+        first use, from the pool matrix (N, W) of ascending pool UE ids padded
+        with -1, by np.lexsort on (-pf, UE id) with padding last. This call
+        only gathers: the (N, num_remote + 1, top_k) UE ids from the reports'
+        slot matrices through _block_aps, and the values from their tables.
         Returns (obs (N, obs_dim), local slot->UE map (N, top_k), padding mask).
         """
         cfg = self.config
-        n_aps = self.deployment.num_aps
-        w_loc, s_loc, pf_loc, self._local_t_meas = self.visible_link_values(remote=False)
-        w_rem, s_rem, pf_rem, self._remote_t_meas = self.visible_link_values(remote=True)
+        loc_slots, loc_table = self._observation_tables(self._latest_visible(0))
+        rem_slots, rem_table = self._observation_tables(
+            self._latest_visible(cfg.backhaul_delay))
+        local = loc_slots[self._block_aps[:, :1]]            # (N, 1, top_k)
+        remote = rem_slots[self._block_aps[:, 1:]]           # (N, num_remote, top_k)
+        values = np.concatenate((loc_table[local], rem_table[remote]), axis=1)
+        obs = values.reshape(len(local), cfg.obs_dim)
+        pad = np.concatenate((local, remote), axis=1) < 0
+        mask = np.repeat(pad.reshape(len(local), -1), 2, axis=1)
+        return obs, local[:, 0], mask
 
-        obs = np.empty((n_aps, cfg.obs_dim))
-        mask = np.zeros((n_aps, cfg.obs_dim), dtype=bool)
-        slot_map = np.full((n_aps, cfg.top_k), -1, dtype=int)
-        for i in range(n_aps):
-            blocks = [(self.pools[i], w_loc, s_loc, pf_loc)]
-            for r in self.deployment.remote_agents[i]:
-                blocks.append((self.pools[r], w_rem, s_rem, pf_rem))
-            while len(blocks) < cfg.num_remote + 1:
-                blocks.append((np.empty(0, dtype=int), w_loc, s_loc, pf_loc))
-            pos = 0
-            for b, (pool, w, s, pf) in enumerate(blocks):
-                if cfg.sort_by_pf:
-                    order = sorted(pool, key=lambda j: (-pf[j], j))[: cfg.top_k]
-                else:
-                    order = list(pool)[: cfg.top_k]
-                for slot in range(cfg.top_k):
-                    if slot < len(order):
-                        j = order[slot]
-                        obs[i, pos], obs[i, pos + 1] = w[j], s[j]
-                        if b == 0:
-                            slot_map[i, slot] = j
-                    else:
-                        obs[i, pos] = cfg.default_weight
-                        obs[i, pos + 1] = cfg.default_sinr_db
-                        mask[i, pos] = mask[i, pos + 1] = True
-                    pos += 2
-        return obs, slot_map, mask
+    def pool_argmax(self, values: np.ndarray) -> np.ndarray:
+        """Each AP's pool UE with the largest value; ties go to the lowest UE id.
+
+        Pools are never empty. Pool matrix rows are ascending and argmax takes
+        the first maximum, so the lowest id wins a tie.
+        """
+        pools = self._pool_matrix
+        best = np.where(pools >= 0, values[pools], -np.inf).argmax(axis=1)
+        return pools[self._ap_ids, best]
 
     def agent_top_pf(self) -> np.ndarray:
         """Each agent's highest locally visible PF ratio (reward rule input)."""
-        _, _, pf, _ = self.visible_link_values(remote=False)
-        return np.array([pf[pool].max() if len(pool) else 0.0 for pool in self.pools])
+        pf = self._latest_visible(0).pf
+        return pf[self.pool_argmax(pf)]
 
     def true_pf(self) -> np.ndarray:
         """Ground-truth PF ratios from current stats and instantaneous gains.
@@ -264,11 +323,26 @@ class NetworkEnv:
         """
         cfg = self.config
         sinr = linklevel.measured_sinr(
-            self.g2[np.arange(self.deployment.num_ues), self.association],
+            self.g2[self._ue_ids, self.association],
             cfg.p_max_w, self.stats.avg_interference, cfg.noise_w)
         return linklevel.pf_ratio(self.stats.weight, sinr)
 
     # ------------------------------------------------------------------ actions
+
+    def _decode(self, agents: np.ndarray, actions: np.ndarray):
+        """Decode the 1-D integer actions of the matching agents in one gather.
+
+        Returns (ue, power_w, invalid) arrays; ue is -1 where the agent stays
+        off, and invalid marks a selected slot that is empty.
+        """
+        top = len(self._action_slot) - 1
+        listed = actions.tolist()
+        if min(listed) < 0 or max(listed) > top:
+            bad = next(a for a in listed if not 0 <= a <= top)
+            raise OutOfRange(f"action {bad} outside [0, {top}]")
+        on = actions > 0
+        ue = np.where(on, self._slot_map[agents, self._action_slot[actions]], -1)
+        return ue, self._action_power[actions], on & (ue < 0)
 
     def decode_action(self, agent: int, action: int):
         """Map a discrete action id to a schedule decision.
@@ -276,18 +350,10 @@ class NetworkEnv:
         Returns (decision, invalid): selecting an empty slot maps to the off
         action with the invalid flag raised.
         """
-        cfg = self.config
-        if action < 0 or action > cfg.power_levels * cfg.top_k:
-            raise OutOfRange(f"action {action} outside [0, {cfg.power_levels * cfg.top_k}]")
-        if action == 0:
-            return ScheduleDecision.silent(), False
-        level = (action - 1) // cfg.top_k          # 0-based power level
-        slot = (action - 1) % cfg.top_k
-        ue = self._slot_map[agent, slot]
-        if ue < 0:
-            return ScheduleDecision.silent(), True
-        power = self.config.power_level_watts()[level]
-        return ScheduleDecision.serve(int(ue), float(power)), False
+        ue, power, invalid = self._decode(np.array([agent]), np.array([action]))
+        if ue[0] < 0:
+            return ScheduleDecision.silent(), bool(invalid[0])
+        return ScheduleDecision.serve(int(ue[0]), float(power[0])), False
 
     def compute_reward(self, decisions, rates, invalid) -> np.ndarray:
         """Weighted sum-rate reward with the all-off and invalid exceptions."""
@@ -313,21 +379,34 @@ class NetworkEnv:
     # -------------------------------------------------------------------- step
 
     def step(self, actions):
-        """Advance one interval with per-agent discrete actions."""
-        decisions, invalid = [], []
-        for i, a in enumerate(actions):
-            dec, bad = self.decode_action(i, int(a))
-            decisions.append(dec)
-            invalid.append(bad)
-        return self.step_decisions(decisions, invalid)
+        """Advance one interval with per-agent discrete actions, one per AP."""
+        if self._done:
+            raise EpisodeFinished("episode is over; call reset()")
+        actions = np.asarray(actions)
+        n_aps = self.deployment.num_aps
+        if actions.shape != (n_aps,):
+            raise ValueError(f"expected {n_aps} actions, one per AP; "
+                             f"got shape {actions.shape}")
+        ue, power, invalid = self._decode(self._ap_ids, actions.astype(int, copy=False))
+        # decoded UEs and powers are valid, so skip serve()'s checks
+        decisions = [ScheduleDecision(j, p) if j >= 0 else ScheduleDecision.silent()
+                     for j, p in zip(ue.tolist(), power.tolist())]
+        return self.step_decisions(decisions, invalid.tolist())
 
     def step_decisions(self, decisions, invalid=None, build_obs: bool = True):
-        """Advance one interval with explicit decisions (baseline fast path)."""
+        """Advance one interval with explicit decisions, one per AP (baseline fast path)."""
         if self._done:
             raise EpisodeFinished("episode is over; call reset()")
         cfg = self.config
+        n_aps = self.deployment.num_aps
+        if len(decisions) != n_aps:
+            raise ValueError(f"expected {n_aps} decisions, one per AP; "
+                             f"got {len(decisions)}")
         if invalid is None:
-            invalid = [False] * len(decisions)
+            invalid = [False] * n_aps
+        elif len(invalid) != n_aps:
+            raise ValueError(f"expected {n_aps} invalid flags, one per AP; "
+                             f"got {len(invalid)}")
         rates, interference = linklevel.compute_rates(
             decisions, self.g2, cfg.noise_w, self.association)
         rewards = self.compute_reward(decisions, rates, invalid)

@@ -128,10 +128,6 @@ def fit(dataset: OfflineDataset, q_levels: int):
             RewardNormalizer(mu=float(np.mean(dataset.rewards)), sigma=sigma))
 
 
-def normalize_reward(r, normalizer: RewardNormalizer):
-    return normalizer.normalize(r)
-
-
 # ----------------------------------------------------------------- persistence
 
 def save_stats(path, mapper: PercentileMapper, normalizer: RewardNormalizer,

@@ -4,8 +4,8 @@ from scipy import stats as spstats
 from scipy.special import j0
 
 from marlsched.channel import (
-    DomainError, LongTermGains, PathLossParams, channel_gain, create_fading,
-    draw_long_term_gains, fading_sample, path_loss_db,
+    DomainError, LongTermGains, PathLossParams, create_fading,
+    draw_long_term_gains, path_loss_db,
 )
 from marlsched.topology import DeploymentConfig, generate_deployment
 
@@ -115,19 +115,7 @@ def test_fading_lag1_autocorrelation():
     assert corr == pytest.approx(j0(2 * np.pi * 0.008), abs=0.04)
 
 
-def test_fading_sample_requires_t_ge_one():
-    proc = create_fading(1, 1, 16, 8.0, 1e-3, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        fading_sample(proc, 0, 0, 0)
-
-
-def test_channel_gain_composition_and_long_run_power():
-    dep = _deployment()
-    gains = draw_long_term_gains(dep, PARAMS, 7.0, np.random.default_rng(2))
-    proc = create_fading(dep.num_ues, dep.num_aps, 16, 8.0, 1e-3,
-                         np.random.default_rng(2))
-    g = channel_gain(gains, proc, 3, 1, 5)
-    assert g == pytest.approx(gains.H[3, 1] * fading_sample(proc, 3, 1, 5))
+def test_fading_long_run_power():
     # ergodic power over many independent fades
     acc = 0.0
     reps = 40

@@ -204,6 +204,19 @@ def test_invalid_slot_maps_to_off_with_flag():
     assert dec.off and bad
 
 
+
+def test_wrong_length_actions_and_decisions_raise():
+    env = NetworkEnv(small_config())            # N = 2
+    env.reset(seed=73)
+    for bad in ([1], [1, 1, 1], np.ones((2, 1), dtype=int), 1):
+        with pytest.raises(ValueError, match="expected 2 actions"):
+            env.step(bad)
+    with pytest.raises(ValueError, match="expected 2 decisions"):
+        env.step_decisions([ScheduleDecision.silent()])
+    with pytest.raises(ValueError, match="expected 2 invalid flags"):
+        env.step_decisions([ScheduleDecision.silent()] * 2, [False])
+    assert env.t == 1                           # nothing was stepped
+
 # -------------------------------------------------------------------- rewards
 
 def test_reward_identical_across_agents():
