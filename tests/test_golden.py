@@ -3,8 +3,11 @@
 For every (config, policy, seed) case, tests/data/golden.json holds SHA-256
 digests of the per-interval reward arrays and of the per-UE average rates,
 both as little-endian float64 bytes; for the action policy it also holds the
-digest of the per-interval observations. A refactor that is meant to keep
-outputs unchanged must keep every digest.
+digest of the per-interval observations. For every config it also holds the
+digests of the offline normalization dataset (weights, sinr_db and rewards
+collected under the three baselines) and of the bytes of a decision-log CSV
+(random policy, two seeds). A refactor that is meant to keep outputs
+unchanged must keep every digest.
 
 Regenerate the file only after a change that is meant to alter outputs:
 
@@ -18,12 +21,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from marlsched.env import EnvConfig, NetworkEnv
-from marlsched.harness import BaselinePolicy, RandomPolicy
+from marlsched.harness import BaselinePolicy, RandomPolicy, export_decision_log
+from marlsched.normalize import collect_offline_dataset
 from marlsched.topology import DeploymentConfig
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden.json"
@@ -77,10 +82,29 @@ def rollout_digests(config: EnvConfig, policy_name: str, seed: int) -> dict:
     return out
 
 
+def offline_dataset_digests(config: EnvConfig) -> dict:
+    """Digests of the raw normalization data collected under the baselines."""
+    ds = collect_offline_dataset(config, list(POLICIES[:3]), 2, np.random.default_rng(0))
+    return {"weights": _digest([ds.weights]), "sinr_db": _digest([ds.sinr_db]),
+            "rewards": _digest([ds.rewards])}
+
+
+def decision_log_digests(config: EnvConfig) -> dict:
+    """Digest of the bytes of a random policy's decision-log CSV over two seeds."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "decisions.csv"
+        rows = export_decision_log(config, RandomPolicy(0), SEEDS[:2], path)
+        return {"rows": rows, "csv": hashlib.sha256(path.read_bytes()).hexdigest()}
+
+
 def compute_all() -> dict:
-    return {f"{cfg_name}/{policy}/{seed}": rollout_digests(cfg, policy, seed)
-            for cfg_name, cfg in _configs().items()
-            for policy in POLICIES for seed in SEEDS}
+    out = {f"{cfg_name}/{policy}/{seed}": rollout_digests(cfg, policy, seed)
+           for cfg_name, cfg in _configs().items()
+           for policy in POLICIES for seed in SEEDS}
+    for cfg_name, cfg in _configs().items():
+        out[f"{cfg_name}/offline_dataset"] = offline_dataset_digests(cfg)
+        out[f"{cfg_name}/decision_log"] = decision_log_digests(cfg)
+    return out
 
 
 def test_rollouts_match_golden_digests():
