@@ -7,6 +7,7 @@ import csv
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -148,15 +149,12 @@ def cmd_analyze(args):
         for path in args.inputs:
             with open(path) as f:
                 rows = list(csv.DictReader(f))
-            entries.append((path, float(np.mean([float(r["sum_rate_mbps"]) for r in rows])),
-                            float(np.mean([float(r["pct5_mbps"]) for r in rows]))))
-        for name_a, sum_a, p5_a in entries:
-            for name_b, sum_b, p5_b in entries:
-                if name_a == name_b:
-                    continue
-                ge = sum_a >= sum_b and p5_a >= p5_b
-                strict = sum_a > sum_b or p5_a > p5_b
-                if ge and strict:
+            entries.append((path, SimpleNamespace(
+                sum_rate_mbps=float(np.mean([float(r["sum_rate_mbps"]) for r in rows])),
+                pct5_mbps=float(np.mean([float(r["pct5_mbps"]) for r in rows])))))
+        for name_a, a in entries:
+            for name_b, b in entries:
+                if name_a != name_b and harness.dominates(a, b):
                     print(f"{name_a} dominates {name_b}")
 
 

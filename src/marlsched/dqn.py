@@ -204,12 +204,8 @@ def run_training(env_config: EnvConfig, trainer_config: TrainerConfig,
         while not done:
             stacked = np.concatenate(mapped)
             actions = select_actions(net, stacked, eps, act_rng)
-            offset = 0
             next_mapped = []
-            for e, env in enumerate(envs):
-                n_agents = env.deployment.num_aps
-                a = actions[offset: offset + n_agents]
-                offset += n_agents
+            for e, (env, a) in enumerate(zip(envs, actions.reshape(len(envs), -1))):
                 obs, rewards, done, info = env.step(a)
                 if done:
                     nm = np.zeros_like(mapped[e])

@@ -46,15 +46,8 @@ class EpisodeMetrics:
                    score=s * mbps / k + 3.0 * p5 * mbps)
 
 
-def episode_metrics(avg_rates, num_ues: int, bandwidth_hz: float) -> EpisodeMetrics:
-    avg_rates = np.asarray(avg_rates)
-    if len(avg_rates) != num_ues:
-        raise ValueError("rate vector length does not match num_ues")
-    return EpisodeMetrics.from_rates(avg_rates, bandwidth_hz)
-
-
 def dominates(a: EpisodeMetrics, b: EpisodeMetrics) -> bool:
-    """Pareto dominance on (sum-rate, 5th percentile rate)."""
+    """Pareto dominance on (sum_rate_mbps, pct5_mbps); other fields are unused."""
     ge = a.sum_rate_mbps >= b.sum_rate_mbps and a.pct5_mbps >= b.pct5_mbps
     strict = a.sum_rate_mbps > b.sum_rate_mbps or a.pct5_mbps > b.pct5_mbps
     return ge and strict
@@ -67,13 +60,12 @@ class BaselinePolicy:
 
     kind = "decisions"
 
-    def __init__(self, name: str, **kwargs):
+    def __init__(self, name: str):
         self.name = name
         self._decide = bl.get_baseline(name)
-        self._kwargs = kwargs
 
     def act(self, env: NetworkEnv, obs):
-        return self._decide(env, **self._kwargs)
+        return self._decide(env)
 
 
 class RandomPolicy:
@@ -89,45 +81,37 @@ class RandomPolicy:
                                  size=env.deployment.num_aps)
 
 
-def run_episode(env: NetworkEnv, seed: int, policy, trace_rows: list | None = None):
+def run_episode(env: NetworkEnv, seed: int, policy, on_step=None):
     """Roll one full episode; returns the per-UE time-average rates.
 
-    Baseline (decision) policies skip observation building for speed unless a
-    trace is requested.
+    This is the one per-episode stepping loop. on_step(obs, actions, rewards,
+    info), if given, is called once per interval with the observations the
+    policy acted on, its actions (None for a decision policy), the rewards
+    and the step's info (info["t"] is the interval). Decision policies skip
+    observation building for speed unless on_step is given.
     """
-    build_obs = policy.kind == "actions" or trace_rows is not None
+    build_obs = on_step is not None
     obs = env.reset(seed)
     done = False
     while not done:
-        t = env.t
         if policy.kind == "actions":
             actions = np.asarray(policy.act(env, obs))
-            obs, rewards, done, info = env.step(actions)
+            next_obs, rewards, done, info = env.step(actions)
         else:
             actions = None
-            decisions = policy.act(env, obs)
-            obs, rewards, done, info = env.step_decisions(decisions, build_obs=build_obs)
-        if trace_rows is not None:
-            p_floor_w = 1e-30
-            for i, dec in enumerate(info["decisions"]):
-                trace_rows.append({
-                    "t": t, "ap": i,
-                    "action": int(actions[i]) if actions is not None else "",
-                    "ue": dec.ue,
-                    "power_dbm": (10.0 * np.log10(max(dec.power_w, p_floor_w)) + 30.0
-                                  if not dec.off else ""),
-                    "rate_bpshz": info["rates"][dec.ue] if not dec.off else 0.0,
-                    "reward": rewards[i],
-                })
+            next_obs, rewards, done, info = env.step_decisions(
+                policy.act(env, obs), build_obs=build_obs)
+        if on_step is not None:
+            on_step(obs, actions, rewards, info)
+        obs = next_obs
     return env.average_rates()
 
 
 def evaluate_policy(env_config: EnvConfig, policy, seeds) -> dict:
     """Aggregate metrics of a policy over a set of environment realizations."""
     env = NetworkEnv(env_config)
-    per_env = [episode_metrics(run_episode(env, int(s), policy),
-                               env_config.deployment.num_ues,
-                               env_config.bandwidth_hz)
+    per_env = [EpisodeMetrics.from_rates(run_episode(env, int(s), policy),
+                                         env_config.bandwidth_hz)
                for s in seeds]
     sums = np.array([m.sum_rate_mbps for m in per_env])
     p5s = np.array([m.pct5_mbps for m in per_env])
@@ -187,8 +171,7 @@ def build_validation_set(env_config: EnvConfig, target_count: int,
     for s in seeds:
         for name in names:
             rates = run_episode(env, s, BaselinePolicy(name))
-            per_seed[name].append(episode_metrics(
-                rates, env_config.deployment.num_ues, env_config.bandwidth_hz))
+            per_seed[name].append(EpisodeMetrics.from_rates(rates, env_config.bandwidth_hz))
     means = {name: (float(np.mean([m.sum_rate_mbps for m in per_seed[name]])),
                     float(np.mean([m.pct5_mbps for m in per_seed[name]])))
              for name in names}
@@ -271,23 +254,19 @@ def export_decision_log(env_config: EnvConfig, policy, seeds, path) -> int:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(cols)
+
+        def write_rows(obs, actions, rewards, info):
+            nonlocal rows
+            w, sinr_db = obs[:, 0::2], obs[:, 1::2]
+            pf = w * np.log2(1.0 + 10.0 ** (sinr_db / 10.0))
+            values = np.column_stack((w[:, 0], sinr_db[:, 0], pf[:, :k], pf[:, k::k]))
+            for i, (row, a) in enumerate(zip(values.tolist(),
+                                             actions.astype(int, copy=False).tolist())):
+                writer.writerow([info["t"], i] + row + [a])
+            rows += len(obs)
+
         for s in seeds:
-            obs = env.reset(int(s))
-            done = False
-            while not done:
-                actions = np.asarray(policy.act(env, obs))
-                for i in range(env.deployment.num_aps):
-                    o = obs[i]
-                    w = o[0::2]
-                    sinr_db = o[1::2]
-                    pf = w * np.log2(1.0 + 10.0 ** (sinr_db / 10.0))
-                    row = ([env.t, i, w[0], sinr_db[0]]
-                           + [pf[slot] for slot in range(k)]
-                           + [pf[(r + 1) * k] for r in range(n)]
-                           + [int(actions[i])])
-                    writer.writerow(row)
-                    rows += 1
-                obs, _, done, _ = env.step(actions)
+            run_episode(env, int(s), policy, write_rows)
     return rows
 
 

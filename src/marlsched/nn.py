@@ -144,14 +144,28 @@ def save_checkpoint(path, net: Mlp, step: int = 0, extra: dict | None = None) ->
 
 
 def load_checkpoint(path):
+    """Read a save_checkpoint file back into (net, header).
+
+    Raises ShapeMismatch when the header's shapes disagree with its
+    in_dim/hidden/out_dim, or the parameter bytes with those shapes.
+    """
     with open(path, "rb") as f:
         header = json.loads(f.readline().decode("utf-8"))
         blob = f.read()
     net = Mlp(header["in_dim"], header["out_dim"], header["hidden"],
               activation=header["activation"])
+    if sorted(header["param_order"]) != sorted(PARAM_NAMES):
+        raise ShapeMismatch(f"parameters {header['param_order']} are not {list(PARAM_NAMES)}")
+    for k in PARAM_NAMES:
+        if tuple(header["shapes"][k]) != net.params[k].shape:
+            raise ShapeMismatch(f"{k} has shape {header['shapes'][k]}; the header's "
+                                f"widths need {list(net.params[k].shape)}")
+    if len(blob) != 8 * net.num_params():
+        raise ShapeMismatch(f"{len(blob)} parameter bytes; the header's shapes "
+                            f"need {8 * net.num_params()}")
     offset = 0
     for k in header["param_order"]:
-        shape = tuple(header["shapes"][k])
+        shape = net.params[k].shape
         n = int(np.prod(shape))
         net.params[k] = np.frombuffer(
             blob, dtype="<f8", count=n, offset=offset).reshape(shape).copy()

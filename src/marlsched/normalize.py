@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import get_baseline
 from .env import EnvConfig, NetworkEnv
+from .harness import BaselinePolicy, run_episode
 
 
 class DegenerateDataset(ValueError):
@@ -83,30 +83,26 @@ def collect_offline_dataset(env_config: EnvConfig, baseline_names: list[str],
                             num_episodes: int, rng: np.random.Generator) -> OfflineDataset:
     """Run baselines over fresh environment realizations, recording raw data.
 
-    Default-valued observation entries (structural padding and the
-    pre-first-report defaults) are excluded: they are not measurements and
-    would distort the quantiles.
+    Default-valued observation entries (structural padding, which gathers the
+    default pair, and the pre-first-report defaults) are excluded: they are
+    not measurements and would distort the quantiles.
     """
     if not baseline_names:
         raise ValueError("need at least one baseline")
-    deciders = [get_baseline(b) for b in baseline_names]
+    policies = [BaselinePolicy(b) for b in baseline_names]
     weights, sinrs, rewards = [], [], []
+
+    def record(obs, actions, rew, info):
+        w, s = obs[..., 0::2], obs[..., 1::2]
+        keep = ~((w == env_config.default_weight) & (s == env_config.default_sinr_db))
+        weights.append(w[keep])
+        sinrs.append(s[keep])
+        rewards.append(rew)
+
     env = NetworkEnv(env_config)
     for _ in range(num_episodes):
-        for decide in deciders:
-            obs = env.reset(int(rng.integers(2 ** 63)))
-            mask = env._last_obs_mask
-            done = False
-            while not done:
-                w, s = obs[..., 0::2], obs[..., 1::2]
-                keep = (~mask[..., 0::2]) & ~((w == env_config.default_weight)
-                                              & (s == env_config.default_sinr_db))
-                weights.append(w[keep])
-                sinrs.append(s[keep])
-                obs, rew, done, info = env.step_decisions(decide(env))
-                rewards.append(rew)
-                if not done:
-                    mask = env._last_obs_mask
+        for policy in policies:
+            run_episode(env, int(rng.integers(2 ** 63)), policy, record)
     return OfflineDataset(weights=np.concatenate(weights),
                           sinr_db=np.concatenate(sinrs),
                           rewards=np.concatenate(rewards))

@@ -53,28 +53,6 @@ class Deployment:
             raise ValueError("deployment has no association yet")
         return [np.flatnonzero(self.association == i) for i in range(self.num_aps)]
 
-    def to_dict(self) -> dict:
-        d = {
-            "ap_positions": self.ap_positions.tolist(),
-            "ue_positions": self.ue_positions.tolist(),
-        }
-        if self.association is not None:
-            d["association"] = self.association.tolist()
-        if self.remote_agents is not None:
-            d["remote_agents"] = [r.tolist() for r in self.remote_agents]
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Deployment":
-        return cls(
-            ap_positions=np.asarray(d["ap_positions"], dtype=float),
-            ue_positions=np.asarray(d["ue_positions"], dtype=float),
-            association=(np.asarray(d["association"], dtype=int)
-                         if "association" in d else None),
-            remote_agents=([np.asarray(r, dtype=int) for r in d["remote_agents"]]
-                           if "remote_agents" in d else None),
-        )
-
 
 def generate_deployment(config: DeploymentConfig, rng: np.random.Generator) -> Deployment:
     """Draw AP and UE positions satisfying the minimum-distance constraints."""

@@ -4,7 +4,7 @@ import pytest
 from marlsched.env import EnvConfig
 from marlsched.harness import (
     BaselinePolicy, EpisodeMetrics, InsufficientCandidates, RandomPolicy,
-    ValidationSet, build_validation_set, dominates, episode_metrics,
+    ValidationSet, build_validation_set, dominates,
     evaluate_policy, export_decision_log, interference_profile, metrics_to_csv,
     pct5_rate, run_episode,
 )
@@ -49,17 +49,13 @@ def test_pct5_matches_bruteforce_definition():
 
 def test_episode_metrics_arithmetic():
     rates = np.array([1.0, 2.0, 3.0, 4.0])     # bps/Hz, 10 MHz band
-    m = episode_metrics(rates, 4, 10e6)
+    m = EpisodeMetrics.from_rates(rates, 10e6)
+    assert m.num_ues == 4
     assert m.sum_rate_bpshz == pytest.approx(10.0)
     assert m.pct5_bpshz == pytest.approx(1.0)
     assert m.sum_rate_mbps == pytest.approx(100.0)
     assert m.pct5_mbps == pytest.approx(10.0)
     assert m.score == pytest.approx(100.0 / 4 + 3 * 10.0)
-
-
-def test_episode_metrics_length_check():
-    with pytest.raises(ValueError):
-        episode_metrics(np.ones(3), 4, 10e6)
 
 
 def _metrics(sum_mbps, p5_mbps):
@@ -87,19 +83,27 @@ def test_run_episode_returns_average_rates():
     assert env.done
 
 
-def test_run_episode_trace_rows():
+def test_run_episode_on_step():
     from marlsched.env import NetworkEnv
     cfg = tiny_config(episode_length=10)
     env = NetworkEnv(cfg)
-    rows = []
-    run_episode(env, 4, RandomPolicy(seed=1), trace_rows=rows)
-    assert len(rows) == 10 * 2                   # one row per agent-interval
-    for row in rows:
-        assert 0 <= row["action"] < cfg.num_actions
-        if row["ue"] >= 0:
-            assert row["rate_bpshz"] >= 0
-        else:
-            assert row["rate_bpshz"] == 0.0
+    for policy in (RandomPolicy(seed=1), BaselinePolicy("itlinq")):
+        calls = []
+        rates = run_episode(env, 4, policy, lambda *args: calls.append(args))
+        assert [info["t"] for _, _, _, info in calls] == list(range(1, 11))
+        for obs, actions, rewards, info in calls:
+            assert obs.shape == (2, cfg.obs_dim)
+            assert rewards.shape == (2,)
+            if policy.kind == "actions":
+                assert actions.shape == (2,)
+                assert np.all((0 <= actions) & (actions < cfg.num_actions))
+            else:
+                assert actions is None
+            # served UEs get a rate >= 0; silent APs give nobody a rate
+            served = [dec.ue for dec in info["decisions"] if not dec.off]
+            assert np.all(info["rates"][served] >= 0)
+            assert np.all(np.delete(info["rates"], served) == 0.0)
+        assert np.array_equal(rates, env.average_rates())
 
 
 def test_evaluate_policy_aggregation():

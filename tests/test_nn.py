@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -247,3 +249,28 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(net.forward(x), loaded.forward(x))
     for k in PARAM_NAMES:
         assert np.array_equal(net.params[k], loaded.params[k])
+
+
+def _rewrite_checkpoint(path, edit_header=None, tail=b"", cut=0):
+    with open(path, "rb") as f:
+        header = json.loads(f.readline())
+        blob = f.read()
+    if edit_header:
+        edit_header(header)
+    with open(path, "wb") as f:
+        f.write(json.dumps(header).encode() + b"\n" + blob[:len(blob) - cut] + tail)
+
+
+@pytest.mark.parametrize("edit", [
+    {"tail": b"\x00" * 8},                                        # trailing bytes
+    {"cut": 8},                                                   # truncated
+    {"edit_header": lambda h: h.update(in_dim=5)},                # in_dim 5, w1 (4, 8)
+    {"edit_header": lambda h: h["shapes"].update(b3=[3, 1])},     # shapes vs out_dim
+    {"edit_header": lambda h: h.update(param_order=["w1", "b1"])},
+], ids=["trailing-bytes", "truncated", "in_dim", "out_dim", "param-order"])
+def test_checkpoint_rejects_malformed_files(tmp_path, edit):
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(path, Mlp(4, 3, hidden=8, rng=np.random.default_rng(0)))
+    _rewrite_checkpoint(path, **edit)
+    with pytest.raises(ShapeMismatch):
+        load_checkpoint(path)

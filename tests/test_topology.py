@@ -117,15 +117,3 @@ def test_remote_lists_stable_under_relabeling():
     for new_i in range(5):
         expect = [inv[j] for j in base[perm[new_i]]]
         assert relabeled[new_i].tolist() == expect
-
-
-def test_deployment_json_roundtrip():
-    cfg = DeploymentConfig(num_aps=3, num_ues=9)
-    dep = generate_deployment(cfg, np.random.default_rng(1))
-    dep.association = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2])
-    dep.remote_agents = nearest_remote_agents(dep.ap_positions, 2)
-    back = Deployment.from_dict(dep.to_dict())
-    assert np.allclose(back.ap_positions, dep.ap_positions)
-    assert np.array_equal(back.association, dep.association)
-    assert all(np.array_equal(a, b)
-               for a, b in zip(back.remote_agents, dep.remote_agents))
