@@ -13,11 +13,15 @@ import numpy as np
 
 from . import dqn, harness, normalize
 from .dqn import DqnPolicy, TrainerConfig
-from .env import EnvConfig
+from .env import ConfigError, EnvConfig
 from .harness import BaselinePolicy, ValidationSet
 from .nn import load_checkpoint
 
 DEFAULT_Q_LEVELS = 20
+
+# flags that `analyze <what>` needs; argparse cannot require them per choice
+ANALYZE_NEEDS = {"interferers": ("out",), "decisions": ("checkpoint", "norm_stats", "out"),
+                 "pareto": ()}
 
 
 def load_configs(path: str | None):
@@ -26,6 +30,9 @@ def load_configs(path: str | None):
         return EnvConfig(), TrainerConfig()
     with open(path) as f:
         raw = json.load(f)
+    unknown = sorted(set(raw) - {"env", "trainer"})
+    if unknown:
+        raise ConfigError(f"unknown config sections: {', '.join(unknown)}")
     env_cfg = EnvConfig.from_dict(raw.get("env", {}))
     trainer_cfg = TrainerConfig.from_dict(raw.get("trainer", {}))
     return env_cfg, trainer_cfg
@@ -221,7 +228,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "analyze":
+        missing = [f"--{name.replace('_', '-')}" for name in ANALYZE_NEEDS[args.what]
+                   if getattr(args, name) is None]
+        if missing:
+            parser.error(f"analyze {args.what} needs {', '.join(missing)}")
     args.func(args)
     return 0
 

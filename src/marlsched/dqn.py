@@ -8,7 +8,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import harness
-from .env import EnvConfig, NetworkEnv
+from .env import EnvConfig, NetworkEnv, known_keys
 from .nn import AdamState, Mlp, adam_update, save_checkpoint
 from .normalize import PercentileMapper, RewardNormalizer
 
@@ -82,7 +82,7 @@ class TrainerConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainerConfig":
-        return cls(**d)
+        return cls(**known_keys(cls, d))
 
 
 def select_actions(net: Mlp, mapped_obs: np.ndarray, epsilon: float,
@@ -143,11 +143,6 @@ class TrainingResult:
     checkpoints: list[dict]     # parameter copies per epoch
     best_epoch: int             # 1-based, highest validation score
     best_params: dict
-
-    def best_net(self, template: Mlp) -> Mlp:
-        net = template.copy()
-        net.set_params(self.best_params)
-        return net
 
 
 class DqnPolicy:

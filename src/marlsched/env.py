@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -22,6 +22,14 @@ class OutOfRange(ValueError):
 
 class EpisodeFinished(RuntimeError):
     pass
+
+
+def known_keys(cls, d: dict) -> dict:
+    """d itself; ConfigError names every key of d that is no field of cls."""
+    unknown = [k for k in d if k not in {f.name for f in fields(cls)}]
+    if unknown:
+        raise ConfigError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+    return d
 
 
 @dataclass
@@ -101,11 +109,11 @@ class EnvConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EnvConfig":
-        d = dict(d)
+        d = dict(known_keys(cls, d))
         if "deployment" in d:
-            d["deployment"] = DeploymentConfig(**d["deployment"])
+            d["deployment"] = DeploymentConfig(**known_keys(DeploymentConfig, d["deployment"]))
         if "path_loss" in d:
-            d["path_loss"] = PathLossParams(**d["path_loss"])
+            d["path_loss"] = PathLossParams(**known_keys(PathLossParams, d["path_loss"]))
         return cls(**d)
 
     def fingerprint(self) -> str:
@@ -114,29 +122,28 @@ class EnvConfig:
                 f"-p{self.power_levels}-T{self.episode_length}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeedbackSnapshot:
     """Synchronous report of all UEs' (weight, SINR) measured at t_measured.
 
-    A report is frozen once made; readers only pick a snapshot. Its
-    pf = weight * log2(1 + 10**(sinr_db/10)) is computed once, when the
-    report is made, so every reader of one report sees the same bits.
-    t_measured is None for the defaults visible before the first report.
+    A report is built whole when it is made and never changes, so every
+    reader of one report sees the same bits. t_measured is None for the
+    defaults visible before the first report.
 
-    The observation build fills in, on first use, `slots`: each AP's pool in
+    pf = weight * log2(1 + 10**(sinr_db/10)). `slots` holds each AP's pool in
     observation-slot order (descending pf with ties to the lower UE id;
     ascending UE id when observations are unsorted), cut to top_k and padded
-    with -1; and `table`: the (weight, sinr_db) pair of every UE. Both end
-    with a padding row (slots: all -1; table: the default pair), so
-    gathering with index -1 yields padding.
+    with -1; `table` the (weight, sinr_db) pair of every UE. Both end with a
+    padding row (slots: all -1; table: the default pair), so gathering with
+    index -1 yields padding.
     """
 
     t_measured: int | None
-    weight: np.ndarray                 # (K,)
-    sinr_db: np.ndarray                # (K,)
-    pf: np.ndarray                     # (K,)
-    slots: np.ndarray | None = None    # (N + 1, top_k) UE ids
-    table: np.ndarray | None = None    # (K + 1, 2) (weight, sinr_db) per UE
+    weight: np.ndarray      # (K,)
+    sinr_db: np.ndarray     # (K,)
+    pf: np.ndarray          # (K,)
+    slots: np.ndarray       # (N + 1, top_k) UE ids
+    table: np.ndarray       # (K + 1, 2) (weight, sinr_db) per UE
 
 
 class NetworkEnv:
@@ -166,7 +173,7 @@ class NetworkEnv:
         dep.association = assoc
         dep.remote_agents = topology.nearest_remote_agents(dep.ap_positions, cfg.num_remote)
         self.deployment = dep
-        self.long_term = gains
+        self._power = gains.power
         self.fading = channel.create_fading(
             dep.num_ues, dep.num_aps, cfg.num_sinusoids, cfg.doppler_hz,
             cfg.interval_duration_s, rng)
@@ -175,16 +182,18 @@ class NetworkEnv:
         self._index_layout()
         self.stats = LinkStats.initial(dep.num_ues, cfg.rate_floor)
         self.rate_sum = np.zeros(dep.num_ues)
-        self._snapshots: list[FeedbackSnapshot] = []
         self._defaults = self._snapshot(
             None, np.full(dep.num_ues, cfg.default_weight),
             np.full(dep.num_ues, cfg.default_sinr_db))
+        # ring of reports: report r = t / P lives in slot r % len. The newest
+        # report and the oldest one still readable (through the backhaul) are
+        # at most (fd + bd) // P + 1 apart, so no readable report is overwritten.
+        fd_bd = cfg.feedback_delay + cfg.backhaul_delay
+        self._reports = [self._defaults] * (fd_bd // cfg.feedback_period + 2)
         self._done = False
         self.t = 1
         self._refresh_interval_state()
-        obs, slots, mask = self._build_observations()
-        self._slot_map, self._last_obs_mask = slots, mask
-        return obs
+        return self._build_observations()
 
     def _index_layout(self):
         """Per-episode constants of the interval path.
@@ -206,7 +215,6 @@ class NetworkEnv:
             self._block_aps[i, 1:1 + len(remote)] = remote
         self._ap_ids = np.arange(n_aps)
         self._ue_ids = np.arange(dep.num_ues)
-        self._power = self.long_term.power
         # action a >= 1 selects slot (a-1) % top_k at power level (a-1) // top_k;
         # action 0 is off (its slot entry is a placeholder)
         self._action_slot = np.r_[0, np.tile(np.arange(cfg.top_k), cfg.power_levels)]
@@ -220,46 +228,37 @@ class NetworkEnv:
         h = self.fading.sample_all(self.t)
         self.g2 = self._power * np.abs(h) ** 2
         if self.t % cfg.feedback_period == 0:
-            sinr = linklevel.measured_sinr(
-                self.g2[self._ue_ids, self.association],
-                cfg.p_max_w, self.stats.avg_interference, cfg.noise_w)
-            self._snapshots.append(self._snapshot(
-                self.t, self.stats.weight.copy(), 10.0 * np.log10(sinr)))
-        # drop snapshots that can never be the latest visible one again
-        horizon = self.t - cfg.feedback_delay - cfg.backhaul_delay
-        while len(self._snapshots) >= 2 and self._snapshots[1].t_measured <= horizon:
-            self._snapshots.pop(0)
+            report = self._snapshot(self.t, self.stats.weight.copy(),
+                                    10.0 * np.log10(self._serving_sinr()))
+            self._reports[self.t // cfg.feedback_period % len(self._reports)] = report
+
+    def _serving_sinr(self) -> np.ndarray:
+        """Every UE's measured SINR toward its serving AP at full power."""
+        cfg = self.config
+        return linklevel.measured_sinr(
+            self.g2[self._ue_ids, self.association],
+            cfg.p_max_w, self.stats.avg_interference, cfg.noise_w)
 
     def _snapshot(self, t_measured, weight, sinr_db) -> FeedbackSnapshot:
+        """A complete report: pf, the slot matrix and the value table."""
+        cfg = self.config
         pf = linklevel.pf_ratio(weight, 10.0 ** (sinr_db / 10.0))
-        return FeedbackSnapshot(t_measured, weight, sinr_db, pf)
-
-    def _observation_tables(self, snap: FeedbackSnapshot):
-        """snap's slot matrix and value table, built once on first use.
-
-        Rollouts that never build observations (the baselines) skip this.
-        """
-        if snap.slots is None:
-            cfg = self.config
-            order = self._pool_matrix
-            if cfg.sort_by_pf:
-                # primary key -pf (padding last), secondary key the UE id
-                key = np.where(order >= 0, -snap.pf[order], np.inf)
-                order = np.take_along_axis(order, np.lexsort((order, key), axis=1), axis=1)
-            snap.slots = np.full((len(order) + 1, cfg.top_k), -1)
-            snap.slots[:-1] = order[:, :cfg.top_k]
-            snap.table = np.empty((len(snap.weight) + 1, 2))
-            snap.table[:-1, 0], snap.table[:-1, 1] = snap.weight, snap.sinr_db
-            snap.table[-1] = cfg.default_weight, cfg.default_sinr_db
-        return snap.slots, snap.table
+        order = self._pool_matrix
+        if cfg.sort_by_pf:
+            # primary key -pf (padding last), secondary key the UE id
+            key = np.where(order >= 0, -pf[order], np.inf)
+            order = np.take_along_axis(order, np.lexsort((order, key), axis=1), axis=1)
+        slots = np.full((len(order) + 1, cfg.top_k), -1)
+        slots[:-1] = order[:, :cfg.top_k]
+        table = np.empty((len(weight) + 1, 2))
+        table[:-1, 0], table[:-1, 1] = weight, sinr_db
+        table[-1] = cfg.default_weight, cfg.default_sinr_db
+        return FeedbackSnapshot(t_measured, weight, sinr_db, pf, slots, table)
 
     def _latest_visible(self, extra_delay: int) -> FeedbackSnapshot:
-        limit = self.t - self.config.feedback_delay - extra_delay
-        vis = self._defaults
-        for snap in self._snapshots:
-            if snap.t_measured <= limit:
-                vis = snap
-        return vis
+        cfg = self.config
+        r = (self.t - cfg.feedback_delay - extra_delay) // cfg.feedback_period
+        return self._reports[r % len(self._reports)] if r > 0 else self._defaults
 
     def visible_link_values(self, remote: bool = False):
         """Delayed per-UE (weight, sinr_db, pf, t_measured) as seen by the APs.
@@ -270,36 +269,24 @@ class NetworkEnv:
         snap = self._latest_visible(self.config.backhaul_delay if remote else 0)
         return snap.weight, snap.sinr_db, snap.pf, snap.t_measured
 
-    def _build_observations(self):
-        """Fixed-size per-agent observation vectors, gathered in one pass.
+    def _build_observations(self) -> np.ndarray:
+        """Fixed-size (N, obs_dim) per-agent observation vectors, one gather.
 
         Layout per agent: (local block, then remote blocks by ascending AP
         distance), each block holding top_k (weight, sinr_db) slot pairs.
         The local block reads the latest locally visible report, the remote
-        blocks the latest one visible over the backhaul. A block's slots are
-        its AP's pool ordered by that report's pf, descending, with ties to
-        the lower UE id (unsorted variant: ascending UE id); slots beyond the
-        pool, and whole blocks beyond the available remote APs, are padding
-        with the default (weight, sinr_db).
-
-        pf is frozen per report. Each report's slot order is sorted once, on
-        first use, from the pool matrix (N, W) of ascending pool UE ids padded
-        with -1, by np.lexsort on (-pf, UE id) with padding last. This call
-        only gathers: the (N, num_remote + 1, top_k) UE ids from the reports'
-        slot matrices through _block_aps, and the values from their tables.
-        Returns (obs (N, obs_dim), local slot->UE map (N, top_k), padding mask).
+        blocks the latest one visible over the backhaul, in that report's slot
+        order; slots beyond the pool, and whole blocks beyond the available
+        remote APs, are padding with the default (weight, sinr_db). Only
+        gathers: UE ids from the two reports' slot matrices through
+        _block_aps, values from their tables.
         """
         cfg = self.config
-        loc_slots, loc_table = self._observation_tables(self._latest_visible(0))
-        rem_slots, rem_table = self._observation_tables(
-            self._latest_visible(cfg.backhaul_delay))
-        local = loc_slots[self._block_aps[:, :1]]            # (N, 1, top_k)
-        remote = rem_slots[self._block_aps[:, 1:]]           # (N, num_remote, top_k)
-        values = np.concatenate((loc_table[local], rem_table[remote]), axis=1)
-        obs = values.reshape(len(local), cfg.obs_dim)
-        pad = np.concatenate((local, remote), axis=1) < 0
-        mask = np.repeat(pad.reshape(len(local), -1), 2, axis=1)
-        return obs, local[:, 0], mask
+        loc, rem = self._latest_visible(0), self._latest_visible(cfg.backhaul_delay)
+        local = loc.slots[self._block_aps[:, :1]]            # (N, 1, top_k)
+        remote = rem.slots[self._block_aps[:, 1:]]           # (N, num_remote, top_k)
+        values = np.concatenate((loc.table[local], rem.table[remote]), axis=1)
+        return values.reshape(len(local), cfg.obs_dim)
 
     def pool_argmax(self, values: np.ndarray) -> np.ndarray:
         """Each AP's pool UE with the largest value; ties go to the lowest UE id.
@@ -321,19 +308,16 @@ class NetworkEnv:
 
         Used by the centralized baselines, which bypass the feedback pipeline.
         """
-        cfg = self.config
-        sinr = linklevel.measured_sinr(
-            self.g2[self._ue_ids, self.association],
-            cfg.p_max_w, self.stats.avg_interference, cfg.noise_w)
-        return linklevel.pf_ratio(self.stats.weight, sinr)
+        return linklevel.pf_ratio(self.stats.weight, self._serving_sinr())
 
     # ------------------------------------------------------------------ actions
 
     def _decode(self, agents: np.ndarray, actions: np.ndarray):
         """Decode the 1-D integer actions of the matching agents in one gather.
 
-        Returns (ue, power_w, invalid) arrays; ue is -1 where the agent stays
-        off, and invalid marks a selected slot that is empty.
+        Slots come from the latest locally visible report, whose row i is
+        agent i's local block. Returns (ue, power_w, invalid) arrays; ue is -1
+        where the agent stays off, and invalid marks an empty selected slot.
         """
         top = len(self._action_slot) - 1
         listed = actions.tolist()
@@ -341,7 +325,8 @@ class NetworkEnv:
             bad = next(a for a in listed if not 0 <= a <= top)
             raise OutOfRange(f"action {bad} outside [0, {top}]")
         on = actions > 0
-        ue = np.where(on, self._slot_map[agents, self._action_slot[actions]], -1)
+        slots = self._latest_visible(0).slots
+        ue = np.where(on, slots[agents, self._action_slot[actions]], -1)
         return ue, self._action_power[actions], on & (ue < 0)
 
     def decode_action(self, agent: int, action: int):
@@ -358,22 +343,20 @@ class NetworkEnv:
     def compute_reward(self, decisions, rates, invalid) -> np.ndarray:
         """Weighted sum-rate reward with the all-off and invalid exceptions."""
         cfg = self.config
-        w_vis, _, _, _ = self.visible_link_values(remote=False)
+        w_vis = self._latest_visible(0).weight
         r = 0.0
         any_tx = False
-        for i, dec in enumerate(decisions):
+        for dec in decisions:
             if not dec.off:
                 any_tx = True
                 r += np.power(w_vis[dec.ue], cfg.reward_exponent) * rates[dec.ue]
         rewards = np.full(self.deployment.num_aps, r)
         if not any_tx:
+            # nobody transmits, so r == 0.0: only the penalty is non-zero
             top = self.agent_top_pf()
-            rewards[:] = 0.0
             m = int(np.argmax(top))
             rewards[m] = -top[m]
-        for i, bad in enumerate(invalid):
-            if bad:
-                rewards[i] = 0.0
+        rewards[np.asarray(invalid, dtype=bool)] = 0.0
         return rewards
 
     # -------------------------------------------------------------------- step
@@ -421,8 +404,7 @@ class NetworkEnv:
         if not self._done:
             self._refresh_interval_state()
             if build_obs:
-                obs, self._slot_map, self._last_obs_mask = self._build_observations()
-                info["obs_padding_mask"] = self._last_obs_mask
+                obs = self._build_observations()
         return obs, rewards, self._done, info
 
     @property

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines as bl
-from . import channel, topology
+from . import channel, linklevel, topology
 from .env import EnvConfig, NetworkEnv
 
 
@@ -258,7 +258,7 @@ def export_decision_log(env_config: EnvConfig, policy, seeds, path) -> int:
         def write_rows(obs, actions, rewards, info):
             nonlocal rows
             w, sinr_db = obs[:, 0::2], obs[:, 1::2]
-            pf = w * np.log2(1.0 + 10.0 ** (sinr_db / 10.0))
+            pf = linklevel.pf_ratio(w, 10.0 ** (sinr_db / 10.0))
             values = np.column_stack((w[:, 0], sinr_db[:, 0], pf[:, :k], pf[:, k::k]))
             for i, (row, a) in enumerate(zip(values.tolist(),
                                              actions.astype(int, copy=False).tolist())):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,10 +48,6 @@ class LinkStats:
     @property
     def weight(self) -> np.ndarray:
         return 1.0 / np.maximum(self.avg_rate, self.rate_floor)
-
-    def copy(self) -> "LinkStats":
-        return LinkStats(self.avg_rate.copy(), self.avg_interference.copy(),
-                         self.rate_floor)
 
 
 def compute_rates(decisions: list[ScheduleDecision], power_gains: np.ndarray,

@@ -16,17 +16,11 @@ PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 
 class Mlp:
-    """in -> hidden -> hidden -> out with tanh activations, linear head.
-
-    activation="linear" disables the nonlinearities (test mode only).
-    """
+    """in -> hidden -> hidden -> out with tanh activations, linear head."""
 
     def __init__(self, in_dim: int, out_dim: int, hidden: int = 128,
-                 activation: str = "tanh", rng: np.random.Generator | None = None):
-        if activation not in ("tanh", "linear"):
-            raise ValueError("activation must be 'tanh' or 'linear'")
+                 rng: np.random.Generator | None = None):
         self.in_dim, self.out_dim, self.hidden = in_dim, out_dim, hidden
-        self.activation = activation
         rng = rng or np.random.default_rng()
         self.params = {}
         dims = [(in_dim, hidden), (hidden, hidden), (hidden, out_dim)]
@@ -35,20 +29,14 @@ class Mlp:
             self.params[f"w{idx}"] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
             self.params[f"b{idx}"] = np.zeros(fan_out)
 
-    def _act(self, z):
-        return np.tanh(z) if self.activation == "tanh" else z
-
-    def _act_grad(self, a):
-        return 1.0 - a ** 2 if self.activation == "tanh" else np.ones_like(a)
-
     def forward(self, x: np.ndarray, cache: bool = False):
         """Batched forward pass; x is (B, in_dim). Returns (B, out_dim)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.in_dim:
             raise ShapeMismatch(f"expected input width {self.in_dim}, got {x.shape[1]}")
         p = self.params
-        a1 = self._act(x @ p["w1"] + p["b1"])
-        a2 = self._act(a1 @ p["w2"] + p["b2"])
+        a1 = np.tanh(x @ p["w1"] + p["b1"])
+        a2 = np.tanh(a1 @ p["w2"] + p["b2"])
         out = a2 @ p["w3"] + p["b3"]
         if cache:
             self._cache = (x, a1, a2)
@@ -68,10 +56,10 @@ class Mlp:
         p = self.params
         g = grad_out / batch
         grads = {"w3": a2.T @ g, "b3": g.sum(axis=0)}
-        d2 = (g @ p["w3"].T) * self._act_grad(a2)
+        d2 = (g @ p["w3"].T) * (1.0 - a2 ** 2)
         grads["w2"] = a1.T @ d2
         grads["b2"] = d2.sum(axis=0)
-        d1 = (d2 @ p["w2"].T) * self._act_grad(a1)
+        d1 = (d2 @ p["w2"].T) * (1.0 - a1 ** 2)
         grads["w1"] = x.T @ d1
         grads["b1"] = d1.sum(axis=0)
         return grads
@@ -82,7 +70,6 @@ class Mlp:
     def copy(self) -> "Mlp":
         clone = Mlp.__new__(Mlp)
         clone.in_dim, clone.out_dim, clone.hidden = self.in_dim, self.out_dim, self.hidden
-        clone.activation = self.activation
         clone.params = {k: v.copy() for k, v in self.params.items()}
         return clone
 
@@ -131,7 +118,7 @@ def save_checkpoint(path, net: Mlp, step: int = 0, extra: dict | None = None) ->
     """JSON header line followed by the flat little-endian float64 parameters."""
     header = {
         "in_dim": net.in_dim, "out_dim": net.out_dim, "hidden": net.hidden,
-        "activation": net.activation, "step": step,
+        "activation": "tanh", "step": step,
         "param_order": list(PARAM_NAMES),
         "shapes": {k: list(net.params[k].shape) for k in PARAM_NAMES},
     }
@@ -146,14 +133,16 @@ def save_checkpoint(path, net: Mlp, step: int = 0, extra: dict | None = None) ->
 def load_checkpoint(path):
     """Read a save_checkpoint file back into (net, header).
 
-    Raises ShapeMismatch when the header's shapes disagree with its
-    in_dim/hidden/out_dim, or the parameter bytes with those shapes.
+    Raises ShapeMismatch when the header names an activation other than
+    tanh, when its shapes disagree with its in_dim/hidden/out_dim, or when the
+    parameter bytes disagree with those shapes.
     """
     with open(path, "rb") as f:
         header = json.loads(f.readline().decode("utf-8"))
         blob = f.read()
-    net = Mlp(header["in_dim"], header["out_dim"], header["hidden"],
-              activation=header["activation"])
+    if header["activation"] != "tanh":
+        raise ShapeMismatch(f"activation {header['activation']!r} is not 'tanh'")
+    net = Mlp(header["in_dim"], header["out_dim"], header["hidden"])
     if sorted(header["param_order"]) != sorted(PARAM_NAMES):
         raise ShapeMismatch(f"parameters {header['param_order']} are not {list(PARAM_NAMES)}")
     for k in PARAM_NAMES:

@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from marlsched.cli import main
+from marlsched import harness
+from marlsched.cli import load_configs, main
+from marlsched.env import ConfigError
 from marlsched.nn import load_checkpoint
 
 
@@ -105,3 +107,38 @@ def test_analyze_pareto(tmp_path, capsys):
     main(["analyze", "pareto", "--inputs", str(a), str(b)])
     out = capsys.readouterr().out
     assert f"{a} dominates {b}" in out
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["analyze", "decisions", "--out", "dec.csv"], ["--checkpoint", "--norm-stats"]),
+    (["analyze", "decisions", "--checkpoint", "c.ckpt", "--out", "dec.csv"],
+     ["--norm-stats"]),
+    (["analyze", "decisions", "--checkpoint", "c.ckpt", "--norm-stats", "s.json"],
+     ["--out"]),
+    (["analyze", "interferers"], ["--out"]),
+], ids=["decisions-bare", "decisions-no-norm-stats", "decisions-no-out", "interferers"])
+def test_analyze_names_missing_flags_before_any_work(argv, flags, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before checking its flags")
+
+    monkeypatch.setattr(harness, "interference_profile", no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert all(flag in err for flag in flags)
+
+
+@pytest.mark.parametrize("raw, names", [
+    ({"envv": {"top_k": 2}, "trainerr": {}}, ["envv", "trainerr"]),
+    ({"env": {"top_kk": 2, "num_remot": 1}}, ["top_kk", "num_remot"]),
+    ({"env": {"deployment": {"num_apz": 2}}}, ["num_apz"]),
+    ({"env": {"path_loss": {"k0": 39.0}}}, ["k0"]),
+    ({"trainer": {"episodez": 3}}, ["episodez"]),
+], ids=["sections", "env", "deployment", "path_loss", "trainer"])
+def test_load_configs_names_unknown_entries(tmp_path, raw, names):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ConfigError) as exc:
+        load_configs(str(path))
+    assert all(name in str(exc.value) for name in names)

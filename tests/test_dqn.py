@@ -239,8 +239,10 @@ def test_run_training_structure():
     assert len(res.checkpoints) == 2
     best = max(range(2), key=lambda i: res.epoch_log[i].score)
     assert res.best_epoch == best + 1
-    net = res.best_net(Mlp(cfg.obs_dim, cfg.num_actions, tc.hidden_units,
-                           rng=np.random.default_rng(0)))
+    template = Mlp(cfg.obs_dim, cfg.num_actions, tc.hidden_units,
+                   rng=np.random.default_rng(0))
+    net = template.copy()
+    net.set_params(res.best_params)
     for k in net.params:
         assert np.array_equal(net.params[k], res.best_params[k])
 

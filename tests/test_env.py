@@ -66,6 +66,11 @@ def test_config_roundtrip():
 
 # ------------------------------------------------------------------ obs shape
 
+def local_slots(env):
+    """Each agent's local slot -> UE map, read from the latest visible report."""
+    return env._latest_visible(0).slots[:-1]
+
+
 def test_reset_observation_shape_and_defaults():
     env = NetworkEnv(small_config())
     obs = env.reset(seed=0)
@@ -95,10 +100,8 @@ def test_padding_slots_use_defaults():
     env = NetworkEnv(cfg)
     env.reset(seed=3)
     for _ in range(25):
-        obs, _, _, info = env.step([1])
-    mask = info["obs_padding_mask"]
-    assert mask.shape == obs.shape
-    assert mask[0, 4] and mask[0, 5]            # third slot is padding
+        obs, _, _, _ = env.step([1])
+    assert local_slots(env)[0, 2] == -1         # third slot is padding
     assert obs[0, 4] == cfg.default_weight
     assert obs[0, 5] == cfg.default_sinr_db
     # real slots have moved off the defaults by now
@@ -138,12 +141,12 @@ def test_observation_frozen_between_reports():
     env = NetworkEnv(small_config(episode_length=60))
     env.reset(seed=11)
     _step_until(env, 20)  # t=10 report visible both locally and remotely
-    obs_a, _, _ = env._build_observations()
+    obs_a = env._build_observations()
     _step_until(env, 24)  # t=20 report not yet visible anywhere
-    obs_b, _, _ = env._build_observations()
+    obs_b = env._build_observations()
     assert np.array_equal(obs_a, obs_b)
     _step_until(env, 25)
-    obs_c, _, _ = env._build_observations()
+    obs_c = env._build_observations()
     assert not np.array_equal(obs_b, obs_c)
 
 
@@ -169,7 +172,7 @@ def test_decode_action_off_and_serve():
     assert dec.off and not bad
     dec, bad = env.decode_action(0, 1)
     assert not bad
-    assert dec.ue == env._slot_map[0, 0]
+    assert dec.ue == local_slots(env)[0, 0]
     assert dec.power_w == pytest.approx(env.config.p_max_w)
 
 
@@ -182,7 +185,7 @@ def test_decode_action_power_levels_and_slots():
         dec, bad = env.decode_action(0, action)
         assert not bad
         assert dec.power_w == pytest.approx([p_lo, p_hi][level])
-        assert dec.ue == env._slot_map[0, slot]
+        assert dec.ue == local_slots(env)[0, slot]
 
 
 def test_decode_action_out_of_range():
@@ -199,7 +202,7 @@ def test_invalid_slot_maps_to_off_with_flag():
                     episode_length=10, num_remote=0, top_k=3)
     env = NetworkEnv(cfg)
     env.reset(seed=29)
-    assert env._slot_map[0, 2] == -1
+    assert local_slots(env)[0, 2] == -1
     dec, bad = env.decode_action(0, 3)   # empty third slot
     assert dec.off and bad
 
@@ -356,9 +359,9 @@ def test_unsorted_variant_fixed_slots():
                        deployment=DeploymentConfig(num_aps=2, num_ues=6))
     env = NetworkEnv(cfg)
     env.reset(seed=71)
-    slots_a = env._slot_map.copy()
+    slots_a = local_slots(env).copy()
     pools = env.pools
     assert all(len(p) == 3 for p in pools)
     for _ in range(40):
         env.step([1, 1])
-    assert np.array_equal(slots_a, env._slot_map)   # slots never reshuffle
+    assert np.array_equal(slots_a, local_slots(env))   # slots never reshuffle

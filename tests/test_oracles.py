@@ -2,9 +2,10 @@
 
 The oracles below are the per-agent, per-slot loops that `NetworkEnv` and
 `baselines` used before observations, action decoding and the top-PF
-selections were built from the padded pool matrix. A Hypothesis test steps
-random small environments and requires every fast-path output to equal its
-oracle bit for bit.
+selections were built from the padded pool matrix and the feedback reports
+were kept in a ring. A Hypothesis test steps random small environments and
+requires every fast-path output to equal its oracle bit for bit, and the
+environment invariants to hold at every interval.
 """
 
 import numpy as np
@@ -25,6 +26,16 @@ def oracle_visible(env, remote):
     return w, s, linklevel.pf_ratio(w, 10.0 ** (s / 10.0))
 
 
+def oracle_visible_time(env, remote):
+    """When the latest visible report was measured: reports are made at every
+    multiple of feedback_period and arrive after the feedback delay, plus the
+    backhaul delay for remote APs. None before the first one arrives."""
+    cfg = env.config
+    limit = env.t - cfg.feedback_delay - (cfg.backhaul_delay if remote else 0)
+    made = [t for t in range(1, limit + 1) if t % cfg.feedback_period == 0]
+    return made[-1] if made else None
+
+
 def oracle_observations(env):
     """Per-agent, per-block sorted() and slot-by-slot writes."""
     cfg = env.config
@@ -33,7 +44,6 @@ def oracle_observations(env):
     w_rem, s_rem, pf_rem = oracle_visible(env, remote=True)
 
     obs = np.empty((n_aps, cfg.obs_dim))
-    mask = np.zeros((n_aps, cfg.obs_dim), dtype=bool)
     slot_map = np.full((n_aps, cfg.top_k), -1, dtype=int)
     for i in range(n_aps):
         blocks = [(env.pools[i], w_loc, s_loc, pf_loc)]
@@ -56,12 +66,11 @@ def oracle_observations(env):
                 else:
                     obs[i, pos] = cfg.default_weight
                     obs[i, pos + 1] = cfg.default_sinr_db
-                    mask[i, pos] = mask[i, pos + 1] = True
                 pos += 2
-    return obs, slot_map, mask
+    return obs, slot_map
 
 
-def oracle_decode(env, agent, action):
+def oracle_decode(env, slot_map, agent, action):
     """Scalar decode with the power levels rebuilt on every call."""
     cfg = env.config
     if action < 0 or action > cfg.power_levels * cfg.top_k:
@@ -70,7 +79,7 @@ def oracle_decode(env, agent, action):
         return ScheduleDecision.silent(), False
     level = (action - 1) // cfg.top_k
     slot = (action - 1) % cfg.top_k
-    ue = env._slot_map[agent, slot]
+    ue = slot_map[agent, slot]
     if ue < 0:
         return ScheduleDecision.silent(), True
     power = cfg.power_level_watts()[level]
@@ -95,16 +104,12 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def assert_mask_matches_pool_sizes(env, mask):
-    cfg = env.config
-    k = cfg.top_k
-    sizes = [len(p) for p in env.pools]
-    for i in range(env.deployment.num_aps):
-        block_aps = [i] + [int(r) for r in env.deployment.remote_agents[i]]
-        block_sizes = [sizes[a] for a in block_aps]
-        block_sizes += [0] * (cfg.num_remote + 1 - len(block_sizes))
-        want = np.repeat([[s >= min(m, k) for s in range(k)] for m in block_sizes], 2)
-        assert np.array_equal(mask[i], want)
+def assert_slots_match_pool_sizes(env, remote):
+    """A report's slot matrix is -1 exactly beyond each pool's size; the last
+    row, the padding row, is all -1."""
+    slots = env._latest_visible(env.config.backhaul_delay if remote else 0).slots
+    sizes = np.array([len(p) for p in env.pools] + [0])
+    assert np.array_equal(slots < 0, np.arange(env.config.top_k) >= sizes[:, None])
 
 
 @st.composite
@@ -130,7 +135,11 @@ def small_configs(draw):
 @settings(max_examples=80, deadline=None)
 @given(cfg=small_configs(), seed=st.integers(0, 2 ** 32 - 1))
 # pinned edge cases: N = K = 1 with top_k and num_remote beyond the network;
-# the unsorted variant with p > 1 and a report every interval
+# the unsorted variant with p > 1 and a report every interval; the report ring
+# wrapping many times, when it is long (a report every interval, delays of 3),
+# when it has its minimum two slots (no delays), and when the delays are no
+# multiple of the period, so that the newest and the oldest readable report
+# are (fd + bd) // P + 1 apart and every slot is needed
 @example(cfg=EnvConfig(deployment=DeploymentConfig(num_aps=1, num_ues=1),
                        episode_length=25, top_k=3, num_remote=2, power_levels=2),
          seed=0)
@@ -138,30 +147,43 @@ def small_configs(draw):
                        episode_length=25, top_k=2, num_remote=3, power_levels=3,
                        feedback_period=1, sort_by_pf=False),
          seed=1)
+@example(cfg=EnvConfig(deployment=DeploymentConfig(num_aps=2, num_ues=5),
+                       episode_length=40, feedback_period=1, feedback_delay=3,
+                       backhaul_delay=3),
+         seed=2)
+@example(cfg=EnvConfig(deployment=DeploymentConfig(num_aps=2, num_ues=5),
+                       episode_length=40, feedback_period=3, feedback_delay=0,
+                       backhaul_delay=0),
+         seed=3)
+@example(cfg=EnvConfig(deployment=DeploymentConfig(num_aps=2, num_ues=5),
+                       episode_length=40, feedback_period=3, feedback_delay=2,
+                       backhaul_delay=2),
+         seed=4)
 def test_interval_path_matches_loop_oracles(cfg, seed):
     env = NetworkEnv(cfg)
     obs = env.reset(seed)
-    mask = env._last_obs_mask
     rng = np.random.default_rng(seed)
     n_aps = cfg.deployment.num_aps
     while True:
-        want_obs, want_slots, want_mask = oracle_observations(env)
+        want_obs, want_slots = oracle_observations(env)
         assert same_bits(obs, want_obs)
-        assert same_bits(env._slot_map, want_slots)
-        assert same_bits(mask, want_mask)
-        assert_mask_matches_pool_sizes(env, mask)
+        assert same_bits(env._latest_visible(0).slots[:-1], want_slots)
+        assert_slots_match_pool_sizes(env, remote=False)
+        assert_slots_match_pool_sizes(env, remote=True)
 
-        _, _, pf, _ = env.visible_link_values(remote=False)
-        assert same_bits(pf, oracle_visible(env, remote=False)[2])
-        _, _, pf, _ = env.visible_link_values(remote=True)
-        assert same_bits(pf, oracle_visible(env, remote=True)[2])
-        assert same_bits(env.agent_top_pf(), oracle_agent_top_pf(env))
+        for remote in (False, True):
+            _, _, pf, t_measured = env.visible_link_values(remote=remote)
+            assert same_bits(pf, oracle_visible(env, remote=remote)[2])
+            assert t_measured == oracle_visible_time(env, remote=remote)
+        top_pf = env.agent_top_pf()
+        assert same_bits(top_pf, oracle_agent_top_pf(env))
         sel, pf_true = baselines._top_pf_per_pool(env)
         want_sel, want_pf = oracle_top_pf_per_pool(env)
         assert same_bits(sel, want_sel) and same_bits(pf_true, want_pf)
 
         actions = rng.integers(0, cfg.num_actions, size=n_aps)
-        decoded = [oracle_decode(env, i, int(a)) for i, a in enumerate(actions)]
+        decoded = [oracle_decode(env, want_slots, i, int(a))
+                   for i, a in enumerate(actions)]
         for i, a in enumerate(actions):
             assert env.decode_action(i, int(a)) == decoded[i]
         with pytest.raises(OutOfRange):
@@ -172,6 +194,14 @@ def test_interval_path_matches_loop_oracles(cfg, seed):
         for i, dec in enumerate(info["decisions"]):
             assert dec.off or env.association[dec.ue] == i
         assert all(rewards[i] == 0.0 for i, (_, bad) in enumerate(decoded) if bad)
+        assert np.all(info["rates"] >= 0.0) and np.all(info["interference"] >= 0.0)
+        assert np.all(env.stats.avg_rate >= cfg.rate_floor)
+        if all(dec.off for dec in info["decisions"]):
+            # the all-off penalty: at most one agent, the one with the top pf
+            penalized = np.flatnonzero(rewards)
+            assert len(penalized) <= 1
+            if len(penalized):
+                assert rewards[penalized[0]] < 0.0
+                assert penalized[0] == np.argmax(top_pf)
         if done:
             return
-        mask = info["obs_padding_mask"]
