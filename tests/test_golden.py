@@ -5,30 +5,36 @@ digests of the per-interval reward arrays and of the per-UE average rates,
 both as little-endian float64 bytes; for the action policy it also holds the
 digest of the per-interval observations. For every config it also holds the
 digests of the offline normalization dataset (weights, sinr_db and rewards
-collected under the three baselines) and of the bytes of a decision-log CSV
-(random policy, two seeds). A refactor that is meant to keep outputs
-unchanged must keep every digest.
+collected under the three baselines), of the bytes of a decision-log CSV
+(random policy, two seeds), and of a short training run: the parameters of
+every epoch's checkpoint plus the epoch log. A refactor that is meant to keep
+outputs unchanged must keep every digest.
 
 Regenerate the file only after a change that is meant to alter outputs:
 
     PYTHONPATH=src python tests/test_golden.py --write
 
-Under pytest the file is only read, never written.
+Under pytest the file is only read, never written. Without --write the
+script compares and exits 1 when any case differs.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from marlsched.dqn import TrainerConfig, run_training
 from marlsched.env import EnvConfig, NetworkEnv
 from marlsched.harness import BaselinePolicy, RandomPolicy, export_decision_log
-from marlsched.normalize import collect_offline_dataset
+from marlsched.nn import PARAM_NAMES
+from marlsched.normalize import collect_offline_dataset, fit
 from marlsched.topology import DeploymentConfig
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden.json"
@@ -97,6 +103,24 @@ def decision_log_digests(config: EnvConfig) -> dict:
         return {"rows": rows, "csv": hashlib.sha256(path.read_bytes()).hexdigest()}
 
 
+# 1000 is no multiple of 3, so the 1,800 pushes wrap the replay ring mid-interval
+TRAINER = TrainerConfig(num_envs=3, episodes=6, epoch_episodes=3, buffer_capacity=1000,
+                        batch_timesteps=64, target_sync_intervals=500,
+                        train_period_intervals=50, epsilon_decay_episodes=6,
+                        hidden_units=16)
+
+
+def training_digests(config: EnvConfig) -> dict:
+    """Digests of every epoch's checkpoint parameters, plus the epoch log."""
+    dataset = collect_offline_dataset(config, ["full_reuse"], 1, np.random.default_rng(0))
+    mapper, reward_norm = fit(dataset, 20)
+    result = run_training(config, TRAINER, mapper, reward_norm,
+                          validation_seeds=SEEDS[:1], seed=9)
+    return {"checkpoints": [_digest(params[k] for k in PARAM_NAMES)
+                            for params in result.checkpoints],
+            "epochs": [dataclasses.asdict(r) for r in result.epoch_log]}
+
+
 def compute_all() -> dict:
     out = {f"{cfg_name}/{policy}/{seed}": rollout_digests(cfg, policy, seed)
            for cfg_name, cfg in _configs().items()
@@ -104,6 +128,7 @@ def compute_all() -> dict:
     for cfg_name, cfg in _configs().items():
         out[f"{cfg_name}/offline_dataset"] = offline_dataset_digests(cfg)
         out[f"{cfg_name}/decision_log"] = decision_log_digests(cfg)
+        out[f"{cfg_name}/training"] = training_digests(cfg)
     return out
 
 
@@ -115,7 +140,7 @@ def test_rollouts_match_golden_digests():
     assert not mismatched, f"outputs changed for {mismatched}"
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--write", action="store_true",
                         help=f"rewrite {GOLDEN.name} from the current code")
@@ -125,11 +150,12 @@ def main() -> None:
         GOLDEN.parent.mkdir(parents=True, exist_ok=True)
         GOLDEN.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
         print(f"wrote {len(got)} cases to {GOLDEN}")
-        return
+        return 0
     want = json.loads(GOLDEN.read_text())
-    bad = [case for case in got if want.get(case) != got[case]]
+    bad = sorted(case for case in set(got) | set(want) if want.get(case) != got.get(case))
     print(f"{len(got) - len(bad)}/{len(got)} cases match" + (f"; differ: {bad}" if bad else ""))
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
