@@ -21,7 +21,7 @@ DEFAULT_Q_LEVELS = 20
 
 # flags that `analyze <what>` needs; argparse cannot require them per choice
 ANALYZE_NEEDS = {"interferers": ("out",), "decisions": ("checkpoint", "norm_stats", "out"),
-                 "pareto": ()}
+                 "pareto": ("inputs",)}
 
 
 def load_configs(path: str | None):
@@ -232,7 +232,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "analyze":
         missing = [f"--{name.replace('_', '-')}" for name in ANALYZE_NEEDS[args.what]
-                   if getattr(args, name) is None]
+                   if not getattr(args, name)]
         if missing:
             parser.error(f"analyze {args.what} needs {', '.join(missing)}")
     args.func(args)

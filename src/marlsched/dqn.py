@@ -8,7 +8,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import harness
-from .env import EnvConfig, NetworkEnv, known_keys
+from .env import ConfigError, EnvConfig, NetworkEnv, known_keys
 from .nn import AdamState, Mlp, adam_update, save_checkpoint
 from .normalize import PercentileMapper, RewardNormalizer
 
@@ -17,41 +17,41 @@ class BufferUnderfilled(RuntimeError):
     pass
 
 
-@dataclass
-class Transition:
-    """All agents of one environment at one interval, stored atomically."""
-
-    obs: np.ndarray        # (N, obs_dim), percentile-mapped
-    actions: np.ndarray    # (N,)
-    rewards: np.ndarray    # (N,), normalized
-    next_obs: np.ndarray   # (N, obs_dim)
-    done: bool
-
-
 class ReplayBuffer:
-    """FIFO ring of timestep transitions with uniform batch sampling."""
+    """FIFO ring of timestep records with uniform batch sampling.
+
+    A record holds all agents of one environment at one interval: obs,
+    next_obs (N, obs_dim), actions, rewards (N,) and done.
+    """
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self._data: list[Transition] = []
-        self._next = 0
+        self._data: np.ndarray | None = None    # allocated at the first push
+        self._pushed = 0
 
     def __len__(self) -> int:
-        return len(self._data)
+        return min(self._pushed, self.capacity)
 
-    def push(self, tr: Transition) -> None:
-        if len(self._data) < self.capacity:
-            self._data.append(tr)
-        else:
-            self._data[self._next] = tr
-            self._next = (self._next + 1) % self.capacity
+    def push(self, obs, actions, rewards, next_obs, done) -> None:
+        """Store one lockstep interval of B environments as B records, in order."""
+        if self._data is None:
+            n, d = obs.shape[1:]
+            self._data = np.empty(self.capacity, dtype=[
+                ("obs", float, (n, d)), ("actions", int, (n,)), ("rewards", float, (n,)),
+                ("next_obs", float, (n, d)), ("done", bool)])
+        idx = (self._pushed + np.arange(len(obs))) % self.capacity
+        values = (obs, actions, rewards, next_obs, done)
+        for name, value in zip(self._data.dtype.names, values):
+            self._data[name][idx] = value
+        self._pushed += len(obs)
 
-    def sample(self, batch_size: int, rng: np.random.Generator) -> list[Transition]:
-        if len(self._data) < batch_size:
+    def sample(self, batch_size: int, rng: np.random.Generator) -> np.recarray:
+        """batch_size distinct records; fields read as batch.obs, batch.done, ..."""
+        if len(self) < batch_size:
             raise BufferUnderfilled(
-                f"buffer holds {len(self._data)} timesteps, need {batch_size}")
-        idx = rng.choice(len(self._data), size=batch_size, replace=False)
-        return [self._data[i] for i in idx]
+                f"buffer holds {len(self)} timesteps, need {batch_size}")
+        idx = rng.choice(len(self), size=batch_size, replace=False)
+        return self._data[idx].view(np.recarray)
 
 
 @dataclass
@@ -77,12 +77,25 @@ class TrainerConfig:
         frac = min(episode / self.epsilon_decay_episodes, 1.0)
         return self.epsilon_start + frac * (self.epsilon_end - self.epsilon_start)
 
+    def validate(self) -> None:
+        """Raise ConfigError naming a field whose value would hang, crash or never train."""
+        for name in ("num_envs", "episodes", "epoch_episodes", "buffer_capacity",
+                     "batch_timesteps", "target_sync_intervals", "train_period_intervals",
+                     "epsilon_decay_episodes", "hidden_units", "lr_halving_period"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.buffer_capacity < max(self.num_envs, self.batch_timesteps):
+            raise ConfigError(f"buffer_capacity {self.buffer_capacity} must hold num_envs "
+                              f"{self.num_envs} and batch_timesteps {self.batch_timesteps}")
+
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainerConfig":
-        return cls(**known_keys(cls, d))
+        cfg = cls(**known_keys(cls, d))
+        cfg.validate()
+        return cfg
 
 
 def select_actions(net: Mlp, mapped_obs: np.ndarray, epsilon: float,
@@ -96,14 +109,13 @@ def select_actions(net: Mlp, mapped_obs: np.ndarray, epsilon: float,
     return np.where(explore, randoms, greedy)
 
 
-def compute_double_dqn_targets(batch: list[Transition], online: Mlp, target: Mlp,
+def compute_double_dqn_targets(batch: np.recarray, online: Mlp, target: Mlp,
                                gamma: float) -> np.ndarray:
     """Per-agent-transition regression targets, flattened in batch order."""
-    next_obs = np.concatenate([tr.next_obs for tr in batch])
-    rewards = np.concatenate([tr.rewards for tr in batch])
-    n_agents = batch[0].next_obs.shape[0]
-    not_done = np.concatenate([np.full(n_agents, 0.0 if tr.done else 1.0)
-                               for tr in batch])
+    n_agents, obs_dim = batch.next_obs.shape[1:]
+    next_obs = batch.next_obs.reshape(-1, obs_dim)
+    rewards = batch.rewards.reshape(-1)
+    not_done = np.repeat(1.0 - batch.done, n_agents)
     best = np.argmax(online.forward(next_obs), axis=1)
     q_next = target.forward(next_obs)[np.arange(len(best)), best]
     return rewards + gamma * not_done * q_next
@@ -113,8 +125,8 @@ def train_step(buffer: ReplayBuffer, online: Mlp, target: Mlp, adam: AdamState,
                cfg: TrainerConfig, rng: np.random.Generator) -> float:
     """One gradient step of mean-squared TD error on a concurrent batch."""
     batch = buffer.sample(cfg.batch_timesteps, rng)
-    obs = np.concatenate([tr.obs for tr in batch])
-    actions = np.concatenate([tr.actions for tr in batch]).astype(int)
+    obs = batch.obs.reshape(-1, batch.obs.shape[-1])
+    actions = batch.actions.reshape(-1)
     y = compute_double_dqn_targets(batch, online, target, cfg.gamma)
     q = online.forward(obs, cache=True)
     rows = np.arange(len(actions))
@@ -150,16 +162,14 @@ class DqnPolicy:
 
     kind = "actions"
 
-    def __init__(self, net: Mlp, mapper: PercentileMapper, epsilon: float = 0.0,
-                 seed: int = 0):
+    def __init__(self, net: Mlp, mapper: PercentileMapper):
         self.net = net
         self.mapper = mapper
-        self.epsilon = epsilon
-        self.rng = np.random.default_rng(seed)
+        self.rng = np.random.default_rng(0)     # drawn from, never used at epsilon 0
 
     def act(self, env: NetworkEnv, obs):
         mapped = self.mapper.map_observation_vector(np.asarray(obs))
-        return select_actions(self.net, mapped, self.epsilon, self.rng)
+        return select_actions(self.net, mapped, 0.0, self.rng)
 
 
 def run_training(env_config: EnvConfig, trainer_config: TrainerConfig,
@@ -173,6 +183,7 @@ def run_training(env_config: EnvConfig, trainer_config: TrainerConfig,
     intervals summed across the parallel environments.
     """
     cfg, tcfg = env_config, trainer_config
+    tcfg.validate()
     master = np.random.default_rng(seed)
     net = Mlp(cfg.obs_dim, cfg.num_actions, tcfg.hidden_units, rng=master)
     target = net.copy()
@@ -193,24 +204,20 @@ def run_training(env_config: EnvConfig, trainer_config: TrainerConfig,
 
     while episodes_done < tcfg.episodes:
         eps = tcfg.epsilon(episodes_done)
-        raw_obs = [env.reset(int(master.integers(2 ** 63))) for env in envs]
-        mapped = [mapper.map_observation_vector(o) for o in raw_obs]
+        obs = mapper.map_observation_vector(
+            np.stack([env.reset(int(master.integers(2 ** 63))) for env in envs]))
         done = False
         while not done:
-            stacked = np.concatenate(mapped)
-            actions = select_actions(net, stacked, eps, act_rng)
-            next_mapped = []
-            for e, (env, a) in enumerate(zip(envs, actions.reshape(len(envs), -1))):
-                obs, rewards, done, info = env.step(a)
-                if done:
-                    nm = np.zeros_like(mapped[e])
-                else:
-                    nm = mapper.map_observation_vector(obs)
-                buffer.push(Transition(obs=mapped[e], actions=np.asarray(a),
-                                       rewards=reward_norm.normalize(rewards),
-                                       next_obs=nm, done=done))
-                next_mapped.append(nm)
-            mapped = next_mapped
+            # (B, N, ·) arrays: one row per environment, all agents together
+            actions = select_actions(net, obs.reshape(-1, cfg.obs_dim), eps,
+                                     act_rng).reshape(len(envs), -1)
+            raw, rewards, dones, _ = zip(*(env.step(a) for env, a in zip(envs, actions)))
+            done = dones[-1]    # equal episode lengths: every env ends together
+            next_obs = (np.zeros_like(obs) if done
+                        else mapper.map_observation_vector(np.stack(raw)))
+            buffer.push(obs, actions, reward_norm.normalize(np.stack(rewards)),
+                        next_obs, done)
+            obs = next_obs
             intervals += tcfg.num_envs
             while intervals >= next_train:
                 next_train += tcfg.train_period_intervals

@@ -73,10 +73,6 @@ class Mlp:
         clone.params = {k: v.copy() for k, v in self.params.items()}
         return clone
 
-    def set_params(self, params: dict) -> None:
-        for k in PARAM_NAMES:
-            self.params[k] = params[k].copy()
-
 
 @dataclass
 class AdamState:
@@ -133,21 +129,26 @@ def save_checkpoint(path, net: Mlp, step: int = 0, extra: dict | None = None) ->
 def load_checkpoint(path):
     """Read a save_checkpoint file back into (net, header).
 
-    Raises ShapeMismatch when the header names an activation other than
-    tanh, when its shapes disagree with its in_dim/hidden/out_dim, or when the
-    parameter bytes disagree with those shapes.
+    Raises ShapeMismatch when the header lacks a field, names an activation
+    other than tanh, has shapes that disagree with its in_dim/hidden/out_dim,
+    or when the parameter bytes disagree with those shapes.
     """
     with open(path, "rb") as f:
         header = json.loads(f.readline().decode("utf-8"))
         blob = f.read()
+    missing = [k for k in ("in_dim", "out_dim", "hidden", "activation", "param_order",
+                           "shapes") if k not in header]
+    if missing:
+        raise ShapeMismatch(f"checkpoint header lacks {', '.join(missing)}")
     if header["activation"] != "tanh":
         raise ShapeMismatch(f"activation {header['activation']!r} is not 'tanh'")
     net = Mlp(header["in_dim"], header["out_dim"], header["hidden"])
     if sorted(header["param_order"]) != sorted(PARAM_NAMES):
         raise ShapeMismatch(f"parameters {header['param_order']} are not {list(PARAM_NAMES)}")
     for k in PARAM_NAMES:
-        if tuple(header["shapes"][k]) != net.params[k].shape:
-            raise ShapeMismatch(f"{k} has shape {header['shapes'][k]}; the header's "
+        shape = header["shapes"].get(k)
+        if shape is None or tuple(shape) != net.params[k].shape:
+            raise ShapeMismatch(f"{k} has shape {shape}; the header's "
                                 f"widths need {list(net.params[k].shape)}")
     if len(blob) != 8 * net.num_params():
         raise ShapeMismatch(f"{len(blob)} parameter bytes; the header's shapes "

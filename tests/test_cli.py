@@ -116,7 +116,9 @@ def test_analyze_pareto(tmp_path, capsys):
     (["analyze", "decisions", "--checkpoint", "c.ckpt", "--norm-stats", "s.json"],
      ["--out"]),
     (["analyze", "interferers"], ["--out"]),
-], ids=["decisions-bare", "decisions-no-norm-stats", "decisions-no-out", "interferers"])
+    (["analyze", "pareto"], ["--inputs"]),
+], ids=["decisions-bare", "decisions-no-norm-stats", "decisions-no-out", "interferers",
+        "pareto"])
 def test_analyze_names_missing_flags_before_any_work(argv, flags, capsys, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("ran before checking its flags")

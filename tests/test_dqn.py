@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from marlsched.dqn import (
-    BufferUnderfilled, DqnPolicy, ReplayBuffer, TrainerConfig, Transition,
+    BufferUnderfilled, DqnPolicy, ReplayBuffer, TrainerConfig,
     compute_double_dqn_targets, run_training, select_actions, train_step,
 )
-from marlsched.env import EnvConfig
-from marlsched.nn import AdamState, Mlp
+from marlsched.env import ConfigError, EnvConfig
+from marlsched.nn import PARAM_NAMES, AdamState, Mlp
 from marlsched.normalize import PercentileMapper, RewardNormalizer
 from marlsched.topology import DeploymentConfig
 
@@ -15,12 +15,28 @@ def tiny_net(seed=0, in_dim=4, out_dim=3):
     return Mlp(in_dim, out_dim, hidden=8, rng=np.random.default_rng(seed))
 
 
-def make_transition(rng, n_agents=2, obs_dim=4, done=False):
-    return Transition(obs=rng.normal(size=(n_agents, obs_dim)),
-                      actions=rng.integers(0, 3, size=n_agents),
-                      rewards=rng.normal(size=n_agents),
-                      next_obs=rng.normal(size=(n_agents, obs_dim)),
-                      done=done)
+def interval(rng, n_envs=1, n_agents=2, obs_dim=4, done=False):
+    """(obs, actions, rewards, next_obs, done) of one lockstep interval."""
+    return (rng.normal(size=(n_envs, n_agents, obs_dim)),
+            rng.integers(0, 3, size=(n_envs, n_agents)),
+            rng.normal(size=(n_envs, n_agents)),
+            rng.normal(size=(n_envs, n_agents, obs_dim)),
+            done)
+
+
+def tagged(rng, tags, n_agents=2):
+    """One interval of len(tags) environments whose rewards carry their tag."""
+    obs, actions, _, next_obs, done = interval(rng, len(tags), n_agents)
+    rewards = np.repeat(np.asarray(tags, float)[:, None], n_agents, axis=1)
+    return obs, actions, rewards, next_obs, done
+
+
+def make_batch(rng, dones):
+    """One record per entry of dones, pushed one at a time, sampled back shuffled."""
+    buf = ReplayBuffer(len(dones))
+    for done in dones:
+        buf.push(*interval(rng, done=done))
+    return buf.sample(len(dones), rng)
 
 
 # -------------------------------------------------------------- replay buffer
@@ -28,17 +44,27 @@ def make_transition(rng, n_agents=2, obs_dim=4, done=False):
 def test_buffer_ring_overwrites_oldest():
     buf = ReplayBuffer(3)
     rng = np.random.default_rng(0)
-    trs = [make_transition(rng) for _ in range(5)]
-    for tr in trs:
-        buf.push(tr)
+    for t in range(5):
+        buf.push(*tagged(rng, [t]))
     assert len(buf) == 3
-    kept = {id(tr) for tr in buf._data}
-    assert kept == {id(trs[2]), id(trs[3]), id(trs[4])}
+    assert set(buf.sample(3, rng).rewards[:, 0]) == {2.0, 3.0, 4.0}
+
+
+def test_buffer_wraps_mid_interval():
+    # capacity 7 is no multiple of B = 3: slot i holds the latest record
+    # pushed with index = i mod 7, as with one record pushed at a time
+    buf = ReplayBuffer(7)
+    rng = np.random.default_rng(1)
+    for t in range(5):
+        buf.push(*tagged(rng, 3 * t + np.arange(3)))
+    assert len(buf) == 7
+    assert list(buf._data["rewards"][:, 0]) == [14, 8, 9, 10, 11, 12, 13]
+    assert set(buf.sample(7, rng).rewards[:, 1]) == set(range(8, 15))
 
 
 def test_buffer_underfilled_raises():
     buf = ReplayBuffer(10)
-    buf.push(make_transition(np.random.default_rng(1)))
+    buf.push(*interval(np.random.default_rng(1)))
     with pytest.raises(BufferUnderfilled):
         buf.sample(2, np.random.default_rng(2))
 
@@ -46,20 +72,18 @@ def test_buffer_underfilled_raises():
 def test_buffer_sample_without_replacement():
     buf = ReplayBuffer(100)
     rng = np.random.default_rng(3)
-    for _ in range(10):
-        buf.push(make_transition(rng))
+    for t in range(10):
+        buf.push(*tagged(rng, [t]))
     batch = buf.sample(10, np.random.default_rng(4))
-    assert len({id(tr) for tr in batch}) == 10
+    assert sorted(batch.rewards[:, 0]) == list(range(10))
 
 
 def test_transitions_keep_agents_together():
     # a sampled timestep always carries every agent's row of that interval
     buf = ReplayBuffer(50)
     rng = np.random.default_rng(5)
-    for t in range(20):
-        tr = make_transition(rng, n_agents=3)
-        tr.rewards = np.full(3, float(t))      # tag rows with their interval
-        buf.push(tr)
+    for t in range(10):
+        buf.push(*tagged(rng, [2 * t, 2 * t + 1], n_agents=3))   # tag rows by env
     for tr in buf.sample(20, np.random.default_rng(6)):
         assert len(set(tr.rewards)) == 1
         assert tr.obs.shape[0] == tr.next_obs.shape[0] == len(tr.actions) == 3
@@ -109,24 +133,22 @@ def test_epsilon_schedule():
 
 def test_targets_gamma_zero_equal_rewards():
     online, target = tiny_net(15), tiny_net(16)
-    rng = np.random.default_rng(17)
-    batch = [make_transition(rng) for _ in range(4)]
+    batch = make_batch(np.random.default_rng(17), [False] * 4)
     y = compute_double_dqn_targets(batch, online, target, gamma=0.0)
-    assert np.allclose(y, np.concatenate([tr.rewards for tr in batch]))
+    assert np.allclose(y, batch.rewards.reshape(-1))
 
 
 def test_targets_terminal_drops_bootstrap():
     online, target = tiny_net(18), tiny_net(19)
-    rng = np.random.default_rng(20)
-    batch = [make_transition(rng, done=True) for _ in range(3)]
+    batch = make_batch(np.random.default_rng(20), [True] * 3)
     y = compute_double_dqn_targets(batch, online, target, gamma=0.9)
-    assert np.allclose(y, np.concatenate([tr.rewards for tr in batch]))
+    assert np.allclose(y, batch.rewards.reshape(-1))
 
 
 def test_targets_match_manual_double_dqn():
     online, target = tiny_net(21), tiny_net(22)
-    rng = np.random.default_rng(23)
-    batch = [make_transition(rng), make_transition(rng, done=True)]
+    batch = make_batch(np.random.default_rng(23), [False, True])
+    assert sorted(batch.done) == [False, True]
     y = compute_double_dqn_targets(batch, online, target, gamma=0.9)
     k = 0
     for tr in batch:
@@ -142,11 +164,10 @@ def test_targets_online_selects_target_evaluates():
     # craft nets where online's argmax differs from target's argmax so the
     # double estimator is distinguishable from plain max_a Q_target
     online, target = tiny_net(24), tiny_net(25)
-    rng = np.random.default_rng(26)
-    batch = [make_transition(rng) for _ in range(6)]
+    batch = make_batch(np.random.default_rng(26), [False] * 6)
     y = compute_double_dqn_targets(batch, online, target, gamma=0.9)
-    next_obs = np.concatenate([tr.next_obs for tr in batch])
-    rewards = np.concatenate([tr.rewards for tr in batch])
+    next_obs = batch.next_obs.reshape(-1, 4)
+    rewards = batch.rewards.reshape(-1)
     plain_max = rewards + 0.9 * np.max(target.forward(next_obs), axis=1)
     sel_online = np.argmax(online.forward(next_obs), axis=1)
     sel_target = np.argmax(target.forward(next_obs), axis=1)
@@ -160,7 +181,7 @@ def test_targets_online_selects_target_evaluates():
 def _filled_buffer(rng, n=16):
     buf = ReplayBuffer(64)
     for _ in range(n):
-        buf.push(make_transition(rng))
+        buf.push(*interval(rng))
     return buf
 
 
@@ -168,13 +189,11 @@ def test_train_step_zero_loss_at_fixed_point():
     # make rewards equal to current Q minus bootstrap so the TD error is 0
     online = tiny_net(27)
     target = online.copy()
-    rng = np.random.default_rng(28)
+    obs, actions, _, next_obs, done = interval(np.random.default_rng(28), 8, done=True)
+    q = online.forward(obs.reshape(-1, 4)).reshape(8, 2, 3)
+    rewards = np.take_along_axis(q, actions[..., None], axis=2)[..., 0]
     buf = ReplayBuffer(8)
-    for _ in range(8):
-        tr = make_transition(rng, done=True)
-        q = online.forward(tr.obs)
-        tr.rewards = q[np.arange(len(tr.actions)), tr.actions.astype(int)]
-        buf.push(tr)
+    buf.push(obs, actions, rewards, next_obs, done)
     before = {k: v.copy() for k, v in online.params.items()}
     tc = TrainerConfig(batch_timesteps=8, l2_coeff=0.0)
     loss = train_step(buf, online, target, AdamState(), tc, np.random.default_rng(29))
@@ -239,12 +258,10 @@ def test_run_training_structure():
     assert len(res.checkpoints) == 2
     best = max(range(2), key=lambda i: res.epoch_log[i].score)
     assert res.best_epoch == best + 1
-    template = Mlp(cfg.obs_dim, cfg.num_actions, tc.hidden_units,
-                   rng=np.random.default_rng(0))
-    net = template.copy()
-    net.set_params(res.best_params)
-    for k in net.params:
-        assert np.array_equal(net.params[k], res.best_params[k])
+    template = Mlp(cfg.obs_dim, cfg.num_actions, tc.hidden_units)
+    for k in PARAM_NAMES:
+        assert res.best_params[k].shape == template.params[k].shape
+        assert np.array_equal(res.best_params[k], res.checkpoints[best][k])
 
 
 def test_run_training_deterministic():
@@ -283,3 +300,25 @@ def test_dqn_policy_rolls_out():
 def test_trainer_config_roundtrip():
     tc = TrainerConfig(num_envs=3, episodes=7, gamma=0.5)
     assert TrainerConfig.from_dict(tc.to_dict()) == tc
+
+
+@pytest.mark.parametrize("field, value", [
+    ("train_period_intervals", 0),      # these three loop forever on += 0
+    ("target_sync_intervals", 0),
+    ("epoch_episodes", 0),
+    ("epsilon_decay_episodes", 0),      # ZeroDivisionError
+    ("num_envs", 0),
+    ("batch_timesteps", 30_000),        # above buffer_capacity: never trains
+])
+def test_trainer_config_rejects_values_that_hang_or_never_train(field, value):
+    with pytest.raises(ConfigError, match=field):
+        TrainerConfig.from_dict({field: value})
+    with pytest.raises(ConfigError, match=field):
+        TrainerConfig(**{field: value}).validate()
+
+
+def test_run_training_validates_its_config():
+    cfg, tc, mapper, rnorm = _mini_setup()
+    tc.num_envs = 0
+    with pytest.raises(ConfigError, match="num_envs"):
+        run_training(cfg, tc, mapper, rnorm, validation_seeds=[0], seed=9)

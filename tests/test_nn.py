@@ -214,14 +214,6 @@ def test_copy_is_independent():
     assert np.array_equal(net.params["w2"], clone.params["w2"])
 
 
-def test_set_params_copies():
-    net, donor = small_net(26), small_net(27)
-    net.set_params(donor.params)
-    assert np.array_equal(net.params["w1"], donor.params["w1"])
-    donor.params["w1"][:] = 9.0
-    assert not np.array_equal(net.params["w1"], donor.params["w1"])
-
-
 def test_checkpoint_roundtrip(tmp_path):
     net = small_net(28)
     path = tmp_path / "net.ckpt"
@@ -245,18 +237,19 @@ def _rewrite_checkpoint(path, edit_header=None, tail=b"", cut=0):
         f.write(json.dumps(header).encode() + b"\n" + blob[:len(blob) - cut] + tail)
 
 
-@pytest.mark.parametrize("edit", [
-    {"tail": b"\x00" * 8},                                        # trailing bytes
-    {"cut": 8},                                                   # truncated
-    {"edit_header": lambda h: h.update(in_dim=5)},                # in_dim 5, w1 (4, 8)
-    {"edit_header": lambda h: h["shapes"].update(b3=[3, 1])},     # shapes vs out_dim
-    {"edit_header": lambda h: h.update(param_order=["w1", "b1"])},
-    {"edit_header": lambda h: h.update(activation="linear")},     # tanh only
+@pytest.mark.parametrize("edit, names", [
+    ({"tail": b"\x00" * 8}, None),                                      # trailing bytes
+    ({"cut": 8}, None),                                                 # truncated
+    ({"edit_header": lambda h: h.update(in_dim=5)}, None),              # in_dim 5, w1 (4, 8)
+    ({"edit_header": lambda h: h["shapes"].update(b3=[3, 1])}, None),   # shapes vs out_dim
+    ({"edit_header": lambda h: h.update(param_order=["w1", "b1"])}, None),
+    ({"edit_header": lambda h: h.update(activation="linear")}, None),   # tanh only
+    ({"edit_header": lambda h: h.pop("shapes")}, "shapes"),             # missing field
 ], ids=["trailing-bytes", "truncated", "in_dim", "out_dim", "param-order",
-        "activation"])
-def test_checkpoint_rejects_malformed_files(tmp_path, edit):
+        "activation", "no-shapes"])
+def test_checkpoint_rejects_malformed_files(tmp_path, edit, names):
     path = tmp_path / "net.ckpt"
     save_checkpoint(path, Mlp(4, 3, hidden=8, rng=np.random.default_rng(0)))
     _rewrite_checkpoint(path, **edit)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ShapeMismatch, match=names):
         load_checkpoint(path)
