@@ -7,8 +7,10 @@ digest of the per-interval observations. For every config it also holds the
 digests of the offline normalization dataset (weights, sinr_db and rewards
 collected under the three baselines), of the bytes of a decision-log CSV
 (random policy, two seeds), and of a short training run: the parameters of
-every epoch's checkpoint plus the epoch log. A refactor that is meant to keep
-outputs unchanged must keep every digest.
+every epoch's checkpoint plus the epoch log. At N=4 and N=10 APs (K=100) it
+holds the interference profile's mean SINR per interferer count, written
+exactly with float.hex. A refactor that is meant to keep outputs unchanged
+must keep every digest.
 
 Regenerate the file only after a change that is meant to alter outputs:
 
@@ -32,7 +34,9 @@ import numpy as np
 
 from marlsched.dqn import TrainerConfig, run_training
 from marlsched.env import EnvConfig, NetworkEnv
-from marlsched.harness import BaselinePolicy, RandomPolicy, export_decision_log
+from marlsched.harness import (
+    BaselinePolicy, RandomPolicy, export_decision_log, interference_profile,
+)
 from marlsched.nn import PARAM_NAMES
 from marlsched.normalize import collect_offline_dataset, fit
 from marlsched.topology import DeploymentConfig
@@ -121,6 +125,13 @@ def training_digests(config: EnvConfig) -> dict:
             "epochs": [dataclasses.asdict(r) for r in result.epoch_log]}
 
 
+def interference_digests(num_aps: int) -> dict:
+    """Exact mean long-term SINR per interferer count over 3 placements."""
+    config = EnvConfig(deployment=DeploymentConfig(num_aps=num_aps, num_ues=100))
+    profile = interference_profile(config, range(num_aps), 3, np.random.default_rng(0))
+    return {str(n): v.hex() for n, v in profile.items()}
+
+
 def compute_all() -> dict:
     out = {f"{cfg_name}/{policy}/{seed}": rollout_digests(cfg, policy, seed)
            for cfg_name, cfg in _configs().items()
@@ -129,6 +140,8 @@ def compute_all() -> dict:
         out[f"{cfg_name}/offline_dataset"] = offline_dataset_digests(cfg)
         out[f"{cfg_name}/decision_log"] = decision_log_digests(cfg)
         out[f"{cfg_name}/training"] = training_digests(cfg)
+    for num_aps in (4, 10):
+        out[f"N{num_aps}-K100/interference_profile"] = interference_digests(num_aps)
     return out
 
 

@@ -6,6 +6,11 @@ selections were built from the padded pool matrix and the feedback reports
 were kept in a ring. A Hypothesis test steps random small environments and
 requires every fast-path output to equal its oracle bit for bit, and the
 environment invariants to hold at every interval.
+
+The topology oracles are the pool-repair, pool-balancing and per-AP sorted()
+neighbour loops that `topology` used before it worked on plain arrays; they
+are compared with `topology` on random, tied and lopsided gains and on
+positions with distance ties.
 """
 
 import numpy as np
@@ -15,7 +20,9 @@ from hypothesis import example, given, settings, strategies as st
 from marlsched import baselines, linklevel
 from marlsched.env import EnvConfig, NetworkEnv, OutOfRange
 from marlsched.linklevel import ScheduleDecision
-from marlsched.topology import DeploymentConfig
+from marlsched.topology import (
+    DeploymentConfig, associate_max_rsrp, balance_pools, nearest_remote_agents,
+)
 
 
 # -------------------------------------------------------------------- oracles
@@ -95,6 +102,53 @@ def oracle_top_pf_per_pool(env):
     pf = env.true_pf()
     sel = [int(min(pool, key=lambda j: (-pf[j], j))) for pool in env.pools]
     return np.asarray(sel), pf
+
+
+def oracle_repair_empty_pools(association, long_term_gains):
+    """While some AP has no UEs, move to the first empty one the UE, from a
+    pool of size >= 2, with the highest gain toward it."""
+    assoc = np.array(association, dtype=int)
+    n_aps = long_term_gains.shape[1]
+    while True:
+        counts = np.bincount(assoc, minlength=n_aps)
+        empty = np.flatnonzero(counts == 0)
+        if len(empty) == 0:
+            return assoc
+        tgt = int(empty[0])
+        eligible = np.flatnonzero(counts[assoc] >= 2)
+        if len(eligible) == 0:
+            raise ValueError("cannot repair pools: too few UEs")
+        mover = eligible[np.argmax(long_term_gains[eligible, tgt])]
+        assoc[mover] = tgt
+
+
+def oracle_balance_pools(association, long_term_gains, pool_size):
+    """Move, from any over-full pool, the UE with the best gain toward the
+    first most under-full AP, until every pool holds pool_size UEs."""
+    assoc = np.array(association, dtype=int)
+    n_aps = long_term_gains.shape[1]
+    if len(assoc) != n_aps * pool_size:
+        raise ValueError("equal pools require num_ues == num_aps * pool_size")
+    while True:
+        counts = np.bincount(assoc, minlength=n_aps)
+        under = np.flatnonzero(counts < pool_size)
+        if len(under) == 0:
+            return assoc
+        tgt = int(under[np.argmin(counts[under])])
+        donors = np.flatnonzero(counts[assoc] > pool_size)
+        mover = donors[np.argmax(long_term_gains[donors, tgt])]
+        assoc[mover] = tgt
+
+
+def oracle_remote_agents(ap_positions, n):
+    """Per AP, the min(n, N-1) other APs by ascending (distance, id)."""
+    n_aps = len(ap_positions)
+    out = []
+    for i in range(n_aps):
+        d = np.linalg.norm(ap_positions - ap_positions[i], axis=1)
+        order = sorted((j for j in range(n_aps) if j != i), key=lambda j: (d[j], j))
+        out.append(order[: min(n, n_aps - 1)])
+    return out
 
 
 # --------------------------------------------------------------------- checks
@@ -205,3 +259,60 @@ def test_interval_path_matches_loop_oracles(cfg, seed):
                 assert penalized[0] == np.argmax(top_pf)
         if done:
             return
+
+
+# ------------------------------------------------------------------- topology
+
+def random_gains(rng, num_ues, num_aps, kind):
+    """Positive (K, N) gains: uniform, rounded to a few values (ties), or with
+    one AP dominant for every UE (every other pool starts empty)."""
+    g = rng.uniform(0.1, 1.0, size=(num_ues, num_aps))
+    if kind == "tied":
+        g = np.round(g, 1)
+    elif kind == "dominant":
+        g[:, rng.integers(num_aps)] = 2.0
+    return g
+
+
+@pytest.mark.parametrize("kind", ["uniform", "tied", "dominant"])
+def test_association_matches_repair_oracle(kind):
+    rng = np.random.default_rng(["uniform", "tied", "dominant"].index(kind))
+    for _ in range(300):
+        num_aps = int(rng.integers(1, 6))
+        # K < N is reachable: both sides must then refuse
+        g = random_gains(rng, int(rng.integers(1, 13)), num_aps, kind)
+        try:
+            want = oracle_repair_empty_pools(np.argmax(g, axis=1), g)
+        except ValueError:
+            with pytest.raises(ValueError, match="too few UEs"):
+                associate_max_rsrp(g)
+            continue
+        assert same_bits(associate_max_rsrp(g), want)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "tied", "dominant"])
+def test_balanced_pools_match_oracle(kind):
+    rng = np.random.default_rng(10 + ["uniform", "tied", "dominant"].index(kind))
+    for _ in range(300):
+        num_aps, pool_size = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        g = random_gains(rng, num_aps * pool_size, num_aps, kind)
+        assoc = associate_max_rsrp(g)
+        assert same_bits(balance_pools(assoc, g, pool_size),
+                         oracle_balance_pools(assoc, g, pool_size))
+        with pytest.raises(ValueError, match="equal pools"):
+            balance_pools(assoc, g, pool_size + 1)
+
+
+@pytest.mark.parametrize("grid", [None, 10.0, 1.0])
+def test_remote_agents_match_sorted_oracle(grid):
+    """Continuous positions, and positions rounded to a grid, where many
+    distances tie and the lower AP id must come first."""
+    rng = np.random.default_rng(20 if grid is None else int(grid))
+    for _ in range(300):
+        num_aps = int(rng.integers(1, 9))
+        pos = rng.uniform(0.0, 100.0 if grid is None else 4 * grid, size=(num_aps, 2))
+        if grid is not None:
+            pos = np.round(pos / grid) * grid
+        n = int(rng.integers(0, num_aps + 2))
+        got = nearest_remote_agents(pos, n)
+        assert [list(map(int, row)) for row in got] == oracle_remote_agents(pos, n)
