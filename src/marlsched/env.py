@@ -167,18 +167,15 @@ class NetworkEnv:
         rng = np.random.default_rng(seed)
         dep = topology.generate_deployment(cfg.deployment, rng)
         gains = channel.draw_long_term_gains(dep, cfg.path_loss, cfg.shadow_std_db, rng)
-        assoc = topology.associate_max_rsrp(gains.power)
+        self.association = topology.associate_max_rsrp(gains.power)
         if not cfg.sort_by_pf:
-            assoc = topology.balance_pools(assoc, gains.power, cfg.top_k)
-        dep.association = assoc
-        dep.remote_agents = topology.nearest_remote_agents(dep.ap_positions, cfg.num_remote)
+            self.association = topology.balance_pools(self.association, gains.power,
+                                                      cfg.top_k)
         self.deployment = dep
         self._power = gains.power
         self.fading = channel.create_fading(
             dep.num_ues, dep.num_aps, cfg.num_sinusoids, cfg.doppler_hz,
             cfg.interval_duration_s, rng)
-        self.pools = dep.pools()
-        self.association = assoc
         self._index_layout()
         self.stats = LinkStats.initial(dep.num_ues, cfg.rate_floor)
         self.rate_sum = np.zeros(dep.num_ues)
@@ -206,15 +203,16 @@ class NetworkEnv:
         """
         cfg, dep = self.config, self.deployment
         n_aps = dep.num_aps
-        width = max(max(len(pool) for pool in self.pools), cfg.top_k)
-        self._pool_matrix = np.full((n_aps, width), -1)
-        self._block_aps = np.full((n_aps, cfg.num_remote + 1), -1)
-        for i, (pool, remote) in enumerate(zip(self.pools, dep.remote_agents)):
-            self._pool_matrix[i, :len(pool)] = pool
-            self._block_aps[i, 0] = i
-            self._block_aps[i, 1:1 + len(remote)] = remote
         self._ap_ids = np.arange(n_aps)
         self._ue_ids = np.arange(dep.num_ues)
+        counts = np.bincount(self.association, minlength=n_aps)
+        self._pool_matrix = np.full((n_aps, max(counts.max(), cfg.top_k)), -1)
+        for i in self._ap_ids:
+            self._pool_matrix[i, :counts[i]] = np.flatnonzero(self.association == i)
+        remote = topology.nearest_remote_agents(dep.ap_positions, cfg.num_remote)
+        self._block_aps = np.full((n_aps, cfg.num_remote + 1), -1)
+        self._block_aps[:, 0] = self._ap_ids
+        self._block_aps[:, 1:1 + remote.shape[1]] = remote
         # action a >= 1 selects slot (a-1) % top_k at power level (a-1) // top_k;
         # action 0 is off (its slot entry is a placeholder)
         self._action_slot = np.r_[0, np.tile(np.arange(cfg.top_k), cfg.power_levels)]

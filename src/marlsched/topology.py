@@ -34,10 +34,8 @@ class DeploymentConfig:
 
 @dataclass
 class Deployment:
-    ap_positions: np.ndarray                      # (N, 2) meters
-    ue_positions: np.ndarray                      # (K, 2) meters
-    association: np.ndarray | None = None         # (K,) AP index per UE
-    remote_agents: list[np.ndarray] | None = None  # per-AP neighbor AP ids
+    ap_positions: np.ndarray   # (N, 2) meters
+    ue_positions: np.ndarray   # (K, 2) meters
 
     @property
     def num_aps(self) -> int:
@@ -47,39 +45,27 @@ class Deployment:
     def num_ues(self) -> int:
         return len(self.ue_positions)
 
-    def pools(self) -> list[np.ndarray]:
-        """UE ids associated with each AP."""
-        if self.association is None:
-            raise ValueError("deployment has no association yet")
-        return [np.flatnonzero(self.association == i) for i in range(self.num_aps)]
+
+def _place(rng: np.random.Generator, side: float, away_from: np.ndarray,
+           min_dist: float, what: str) -> np.ndarray:
+    """A uniform point of the square at least min_dist from every row of away_from."""
+    for _attempt in range(MAX_PLACEMENT_ATTEMPTS):
+        cand = rng.uniform(0.0, side, size=2)
+        if not len(away_from) or np.min(np.linalg.norm(away_from - cand, axis=1)) >= min_dist:
+            return cand
+    raise PlacementInfeasible(
+        f"{what} placement failed after {MAX_PLACEMENT_ATTEMPTS} attempts")
 
 
 def generate_deployment(config: DeploymentConfig, rng: np.random.Generator) -> Deployment:
     """Draw AP and UE positions satisfying the minimum-distance constraints."""
     config.validate()
-    aps: list[np.ndarray] = []
-    for _ in range(config.num_aps):
-        for _attempt in range(MAX_PLACEMENT_ATTEMPTS):
-            cand = rng.uniform(0.0, config.area_side, size=2)
-            if not aps or np.min(np.linalg.norm(np.array(aps) - cand, axis=1)) >= config.min_ap_ap_dist:
-                aps.append(cand)
-                break
-        else:
-            raise PlacementInfeasible(
-                f"AP placement failed after {MAX_PLACEMENT_ATTEMPTS} attempts")
-    ap_arr = np.array(aps)
-
-    ues = []
-    for _ in range(config.num_ues):
-        for _attempt in range(MAX_PLACEMENT_ATTEMPTS):
-            cand = rng.uniform(0.0, config.area_side, size=2)
-            if np.min(np.linalg.norm(ap_arr - cand, axis=1)) >= config.min_ap_ue_dist:
-                ues.append(cand)
-                break
-        else:
-            raise PlacementInfeasible(
-                f"UE placement failed after {MAX_PLACEMENT_ATTEMPTS} attempts")
-    return Deployment(ap_positions=ap_arr, ue_positions=np.array(ues))
+    aps = np.empty((config.num_aps, 2))
+    for i in range(config.num_aps):
+        aps[i] = _place(rng, config.area_side, aps[:i], config.min_ap_ap_dist, "AP")
+    ues = [_place(rng, config.area_side, aps, config.min_ap_ue_dist, "UE")
+           for _ in range(config.num_ues)]
+    return Deployment(ap_positions=aps, ue_positions=np.array(ues))
 
 
 def associate_max_rsrp(long_term_gains: np.ndarray) -> np.ndarray:
@@ -87,65 +73,47 @@ def associate_max_rsrp(long_term_gains: np.ndarray) -> np.ndarray:
 
     long_term_gains is the (K, N) matrix of linear *power* gains; RSRP is
     P_max * gain and P_max is common, so the argmax is over the gains.
-    Empty pools are repaired so that every AP keeps at least one UE.
+    Empty pools are filled so that every AP keeps at least one UE.
     """
     g = np.asarray(long_term_gains, dtype=float)
     if not np.all(np.isfinite(g)) or np.any(g <= 0):
         raise ValueError("gains must be strictly positive and finite")
-    assoc = np.argmax(g, axis=1)
-    return repair_empty_pools(assoc, g)
-
-
-def repair_empty_pools(association: np.ndarray, long_term_gains: np.ndarray) -> np.ndarray:
-    """Move UEs into empty pools, best donor RSRP first.
-
-    While some AP has no UEs, the UE (taken from a pool of size >= 2) with
-    the highest RSRP toward the empty AP is reassigned to it.
-    """
-    assoc = np.array(association, dtype=int)
-    n_aps = long_term_gains.shape[1]
-    while True:
-        counts = np.bincount(assoc, minlength=n_aps)
-        empty = np.flatnonzero(counts == 0)
-        if len(empty) == 0:
-            return assoc
-        tgt = int(empty[0])
-        eligible = np.flatnonzero(counts[assoc] >= 2)
-        if len(eligible) == 0:
-            raise ValueError("cannot repair pools: too few UEs")
-        mover = eligible[np.argmax(long_term_gains[eligible, tgt])]
-        assoc[mover] = tgt
+    return _fill_pools(np.argmax(g, axis=1), g, 1)
 
 
 def balance_pools(association: np.ndarray, long_term_gains: np.ndarray,
                   pool_size: int) -> np.ndarray:
-    """Force every pool to exactly pool_size UEs (for the unsorted-obs mode).
+    """Force every pool to exactly pool_size UEs (for the unsorted-obs mode)."""
+    if len(association) != long_term_gains.shape[1] * pool_size:
+        raise ValueError("equal pools require num_ues == num_aps * pool_size")
+    return _fill_pools(association, long_term_gains, pool_size)
 
-    Greedily moves, from any over-full pool, the UE with the best RSRP
-    toward the most under-full AP.
+
+def _fill_pools(association: np.ndarray, long_term_gains: np.ndarray,
+                size: int) -> np.ndarray:
+    """Grow every pool to at least size UEs, best donor RSRP first.
+
+    While some pool is short, the UE (taken from a pool holding more than
+    size) with the highest RSRP toward the first smallest pool moves to it.
     """
     assoc = np.array(association, dtype=int)
-    n_aps = long_term_gains.shape[1]
-    if len(assoc) != n_aps * pool_size:
-        raise ValueError("equal pools require num_ues == num_aps * pool_size")
     while True:
-        counts = np.bincount(assoc, minlength=n_aps)
-        under = np.flatnonzero(counts < pool_size)
-        if len(under) == 0:
+        counts = np.bincount(assoc, minlength=long_term_gains.shape[1])
+        tgt = int(np.argmin(counts))
+        if counts[tgt] >= size:
             return assoc
-        tgt = int(under[np.argmin(counts[under])])
-        donors = np.flatnonzero(counts[assoc] > pool_size)
-        mover = donors[np.argmax(long_term_gains[donors, tgt])]
-        assoc[mover] = tgt
+        donors = np.flatnonzero(counts[assoc] > size)
+        if len(donors) == 0:
+            raise ValueError("cannot fill pools: too few UEs")
+        assoc[donors[np.argmax(long_term_gains[donors, tgt])]] = tgt
 
 
-def nearest_remote_agents(ap_positions: np.ndarray, n: int) -> list[np.ndarray]:
-    """For each AP, the min(n, N-1) other APs sorted by ascending distance."""
-    ap_positions = np.asarray(ap_positions, dtype=float)
-    n_aps = len(ap_positions)
-    out = []
-    for i in range(n_aps):
-        d = np.linalg.norm(ap_positions - ap_positions[i], axis=1)
-        order = sorted((j for j in range(n_aps) if j != i), key=lambda j: (d[j], j))
-        out.append(np.asarray(order[: min(n, n_aps - 1)], dtype=int))
-    return out
+def nearest_remote_agents(ap_positions: np.ndarray, n: int) -> np.ndarray:
+    """(N, min(n, N-1)) ids of each AP's nearest other APs, ascending distance.
+
+    A stable sort, so a distance tie goes to the lower AP id.
+    """
+    pos = np.asarray(ap_positions, dtype=float)
+    dist = np.linalg.norm(pos[None, :, :] - pos[:, None, :], axis=2)
+    np.fill_diagonal(dist, np.inf)
+    return np.argsort(dist, axis=1, kind="stable")[:, :min(n, len(pos) - 1)]

@@ -9,6 +9,10 @@ from marlsched.env import EnvConfig, NetworkEnv
 from marlsched.topology import DeploymentConfig
 
 
+def pool(env, i):
+    return np.flatnonzero(env.association == i)
+
+
 def make_env(n_aps=2, k_ues=6, seed=0, episode_length=60):
     cfg = EnvConfig(deployment=DeploymentConfig(num_aps=n_aps, num_ues=k_ues),
                     episode_length=episode_length)
@@ -34,20 +38,19 @@ def test_full_reuse_everyone_transmits_top_pf():
         for i, dec in enumerate(decs):
             assert not dec.off
             assert dec.power_w == pytest.approx(env.config.p_max_w)
-            pool = env.pools[i]
-            assert dec.ue == min(pool, key=lambda j: (-pf[j], j))
+            assert dec.ue == min(pool(env, i), key=lambda j: (-pf[j], j))
         env.step_decisions(decs, build_obs=False)
 
 
 def test_full_reuse_tie_break_lowest_id():
     env = make_env(seed=2)
     # force an exact PF tie inside AP 0's pool
-    pool = env.pools[0]
+    ues = pool(env, 0)
     env.stats.avg_rate[:] = 1.0
-    env.g2[pool, 0] = env.g2[pool[0], 0]
+    env.g2[ues, 0] = env.g2[ues[0], 0]
     env.stats.avg_interference[:] = 0.0
     dec = full_reuse_decide(env)[0]
-    assert dec.ue == min(pool)
+    assert dec.ue == min(ues)
 
 
 # ------------------------------------------------------------------------- TDM
@@ -161,7 +164,7 @@ def test_itlinq_decide_consistent_with_active_set():
     for _ in range(20):
         decs = itlinq_decide(env)
         pf = env.true_pf()
-        sel = np.array([min(pool, key=lambda j: (-pf[j], j)) for pool in env.pools])
+        sel = np.array([min(pool(env, i), key=lambda j: (-pf[j], j)) for i in range(4)])
         order = np.array(sorted(range(4), key=lambda i: (-pf[sel[i]], i)))
         active = itlinq_active_set(sel, order, env.g2, env.config.p_max_w,
                                    env.config.noise_w)

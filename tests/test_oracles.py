@@ -43,19 +43,26 @@ def oracle_visible_time(env, remote):
     return made[-1] if made else None
 
 
+def oracle_pools(env):
+    """Each AP's UE ids, ascending."""
+    return [np.flatnonzero(env.association == i) for i in range(env.deployment.num_aps)]
+
+
 def oracle_observations(env):
     """Per-agent, per-block sorted() and slot-by-slot writes."""
     cfg = env.config
     n_aps = env.deployment.num_aps
+    pools = oracle_pools(env)
+    remotes = oracle_remote_agents(env.deployment.ap_positions, cfg.num_remote)
     w_loc, s_loc, pf_loc = oracle_visible(env, remote=False)
     w_rem, s_rem, pf_rem = oracle_visible(env, remote=True)
 
     obs = np.empty((n_aps, cfg.obs_dim))
     slot_map = np.full((n_aps, cfg.top_k), -1, dtype=int)
     for i in range(n_aps):
-        blocks = [(env.pools[i], w_loc, s_loc, pf_loc)]
-        for r in env.deployment.remote_agents[i]:
-            blocks.append((env.pools[r], w_rem, s_rem, pf_rem))
+        blocks = [(pools[i], w_loc, s_loc, pf_loc)]
+        for r in remotes[i]:
+            blocks.append((pools[r], w_rem, s_rem, pf_rem))
         while len(blocks) < cfg.num_remote + 1:
             blocks.append((np.empty(0, dtype=int), w_loc, s_loc, pf_loc))
         pos = 0
@@ -95,12 +102,12 @@ def oracle_decode(env, slot_map, agent, action):
 
 def oracle_agent_top_pf(env):
     _, _, pf = oracle_visible(env, remote=False)
-    return np.array([pf[pool].max() if len(pool) else 0.0 for pool in env.pools])
+    return np.array([pf[pool].max() if len(pool) else 0.0 for pool in oracle_pools(env)])
 
 
 def oracle_top_pf_per_pool(env):
     pf = env.true_pf()
-    sel = [int(min(pool, key=lambda j: (-pf[j], j))) for pool in env.pools]
+    sel = [int(min(pool, key=lambda j: (-pf[j], j))) for pool in oracle_pools(env)]
     return np.asarray(sel), pf
 
 
@@ -162,7 +169,7 @@ def assert_slots_match_pool_sizes(env, remote):
     """A report's slot matrix is -1 exactly beyond each pool's size; the last
     row, the padding row, is all -1."""
     slots = env._latest_visible(env.config.backhaul_delay if remote else 0).slots
-    sizes = np.array([len(p) for p in env.pools] + [0])
+    sizes = np.array([len(p) for p in oracle_pools(env)] + [0])
     assert np.array_equal(slots < 0, np.arange(env.config.top_k) >= sizes[:, None])
 
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from marlsched.env import EnvConfig, NetworkEnv
 from marlsched.topology import (
-    Deployment, DeploymentConfig, PlacementInfeasible, associate_max_rsrp,
+    DeploymentConfig, PlacementInfeasible, associate_max_rsrp,
     balance_pools, generate_deployment, nearest_remote_agents,
 )
 
@@ -68,14 +69,19 @@ def test_associate_repairs_empty_pool_with_best_rsrp():
 
 
 def test_pools_partition():
-    rng = np.random.default_rng(9)
-    g = rng.uniform(0.1, 1.0, size=(24, 4))
-    assoc = associate_max_rsrp(g)
-    dep = Deployment(np.zeros((4, 2)), np.zeros((24, 2)), association=assoc)
-    pools = dep.pools()
-    all_ues = np.sort(np.concatenate(pools))
-    assert np.array_equal(all_ues, np.arange(24))
-    assert all(len(p) >= 1 for p in pools)
+    env = NetworkEnv(EnvConfig(deployment=DeploymentConfig(num_aps=4, num_ues=24),
+                               top_k=8))
+    env.reset(9)
+    pools = env._pool_matrix
+    # rows ascending, -1 only as trailing padding, every UE in exactly one row
+    # (its own AP's), every AP with at least one UE
+    assert pools.shape == (4, max(np.bincount(env.association).max(), 8))
+    for i, row in enumerate(pools):
+        n = np.count_nonzero(row >= 0)
+        assert n >= 1 and np.all(row[n:] == -1)
+        assert np.all(np.diff(row[:n]) > 0)
+        assert np.all(env.association[row[:n]] == i)
+    assert np.array_equal(np.sort(pools[pools >= 0]), np.arange(24))
 
 
 def test_balance_pools_equal_sizes():
