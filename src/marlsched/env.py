@@ -91,6 +91,7 @@ class EnvConfig:
 
     def validate(self) -> None:
         self.deployment.validate()
+        self.path_loss.validate()
         if self.episode_length < 1:
             raise ConfigError("episode_length must be >= 1")
         if self.top_k < 1 or self.power_levels < 1 or self.num_remote < 0:
@@ -99,6 +100,16 @@ class EnvConfig:
             raise ConfigError("feedback period must be >= 1 and delays >= 0")
         if not 0.0 <= self.reward_exponent <= 1.0:
             raise ConfigError("reward_exponent must lie in [0, 1]")
+        if self.num_sinusoids < 1:
+            raise ConfigError("num_sinusoids must be >= 1")
+        for name in ("bandwidth_hz", "rate_floor", "interval_duration_s"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be > 0")
+        for name in ("alpha_rate", "alpha_interference"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must lie in (0, 1)")
+        if not self.shadow_std_db >= 0:
+            raise ConfigError("shadow_std_db must be >= 0")
         if not self.sort_by_pf:
             if self.deployment.num_ues != self.deployment.num_aps * self.top_k:
                 raise ConfigError(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from marlsched.channel import PathLossParams
 from marlsched.env import (
     ConfigError, EnvConfig, EpisodeFinished, NetworkEnv, OutOfRange,
 )
@@ -56,6 +57,23 @@ def test_validate_rejects_bad_values():
         # unsorted slots need exactly top_k UEs per AP
         small_config(sort_by_pf=False,
                      deployment=DeploymentConfig(num_aps=2, num_ues=7)).validate()
+
+
+@pytest.mark.parametrize("field, value, error, match", [
+    ("num_sinusoids", 0, ConfigError, "num_sinusoids"),         # NaN sum-rate
+    ("bandwidth_hz", 0.0, ConfigError, "bandwidth_hz"),         # all-zero rates
+    ("rate_floor", 0.0, ConfigError, "rate_floor"),
+    ("interval_duration_s", -1e-3, ConfigError, "interval_duration_s"),
+    ("alpha_rate", 0.0, ConfigError, "alpha_rate"),             # else first step
+    ("alpha_interference", 1.0, ConfigError, "alpha_interference"),
+    ("alpha_rate", float("nan"), ConfigError, "alpha_rate"),
+    ("shadow_std_db", -1.0, ConfigError, "shadow_std_db"),      # else reset
+    ("path_loss", PathLossParams(d_bp=0.0), ValueError, "break-point"),
+    ("path_loss", PathLossParams(alpha1=5.0), ValueError, "alpha1"),
+])
+def test_validate_rejects_broken_physics(field, value, error, match):
+    with pytest.raises(error, match=match):
+        NetworkEnv(small_config(**{field: value}))
 
 
 def test_config_roundtrip():
