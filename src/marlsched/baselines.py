@@ -62,14 +62,13 @@ def itlinq_active_set(selected_ues: np.ndarray, order: np.ndarray,
     return active
 
 
-def itlinq_decide(env: NetworkEnv, m_itq: float = ITLINQ_M,
-                  eta: float = ITLINQ_ETA) -> list[ScheduleDecision]:
+def itlinq_decide(env: NetworkEnv) -> list[ScheduleDecision]:
     """Centralized binary power control on instantaneous channel gains."""
     sel, pf = _top_pf_per_pool(env)
     order = np.array(sorted(range(env.deployment.num_aps),
                             key=lambda i: (-pf[sel[i]], i)))
     active = itlinq_active_set(sel, order, env.g2, env.config.p_max_w,
-                               env.config.noise_w, m_itq, eta)
+                               env.config.noise_w)
     p = env.config.p_max_w
     return [ScheduleDecision.serve(int(sel[i]), p) if i in active
             else ScheduleDecision.silent()

@@ -150,8 +150,6 @@ class FeedbackSnapshot:
     """
 
     t_measured: int | None
-    weight: np.ndarray      # (K,)
-    sinr_db: np.ndarray     # (K,)
     pf: np.ndarray          # (K,)
     slots: np.ndarray       # (N + 1, top_k) UE ids
     table: np.ndarray       # (K + 1, 2) (weight, sinr_db) per UE
@@ -237,7 +235,7 @@ class NetworkEnv:
         h = self.fading.sample_all(self.t)
         self.g2 = self._power * np.abs(h) ** 2
         if self.t % cfg.feedback_period == 0:
-            report = self._snapshot(self.t, self.stats.weight.copy(),
+            report = self._snapshot(self.t, self.stats.weight,
                                     10.0 * np.log10(self._serving_sinr()))
             self._reports[self.t // cfg.feedback_period % len(self._reports)] = report
 
@@ -262,7 +260,7 @@ class NetworkEnv:
         table = np.empty((len(weight) + 1, 2))
         table[:-1, 0], table[:-1, 1] = weight, sinr_db
         table[-1] = cfg.default_weight, cfg.default_sinr_db
-        return FeedbackSnapshot(t_measured, weight, sinr_db, pf, slots, table)
+        return FeedbackSnapshot(t_measured, pf, slots, table)
 
     def _latest_visible(self, extra_delay: int) -> FeedbackSnapshot:
         cfg = self.config
@@ -276,7 +274,7 @@ class NetworkEnv:
         the first report becomes visible (t_measured is then None).
         """
         snap = self._latest_visible(self.config.backhaul_delay if remote else 0)
-        return snap.weight, snap.sinr_db, snap.pf, snap.t_measured
+        return snap.table[:-1, 0], snap.table[:-1, 1], snap.pf, snap.t_measured
 
     def _build_observations(self) -> np.ndarray:
         """Fixed-size (N, obs_dim) per-agent observation vectors, one gather.
@@ -352,7 +350,7 @@ class NetworkEnv:
     def compute_reward(self, decisions, rates, invalid) -> np.ndarray:
         """Weighted sum-rate reward with the all-off and invalid exceptions."""
         cfg = self.config
-        w_vis = self._latest_visible(0).weight
+        w_vis = self._latest_visible(0).table[:, 0]
         r = 0.0
         any_tx = False
         for dec in decisions:

@@ -164,16 +164,12 @@ def build_validation_set(env_config: EnvConfig, target_count: int,
     """
     if population_size < target_count:
         raise ValueError("population must be at least the target count")
-    env = NetworkEnv(env_config)
     seeds = [int(rng.integers(2 ** 63)) for _ in range(population_size)]
     names = ("full_reuse", "tdm")
-    per_seed = {name: [] for name in names}
-    for s in seeds:
-        for name in names:
-            rates = run_episode(env, s, BaselinePolicy(name))
-            per_seed[name].append(EpisodeMetrics.from_rates(rates, env_config.bandwidth_hz))
-    means = {name: (float(np.mean([m.sum_rate_mbps for m in per_seed[name]])),
-                    float(np.mean([m.pct5_mbps for m in per_seed[name]])))
+    evals = {name: evaluate_policy(env_config, BaselinePolicy(name), seeds)
+             for name in names}
+    per_seed = {name: evals[name]["per_env"] for name in names}
+    means = {name: (evals[name]["sum_rate_mbps"], evals[name]["pct5_mbps"])
              for name in names}
 
     def within(value, mean):
