@@ -176,10 +176,10 @@ class NetworkEnv:
         rng = np.random.default_rng(seed)
         dep = topology.generate_deployment(cfg.deployment, rng)
         gains = channel.draw_long_term_gains(dep, cfg.path_loss, cfg.shadow_std_db, rng)
-        self.association = topology.associate_max_rsrp(gains.power)
+        assoc = topology.associate_max_rsrp(gains.power)
         if not cfg.sort_by_pf:
-            self.association = topology.balance_pools(self.association, gains.power,
-                                                      cfg.top_k)
+            assoc = topology.balance_pools(assoc, gains.power, cfg.top_k)
+        self.association = assoc
         self.deployment = dep
         self._power = gains.power
         self.fading = channel.create_fading(

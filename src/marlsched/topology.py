@@ -68,6 +68,25 @@ def generate_deployment(config: DeploymentConfig, rng: np.random.Generator) -> D
     return Deployment(ap_positions=aps, ue_positions=np.array(ues))
 
 
+def _fill_pools(association: np.ndarray, long_term_gains: np.ndarray,
+                size: int) -> np.ndarray:
+    """Grow every pool to at least size UEs, best donor RSRP first.
+
+    While some pool is short, the UE (taken from a pool holding more than
+    size) with the highest RSRP toward the first smallest pool moves to it.
+    """
+    assoc = np.array(association, dtype=int)
+    while True:
+        counts = np.bincount(assoc, minlength=long_term_gains.shape[1])
+        tgt = int(np.argmin(counts))
+        if counts[tgt] >= size:
+            return assoc
+        donors = np.flatnonzero(counts[assoc] > size)
+        if len(donors) == 0:
+            raise ValueError("cannot fill pools: too few UEs")
+        assoc[donors[np.argmax(long_term_gains[donors, tgt])]] = tgt
+
+
 def associate_max_rsrp(long_term_gains: np.ndarray) -> np.ndarray:
     """Assign each UE to the AP with the highest RSRP (ties -> lowest index).
 
@@ -87,25 +106,6 @@ def balance_pools(association: np.ndarray, long_term_gains: np.ndarray,
     if len(association) != long_term_gains.shape[1] * pool_size:
         raise ValueError("equal pools require num_ues == num_aps * pool_size")
     return _fill_pools(association, long_term_gains, pool_size)
-
-
-def _fill_pools(association: np.ndarray, long_term_gains: np.ndarray,
-                size: int) -> np.ndarray:
-    """Grow every pool to at least size UEs, best donor RSRP first.
-
-    While some pool is short, the UE (taken from a pool holding more than
-    size) with the highest RSRP toward the first smallest pool moves to it.
-    """
-    assoc = np.array(association, dtype=int)
-    while True:
-        counts = np.bincount(assoc, minlength=long_term_gains.shape[1])
-        tgt = int(np.argmin(counts))
-        if counts[tgt] >= size:
-            return assoc
-        donors = np.flatnonzero(counts[assoc] > size)
-        if len(donors) == 0:
-            raise ValueError("cannot fill pools: too few UEs")
-        assoc[donors[np.argmax(long_term_gains[donors, tgt])]] = tgt
 
 
 def nearest_remote_agents(ap_positions: np.ndarray, n: int) -> np.ndarray:
