@@ -12,16 +12,13 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import dqn, harness, normalize
+from .baselines import BASELINES
 from .dqn import DqnPolicy, TrainerConfig
 from .env import ConfigError, EnvConfig
 from .harness import BaselinePolicy, ValidationSet
 from .nn import load_checkpoint
 
 DEFAULT_Q_LEVELS = 20
-
-# flags that `analyze <what>` needs; argparse cannot require them per choice
-ANALYZE_NEEDS = {"interferers": ("out",), "decisions": ("checkpoint", "norm_stats", "out"),
-                 "pareto": ("inputs",)}
 
 
 def load_configs(path: str | None):
@@ -133,36 +130,37 @@ def _dump_eval(path, result):
     print(f"wrote {path}")
 
 
-def cmd_analyze(args):
+def cmd_analyze_interferers(args):
     env_cfg, _ = load_configs(args.config)
-    if args.what == "interferers":
-        rng = np.random.default_rng(args.seed)
-        n_values = list(range(env_cfg.deployment.num_aps))
-        profile = harness.interference_profile(env_cfg, n_values,
-                                               args.realizations, rng)
-        rows = [{"num_interferers": n, "mean_sinr_db": v}
-                for n, v in sorted(profile.items())]
-        harness.metrics_to_csv(args.out, rows)
-        print(f"wrote {args.out}")
-    elif args.what == "decisions":
-        net, _ = load_checkpoint(args.checkpoint)
-        mapper, _, _ = normalize.load_stats(args.norm_stats)
-        seeds = _fresh_seeds(args.seed, args.num_envs)
-        rows = harness.export_decision_log(env_cfg, DqnPolicy(net, mapper),
-                                           seeds, args.out)
-        print(f"wrote {args.out}: {rows} rows")
-    elif args.what == "pareto":
-        entries = []
-        for path in args.inputs:
-            with open(path) as f:
-                rows = list(csv.DictReader(f))
-            entries.append((path, SimpleNamespace(
-                sum_rate_mbps=float(np.mean([float(r["sum_rate_mbps"]) for r in rows])),
-                pct5_mbps=float(np.mean([float(r["pct5_mbps"]) for r in rows])))))
-        for name_a, a in entries:
-            for name_b, b in entries:
-                if name_a != name_b and harness.dominates(a, b):
-                    print(f"{name_a} dominates {name_b}")
+    rng = np.random.default_rng(args.seed)
+    n_values = list(range(env_cfg.deployment.num_aps))
+    profile = harness.interference_profile(env_cfg, n_values, args.realizations, rng)
+    rows = [{"num_interferers": n, "mean_sinr_db": v} for n, v in sorted(profile.items())]
+    harness.metrics_to_csv(args.out, rows)
+    print(f"wrote {args.out}")
+
+
+def cmd_analyze_decisions(args):
+    env_cfg, _ = load_configs(args.config)
+    net, _ = load_checkpoint(args.checkpoint)
+    mapper, _, _ = normalize.load_stats(args.norm_stats)
+    seeds = _fresh_seeds(args.seed, args.num_envs)
+    rows = harness.export_decision_log(env_cfg, DqnPolicy(net, mapper), seeds, args.out)
+    print(f"wrote {args.out}: {rows} rows")
+
+
+def cmd_analyze_pareto(args):
+    entries = []
+    for path in args.inputs:
+        with open(path) as f:
+            rows = list(csv.DictReader(f))
+        entries.append((path, SimpleNamespace(
+            sum_rate_mbps=float(np.mean([float(r["sum_rate_mbps"]) for r in rows])),
+            pct5_mbps=float(np.mean([float(r["pct5_mbps"]) for r in rows])))))
+    for name_a, a in entries:
+        for name_b, b in entries:
+            if name_a != name_b and harness.dominates(a, b):
+                print(f"{name_a} dominates {name_b}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -172,7 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("collect-norm-stats", help="fit percentile/reward statistics")
     p.add_argument("--config")
     p.add_argument("--episodes", type=int, default=10)
-    p.add_argument("--baselines", nargs="+", default=["full_reuse"])
+    p.add_argument("--baselines", nargs="+", choices=sorted(BASELINES),
+                   default=["full_reuse"])
     p.add_argument("--q-levels", type=int, default=DEFAULT_Q_LEVELS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -206,35 +205,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("baseline", help="evaluate a baseline scheduler")
-    p.add_argument("--kind", choices=["full_reuse", "tdm", "itlinq"], required=True)
+    p.add_argument("--kind", choices=sorted(BASELINES), required=True)
     p.add_argument("--config")
     p.add_argument("--num-envs", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_baseline)
 
-    p = sub.add_parser("analyze", help="interferer profile, decision log, pareto")
-    p.add_argument("what", choices=["interferers", "decisions", "pareto"])
-    p.add_argument("--config")
-    p.add_argument("--checkpoint")
-    p.add_argument("--norm-stats")
+    analyze = sub.add_parser("analyze", help="interferer profile, decision log, pareto")
+    targets = analyze.add_subparsers(dest="what", required=True)
+    p = targets.add_parser("interferers", help="mean UE SINR vs nearest interferers")
     p.add_argument("--realizations", type=int, default=20)
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=cmd_analyze_interferers)
+    p = targets.add_parser("decisions", help="per agent-interval decision log")
+    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--norm-stats", required=True)
     p.add_argument("--num-envs", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.add_argument("--inputs", nargs="*", default=[])
-    p.set_defaults(func=cmd_analyze)
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=cmd_analyze_decisions)
+    p = targets.add_parser("pareto", help="which eval CSVs Pareto-dominate which")
+    p.add_argument("--inputs", nargs="+", required=True)
+    p.set_defaults(func=cmd_analyze_pareto)
+    for p in targets.choices.values():
+        p.add_argument("--config")
+        p.add_argument("--seed", type=int, default=0)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "analyze":
-        missing = [f"--{name.replace('_', '-')}" for name in ANALYZE_NEEDS[args.what]
-                   if not getattr(args, name)]
-        if missing:
-            parser.error(f"analyze {args.what} needs {', '.join(missing)}")
+    args = build_parser().parse_args(argv)
     args.func(args)
     return 0
 

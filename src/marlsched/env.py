@@ -133,6 +133,20 @@ class EnvConfig:
                 f"-p{self.power_levels}-T{self.episode_length}")
 
 
+def draw_layout(cfg: EnvConfig, rng: np.random.Generator):
+    """One realization's (deployment, long-term power gains (K, N), association).
+
+    The one place a layout is drawn; NetworkEnv.reset and the interferer
+    analysis both call it. Unsorted observations get pools of exactly top_k.
+    """
+    dep = topology.generate_deployment(cfg.deployment, rng)
+    power = channel.draw_long_term_gains(dep, cfg.path_loss, cfg.shadow_std_db, rng).power
+    assoc = topology.associate_max_rsrp(power)
+    if not cfg.sort_by_pf:
+        assoc = topology.balance_pools(assoc, power, cfg.top_k)
+    return dep, power, assoc
+
+
 @dataclass(frozen=True)
 class FeedbackSnapshot:
     """Synchronous report of all UEs' (weight, SINR) measured at t_measured.
@@ -174,14 +188,8 @@ class NetworkEnv:
         """Start a new episode: fresh deployment, gains, fading and stats."""
         cfg = self.config
         rng = np.random.default_rng(seed)
-        dep = topology.generate_deployment(cfg.deployment, rng)
-        gains = channel.draw_long_term_gains(dep, cfg.path_loss, cfg.shadow_std_db, rng)
-        assoc = topology.associate_max_rsrp(gains.power)
-        if not cfg.sort_by_pf:
-            assoc = topology.balance_pools(assoc, gains.power, cfg.top_k)
-        self.association = assoc
+        dep, self._power, self.association = draw_layout(cfg, rng)
         self.deployment = dep
-        self._power = gains.power
         self.fading = channel.create_fading(
             dep.num_ues, dep.num_aps, cfg.num_sinusoids, cfg.doppler_hz,
             cfg.interval_duration_s, rng)

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines as bl
-from . import channel, linklevel, topology
-from .env import EnvConfig, NetworkEnv
+from . import linklevel, topology
+from .env import EnvConfig, NetworkEnv, draw_layout
 
 
 class InsufficientCandidates(RuntimeError):
@@ -28,22 +28,17 @@ def pct5_rate(avg_rates: np.ndarray) -> float:
 
 @dataclass
 class EpisodeMetrics:
-    num_ues: int
-    sum_rate_bpshz: float
-    pct5_bpshz: float
     sum_rate_mbps: float
     pct5_mbps: float
     score: float     # sum_rate_mbps / K + 3 * pct5_mbps
 
     @classmethod
     def from_rates(cls, avg_rates: np.ndarray, bandwidth_hz: float) -> "EpisodeMetrics":
-        k = len(avg_rates)
         s = float(np.sum(avg_rates))
         p5 = pct5_rate(avg_rates)
         mbps = bandwidth_hz / 1e6
-        return cls(num_ues=k, sum_rate_bpshz=s, pct5_bpshz=p5,
-                   sum_rate_mbps=s * mbps, pct5_mbps=p5 * mbps,
-                   score=s * mbps / k + 3.0 * p5 * mbps)
+        return cls(sum_rate_mbps=s * mbps, pct5_mbps=p5 * mbps,
+                   score=s * mbps / len(avg_rates) + 3.0 * p5 * mbps)
 
 
 def dominates(a: EpisodeMetrics, b: EpisodeMetrics) -> bool:
@@ -209,26 +204,23 @@ def interference_profile(env_config: EnvConfig, n_values, num_realizations: int,
                          rng: np.random.Generator) -> dict:
     """Mean long-term UE SINR (dB) vs number of nearest interferers included.
 
-    Long-term gains only, every AP at full power; interference at a UE sums
-    over the n' APs physically closest to its serving AP.
+    Long-term gains only, every AP at full power, on the environment's own
+    layout (draw_layout); interference at a UE sums over the n' APs
+    physically closest to its serving AP.
     """
     cfg = env_config
-    dep_cfg = cfg.deployment
-    totals = {n: [] for n in n_values}
+    sinr_db = {n: [] for n in n_values}
     for _ in range(num_realizations):
-        dep = topology.generate_deployment(dep_cfg, rng)
-        gains = channel.draw_long_term_gains(dep, cfg.path_loss, cfg.shadow_std_db, rng)
-        assoc = topology.associate_max_rsrp(gains.power)
-        remotes = topology.nearest_remote_agents(dep.ap_positions, dep_cfg.num_aps - 1)
-        g2 = gains.power
-        for j in range(dep_cfg.num_ues):
-            a = assoc[j]
-            sig = g2[j, a] * cfg.p_max_w
-            for n in n_values:
-                interferers = remotes[a][:n]
-                interf = float(np.sum(g2[j, interferers] * cfg.p_max_w))
-                totals[n].append(10.0 * np.log10(sig / (interf + cfg.noise_w)))
-    return {int(n): float(np.mean(v)) for n, v in totals.items()}
+        dep, g2, assoc = draw_layout(cfg, rng)
+        ues = np.arange(dep.num_ues)
+        sig = g2[ues, assoc] * cfg.p_max_w
+        # (K, N-1): power from the serving AP's neighbours, nearest first
+        neighbours = topology.nearest_remote_agents(dep.ap_positions, dep.num_aps - 1)[assoc]
+        interf = g2[ues[:, None], neighbours] * cfg.p_max_w
+        for n in n_values:
+            sinr_db[n].append(10.0 * np.log10(
+                sig / (interf[:, :n].sum(axis=1) + cfg.noise_w)))
+    return {int(n): float(np.mean(np.concatenate(v))) for n, v in sinr_db.items()}
 
 
 def export_decision_log(env_config: EnvConfig, policy, seeds, path) -> int:

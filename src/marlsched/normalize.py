@@ -58,17 +58,14 @@ class RewardNormalizer:
 def map_observation(values, thresholds):
     """Quantile-bucket mapping onto the Q+1 levels in [-1/2, +1/2].
 
-    Values below the fitted minimum map to -1/2, values at or above the
-    fitted maximum to +1/2, and a value in bucket q (thresholds[q] <= v <
-    thresholds[q+1]) maps to (q+1)/Q - 1/2.
+    A value in bucket q (thresholds[q] <= v < thresholds[q+1]) maps to
+    (q+1)/Q - 1/2. Values below the fitted minimum fall in bucket -1 and map
+    to -1/2; values at or above the fitted maximum, and NaN, fall in bucket
+    Q-1 and map to +1/2.
     """
     thresholds = np.asarray(thresholds)
-    q_levels = len(thresholds)
     v = np.asarray(values, dtype=float)
-    bucket = np.searchsorted(thresholds, v, side="right") - 1
-    out = (bucket + 1) / q_levels - 0.5
-    out = np.where(v < thresholds[0], -0.5, out)
-    out = np.where(v >= thresholds[-1], 0.5, out)
+    out = np.searchsorted(thresholds, v, side="right") / len(thresholds) - 0.5
     return float(out) if out.ndim == 0 else out
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from marlsched import harness
+from marlsched.baselines import BASELINES
 from marlsched.cli import load_configs, main
 from marlsched.env import ConfigError
 from marlsched.nn import load_checkpoint
@@ -129,6 +130,14 @@ def test_analyze_names_missing_flags_before_any_work(argv, flags, capsys, monkey
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert all(flag in err for flag in flags)
+
+
+def test_collect_norm_stats_rejects_unknown_baseline(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["collect-norm-stats", "--baselines", "nope", "--out", "x"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "nope" in err and all(name in err for name in BASELINES)
 
 
 @pytest.mark.parametrize("raw, names", [

@@ -50,17 +50,13 @@ def test_pct5_matches_bruteforce_definition():
 def test_episode_metrics_arithmetic():
     rates = np.array([1.0, 2.0, 3.0, 4.0])     # bps/Hz, 10 MHz band
     m = EpisodeMetrics.from_rates(rates, 10e6)
-    assert m.num_ues == 4
-    assert m.sum_rate_bpshz == pytest.approx(10.0)
-    assert m.pct5_bpshz == pytest.approx(1.0)
     assert m.sum_rate_mbps == pytest.approx(100.0)
     assert m.pct5_mbps == pytest.approx(10.0)
     assert m.score == pytest.approx(100.0 / 4 + 3 * 10.0)
 
 
 def _metrics(sum_mbps, p5_mbps):
-    return EpisodeMetrics(num_ues=4, sum_rate_bpshz=0, pct5_bpshz=0,
-                          sum_rate_mbps=sum_mbps, pct5_mbps=p5_mbps, score=0)
+    return EpisodeMetrics(sum_rate_mbps=sum_mbps, pct5_mbps=p5_mbps, score=0)
 
 
 def test_dominates_cases():

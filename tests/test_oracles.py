@@ -7,6 +7,11 @@ were kept in a ring. A Hypothesis test steps random small environments and
 requires every fast-path output to equal its oracle bit for bit, and the
 environment invariants to hold at every interval.
 
+The interferer-profile oracle is the per-UE, per-n loop that
+`harness.interference_profile` ran before it gathered the neighbours' powers
+as one array; it is compared with the array code on random small layouts from
+`draw_layout`, sorted and unsorted.
+
 The topology oracles are the pool-repair, pool-balancing and per-AP sorted()
 neighbour loops that `topology` used before it worked on plain arrays; they
 are compared with `topology` on random, tied and lopsided gains and on
@@ -18,7 +23,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from marlsched import baselines, linklevel
-from marlsched.env import EnvConfig, NetworkEnv, OutOfRange
+from marlsched.env import EnvConfig, NetworkEnv, OutOfRange, draw_layout
+from marlsched.harness import interference_profile
 from marlsched.linklevel import ScheduleDecision
 from marlsched.topology import (
     DeploymentConfig, associate_max_rsrp, balance_pools, nearest_remote_agents,
@@ -156,6 +162,23 @@ def oracle_remote_agents(ap_positions, n):
         order = sorted((j for j in range(n_aps) if j != i), key=lambda j: (d[j], j))
         out.append(order[: min(n, n_aps - 1)])
     return out
+
+
+def oracle_interference_profile(cfg, n_values, num_realizations, rng):
+    """Per UE and per n, a sum over the serving AP's n nearest neighbours, on
+    draw_layout's association."""
+    totals = {n: [] for n in n_values}
+    for _ in range(num_realizations):
+        dep, g2, assoc = draw_layout(cfg, rng)
+        remotes = oracle_remote_agents(dep.ap_positions, dep.num_aps - 1)
+        for j in range(dep.num_ues):
+            a = assoc[j]
+            sig = g2[j, a] * cfg.p_max_w
+            for n in n_values:
+                interferers = np.array(remotes[a][:n], dtype=int)
+                interf = float(np.sum(g2[j, interferers] * cfg.p_max_w))
+                totals[n].append(10.0 * np.log10(sig / (interf + cfg.noise_w)))
+    return {int(n): float(np.mean(v)) for n, v in totals.items()}
 
 
 # --------------------------------------------------------------------- checks
@@ -323,3 +346,45 @@ def test_remote_agents_match_sorted_oracle(grid):
         n = int(rng.integers(0, num_aps + 2))
         got = nearest_remote_agents(pos, n)
         assert [list(map(int, row)) for row in got] == oracle_remote_agents(pos, n)
+
+
+# ------------------------------------------------------------ interferer profile
+
+def same_hex(a, b):
+    return {n: v.hex() for n, v in a.items()} == {n: v.hex() for n, v in b.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_aps=st.integers(1, 6), top_k=st.integers(1, 4), sort_by_pf=st.booleans(),
+       extra_ues=st.integers(0, 12), realizations=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+# N = 1: n_values is [0], no interferers at all
+@example(n_aps=1, top_k=2, sort_by_pf=False, extra_ues=0, realizations=2, seed=0)
+@example(n_aps=6, top_k=3, sort_by_pf=True, extra_ues=12, realizations=2, seed=1)
+def test_interference_profile_matches_loop_oracle(n_aps, top_k, sort_by_pf, extra_ues,
+                                                  realizations, seed):
+    num_ues = n_aps + extra_ues if sort_by_pf else n_aps * top_k
+    cfg = EnvConfig(deployment=DeploymentConfig(num_aps=n_aps, num_ues=num_ues),
+                    top_k=top_k, sort_by_pf=sort_by_pf)
+    n_values = list(range(n_aps))
+    got = interference_profile(cfg, n_values, realizations, np.random.default_rng(seed))
+    want = oracle_interference_profile(cfg, n_values, realizations,
+                                       np.random.default_rng(seed))
+    assert same_hex(got, want)
+
+
+def test_unsorted_interference_profile_uses_the_environment_pools():
+    """Unsorted observations balance the pools to top_k UEs; the profile must
+    measure those pools, the ones NetworkEnv.reset builds."""
+    cfg = EnvConfig(deployment=DeploymentConfig(num_aps=4, num_ues=12),
+                    top_k=3, sort_by_pf=False)
+    n_values = [0, 1, 2, 3]
+    got = interference_profile(cfg, n_values, 3, np.random.default_rng(0))
+    assert same_hex(got, oracle_interference_profile(cfg, n_values, 3,
+                                                     np.random.default_rng(0)))
+    for seed in range(3):
+        _, _, assoc = draw_layout(cfg, np.random.default_rng(seed))
+        env = NetworkEnv(cfg)
+        env.reset(seed)
+        assert same_bits(assoc, env.association)
+        assert np.array_equal(np.bincount(assoc, minlength=4), [3, 3, 3, 3])
