@@ -9,8 +9,10 @@ collected under the three baselines), of the bytes of a decision-log CSV
 (random policy, two seeds), and of a short training run: the parameters of
 every epoch's checkpoint plus the epoch log. At N=4 and N=10 APs (K=100) it
 holds the interference profile's mean SINR per interferer count, written
-exactly with float.hex. A refactor that is meant to keep outputs unchanged
-must keep every digest.
+exactly with float.hex. At N=10 APs and K=100 UEs, where the fading sums run
+on two threads, it holds the rewards and average rates of full reuse and the
+random policy (2 seeds, 200 intervals). A refactor that is meant to keep
+outputs unchanged must keep every digest.
 
 Regenerate the file only after a change that is meant to alter outputs:
 
@@ -44,6 +46,9 @@ from marlsched.topology import DeploymentConfig
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden.json"
 EPISODE_LENGTH = 300
 SEEDS = (0, 1, 2)
+
+
+LARGE = EnvConfig(deployment=DeploymentConfig(num_aps=10, num_ues=100), episode_length=200)
 
 
 def _configs() -> dict[str, EnvConfig]:
@@ -142,6 +147,9 @@ def compute_all() -> dict:
         out[f"{cfg_name}/training"] = training_digests(cfg)
     for num_aps in (4, 10):
         out[f"N{num_aps}-K100/interference_profile"] = interference_digests(num_aps)
+    for policy in ("full_reuse", "random"):
+        for seed in SEEDS[:2]:
+            out[f"N10-K100/{policy}/{seed}"] = rollout_digests(LARGE, policy, seed)
     return out
 
 

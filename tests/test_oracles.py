@@ -16,6 +16,11 @@ The topology oracles are the pool-repair, pool-balancing and per-AP sorted()
 neighbour loops that `topology` used before it worked on plain arrays; they
 are compared with `topology` on random, tied and lopsided gains and on
 positions with distance ties.
+
+The fading oracle is the serial in-phase and quadrature sums of
+`FadingProcess.sample_all`; it is compared with `sample_all` bit for bit over
+2,000 intervals at the default and the N=10, K=100 shapes and at one shape
+each side of the size where the two sums go to two threads.
 """
 
 import numpy as np
@@ -23,6 +28,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from marlsched import baselines, linklevel
+from marlsched.channel import create_fading
 from marlsched.env import EnvConfig, NetworkEnv, OutOfRange, draw_layout
 from marlsched.harness import interference_profile
 from marlsched.linklevel import ScheduleDecision
@@ -179,6 +185,15 @@ def oracle_interference_profile(cfg, n_values, num_realizations, rng):
                 interf = float(np.sum(g2[j, interferers] * cfg.p_max_w))
                 totals[n].append(10.0 * np.log10(sig / (interf + cfg.noise_w)))
     return {int(n): float(np.mean(v)) for n, v in totals.items()}
+
+
+def oracle_fading(fading, t):
+    """Both sums of the sum-of-sinusoids model on the calling thread, in turn."""
+    m = fading.num_sinusoids
+    arg = 2.0 * np.pi * fading.doppler_hz * (t * fading.interval_duration)
+    re = np.cos(arg * fading.cos_alpha + fading.phi).sum(axis=-1)
+    im = np.cos(arg * fading.sin_alpha + fading.psi).sum(axis=-1)
+    return (re + 1j * im) / np.sqrt(m)
 
 
 # --------------------------------------------------------------------- checks
@@ -388,3 +403,19 @@ def test_unsorted_interference_profile_uses_the_environment_pools():
         env.reset(seed)
         assert same_bits(assoc, env.association)
         assert np.array_equal(np.bincount(assoc, minlength=4), [3, 3, 3, 3])
+
+
+# --------------------------------------------------------------------- fading
+
+# (K, N) at M=16: the default, one shape each side of the two-thread size and
+# the N=10, K=100 network
+FADING_SHAPES = [(24, 4), (63, 4), (64, 4), (100, 10)]
+
+
+@pytest.mark.parametrize("num_ues, num_aps", FADING_SHAPES)
+def test_fading_matches_serial_oracle(num_ues, num_aps):
+    cfg = EnvConfig()
+    fading = create_fading(num_ues, num_aps, cfg.num_sinusoids, cfg.doppler_hz,
+                           cfg.interval_duration_s, np.random.default_rng(num_ues))
+    for t in range(1, 2001):
+        assert same_bits(fading.sample_all(t), oracle_fading(fading, t)), t
