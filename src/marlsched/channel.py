@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +68,59 @@ def draw_long_term_gains(deployment: Deployment, params: PathLossParams,
     return LongTermGains(H=np.sqrt(h_power), shadowing_db=sh)
 
 
+# Cosines per component (K*N*M) from which sample_all hands the quadrature
+# sum to the worker thread; below it the hand-off costs more than it saves.
+SPLIT_COSINES = 4096
+
+_worker: ThreadPoolExecutor | None = None
+
+
+def _component_sum(arg, alpha_trig, phase):
+    return np.cos(arg * alpha_trig + phase).sum(axis=-1)
+
+
+def _current_cpu():
+    """The CPU the calling thread runs on, or None where /proc does not say."""
+    try:
+        with open("/proc/thread-self/stat") as f:
+            return int(f.read().rsplit(")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _start_apart(caller_cpu):
+    """Move the new worker off its creator's CPU once, then allow it every CPU.
+
+    Some schedulers leave a new thread on its creator's CPU and never move it
+    to an idle one, so both sums would share one core.
+    """
+    try:
+        allowed = os.sched_getaffinity(0)
+        others = sorted(allowed - {caller_cpu})
+        if caller_cpu is not None and others:
+            os.sched_setaffinity(0, {others[0]})
+            os.sched_setaffinity(0, allowed)
+    except (AttributeError, OSError):
+        pass
+
+
+def _fading_worker() -> ThreadPoolExecutor:
+    global _worker
+    if _worker is None:
+        _worker = ThreadPoolExecutor(1, "fading", _start_apart, (_current_cpu(),))
+    return _worker
+
+
+def _forget_worker() -> None:
+    """A forked child inherits the record of a worker thread but not the thread."""
+    global _worker
+    _worker = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
 @dataclass
 class FadingProcess:
     """Improved sum-of-sinusoids Rayleigh fading, one process per link.
@@ -73,6 +128,13 @@ class FadingProcess:
     Each link carries a random arrival-angle offset theta and per-sinusoid
     phases for the in-phase and quadrature components. Sampling is pure in
     (state, t), so concurrent readers are safe.
+
+    From SPLIT_COSINES cosines per component (K*N*M) on, sample_all computes
+    the quadrature sum on one module-level worker thread while the caller
+    computes the in-phase sum; numpy releases the GIL inside both. Each thread
+    evaluates the same expression in the same order as the serial path, so the
+    bits do not depend on which path ran. An exception on the worker is raised
+    in the caller; a forked child starts a worker of its own.
     """
 
     cos_alpha: np.ndarray      # (K, N, M)
@@ -90,8 +152,13 @@ class FadingProcess:
         """Complex unit-power fading gains for every link at interval t."""
         m = self.num_sinusoids
         arg = 2.0 * np.pi * self.doppler_hz * (t * self.interval_duration)
-        re = np.cos(arg * self.cos_alpha + self.phi).sum(axis=-1)
-        im = np.cos(arg * self.sin_alpha + self.psi).sum(axis=-1)
+        if self.cos_alpha.size < SPLIT_COSINES:
+            re = _component_sum(arg, self.cos_alpha, self.phi)
+            im = _component_sum(arg, self.sin_alpha, self.psi)
+        else:
+            quadrature = _fading_worker().submit(_component_sum, arg, self.sin_alpha, self.psi)
+            re = _component_sum(arg, self.cos_alpha, self.phi)
+            im = quadrature.result()
         return (re + 1j * im) / np.sqrt(m)
 
 

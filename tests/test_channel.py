@@ -1,8 +1,13 @@
+import dataclasses
+import os
+import signal
+
 import numpy as np
 import pytest
 from scipy import stats as spstats
 from scipy.special import j0
 
+from marlsched import channel
 from marlsched.channel import (
     DomainError, LongTermGains, PathLossParams, create_fading,
     draw_long_term_gains, path_loss_db,
@@ -124,3 +129,48 @@ def test_fading_long_run_power():
         p = create_fading(50, 50, 16, 8.0, 1e-3, rng)
         acc += np.mean(np.abs(p.sample_all(1)) ** 2)
     assert 0.98 <= acc / reps <= 1.02
+
+
+def _large_fading():
+    """N=10, K=100, M=16: 16,000 cosines per component, above the split."""
+    proc = create_fading(100, 10, 16, 8.0, 1e-3, np.random.default_rng(4))
+    assert proc.cos_alpha.size >= channel.SPLIT_COSINES
+    return proc
+
+
+def test_fading_below_the_split_starts_no_worker(monkeypatch):
+    monkeypatch.setattr(channel, "_worker", None)
+    proc = create_fading(24, 4, 16, 8.0, 1e-3, np.random.default_rng(0))
+    assert proc.cos_alpha.size < channel.SPLIT_COSINES
+    proc.sample_all(1)
+    assert channel._worker is None
+
+
+def test_fading_worker_error_reaches_the_caller():
+    proc = _large_fading()
+    # quadrature phases that no longer broadcast against sin_alpha
+    broken = dataclasses.replace(proc, psi=proc.psi[..., :3])
+    with pytest.raises(ValueError, match="broadcast"):
+        broken.sample_all(1)
+    assert np.isfinite(proc.sample_all(1)).all()
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+def test_fading_worker_survives_fork():
+    """A forked child must start a worker of its own: the parent's executor
+    record names a thread the child does not have, and work queued to it would
+    never run. SIGALRM kills a child that hangs."""
+    proc = _large_fading()
+    want = proc.sample_all(2)
+    proc.sample_all(1)   # the parent's worker thread exists before the fork
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            signal.signal(signal.SIGALRM, signal.SIG_DFL)
+            signal.alarm(10)
+            code = 0 if proc.sample_all(2).tobytes() == want.tobytes() else 3
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0

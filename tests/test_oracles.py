@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from marlsched import baselines, linklevel
+from marlsched import baselines, channel, linklevel
 from marlsched.channel import create_fading
 from marlsched.env import EnvConfig, NetworkEnv, OutOfRange, draw_layout
 from marlsched.harness import interference_profile
@@ -410,6 +410,10 @@ def test_unsorted_interference_profile_uses_the_environment_pools():
 # (K, N) at M=16: the default, one shape each side of the two-thread size and
 # the N=10, K=100 network
 FADING_SHAPES = [(24, 4), (63, 4), (64, 4), (100, 10)]
+
+
+def test_fading_shapes_straddle_the_split():
+    assert 63 * 4 * 16 < channel.SPLIT_COSINES <= 64 * 4 * 16
 
 
 @pytest.mark.parametrize("num_ues, num_aps", FADING_SHAPES)
