@@ -92,16 +92,26 @@ def cmd_train(args):
           f"(score {result.epoch_log[result.best_epoch - 1].score:.3f})")
 
 
+def _dqn_policy(args, env_cfg):
+    """The checkpoint's greedy policy; exits 2 when its widths do not fit env_cfg."""
+    net, _ = load_checkpoint(args.checkpoint)
+    if (net.in_dim, net.out_dim) != (env_cfg.obs_dim, env_cfg.num_actions):
+        print(f"marlsched: error: checkpoint {args.checkpoint} has in_dim={net.in_dim}, "
+              f"out_dim={net.out_dim}; the config has obs_dim={env_cfg.obs_dim}, "
+              f"num_actions={env_cfg.num_actions}", file=sys.stderr)
+        raise SystemExit(2)
+    mapper, _, _ = normalize.load_stats(args.norm_stats)
+    return DqnPolicy(net, mapper)
+
+
 def cmd_evaluate(args):
     env_cfg, _ = load_configs(args.config)
-    net, _header = load_checkpoint(args.checkpoint)
-    mapper, _, _ = normalize.load_stats(args.norm_stats)
     if args.env_set:
         vset = ValidationSet.load(args.env_set)
         seeds, env_cfg = vset.seeds, vset.env_config
     else:
         seeds = _fresh_seeds(args.seed, args.num_envs)
-    result = harness.evaluate_policy(env_cfg, DqnPolicy(net, mapper), seeds)
+    result = harness.evaluate_policy(env_cfg, _dqn_policy(args, env_cfg), seeds)
     _print_eval(result)
     if args.out:
         _dump_eval(args.out, result)
@@ -142,10 +152,9 @@ def cmd_analyze_interferers(args):
 
 def cmd_analyze_decisions(args):
     env_cfg, _ = load_configs(args.config)
-    net, _ = load_checkpoint(args.checkpoint)
-    mapper, _, _ = normalize.load_stats(args.norm_stats)
+    policy = _dqn_policy(args, env_cfg)
     seeds = _fresh_seeds(args.seed, args.num_envs)
-    rows = harness.export_decision_log(env_cfg, DqnPolicy(net, mapper), seeds, args.out)
+    rows = harness.export_decision_log(env_cfg, policy, seeds, args.out)
     print(f"wrote {args.out}: {rows} rows")
 
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import baselines as bl
 from . import linklevel, topology
-from .env import EnvConfig, NetworkEnv, draw_layout
+from .env import ConfigError, EnvConfig, NetworkEnv, draw_layout
 
 
 class InsufficientCandidates(RuntimeError):
@@ -135,6 +135,9 @@ class ValidationSet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ValidationSet":
+        missing = [k for k in ("env_config", "seeds", "reference") if k not in d]
+        if missing:
+            raise ConfigError(f"validation set lacks {', '.join(missing)}")
         return cls(env_config=EnvConfig.from_dict(d["env_config"]),
                    seeds=list(d["seeds"]), reference=d["reference"])
 

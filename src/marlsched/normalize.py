@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import EnvConfig, NetworkEnv
+from .env import ConfigError, EnvConfig, NetworkEnv
 from .harness import BaselinePolicy, run_episode
 
 
@@ -138,10 +138,56 @@ def save_stats(path, mapper: PercentileMapper, normalizer: RewardNormalizer,
 
 
 def load_stats(path):
+    """Read save_stats output back into (mapper, normalizer, config_fingerprint).
+
+    Raises ConfigError naming the field when a threshold array is missing,
+    empty, non-finite or descending, when the two arrays (and Q) disagree in
+    length, when mu_rew or sigma_rew is missing or non-finite (or sigma_rew is
+    not positive), or when config_fingerprint is missing.
+    """
     with open(path) as f:
         payload = json.load(f)
-    mapper = PercentileMapper(
-        weight_thresholds=np.asarray(payload["weight_thresholds"]),
-        sinr_db_thresholds=np.asarray(payload["sinr_db_thresholds"]))
-    normalizer = RewardNormalizer(mu=payload["mu_rew"], sigma=payload["sigma_rew"])
-    return mapper, normalizer, payload.get("config_fingerprint", "")
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{path}: norm stats must be a JSON object")
+    thresholds = {name: _stats_array(payload, name)
+                  for name in ("weight_thresholds", "sinr_db_thresholds")}
+    q, q_sinr = (len(a) for a in thresholds.values())
+    if q_sinr != q or payload.get("Q", q) != q:
+        raise ConfigError(f"Q: weight_thresholds has {q} levels, sinr_db_thresholds "
+                          f"{q_sinr}, Q is {payload.get('Q')}")
+    mu, sigma = (_stats_number(payload, name) for name in ("mu_rew", "sigma_rew"))
+    if not sigma > 0:
+        raise ConfigError(f"sigma_rew must be positive, got {sigma}")
+    if "config_fingerprint" not in payload:
+        raise ConfigError("config_fingerprint is missing")
+    mapper = PercentileMapper(**thresholds)
+    return mapper, RewardNormalizer(mu=mu, sigma=sigma), payload["config_fingerprint"]
+
+
+def _stats_array(payload, name):
+    """A non-empty, finite, ascending threshold array from the payload."""
+    try:
+        a = np.asarray(payload[name], dtype=float)
+    except KeyError:
+        raise ConfigError(f"{name} is missing") from None
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a list of numbers") from None
+    if a.ndim != 1 or a.size == 0:
+        raise ConfigError(f"{name} must be a non-empty list of numbers")
+    if not np.all(np.isfinite(a)):
+        raise ConfigError(f"{name} holds non-finite values")
+    if np.any(np.diff(a) < 0):
+        raise ConfigError(f"{name} must be ascending")
+    return a
+
+
+def _stats_number(payload, name):
+    try:
+        value = float(payload[name])
+    except KeyError:
+        raise ConfigError(f"{name} is missing") from None
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number") from None
+    if not np.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
+    return value

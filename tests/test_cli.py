@@ -7,8 +7,8 @@ import pytest
 from marlsched import harness
 from marlsched.baselines import BASELINES
 from marlsched.cli import load_configs, main
-from marlsched.env import ConfigError
-from marlsched.nn import load_checkpoint
+from marlsched.env import ConfigError, NetworkEnv
+from marlsched.nn import Mlp, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +88,30 @@ def test_train_then_evaluate_and_analyze(tiny_cfg_path, norm_stats_path,
     with open(tmp_path / "dec.csv") as f:
         rows = list(csv.DictReader(f))
     assert len(rows) == 20 * 2
+
+
+@pytest.mark.parametrize("command", [
+    ["evaluate", "--num-envs", "1"],
+    ["analyze", "decisions", "--num-envs", "1", "--out", "dec.csv"],
+], ids=["evaluate", "analyze-decisions"])
+@pytest.mark.parametrize("in_dim, out_dim", [(7, 4), (24, 3)])
+def test_checkpoint_config_mismatch_exits_before_any_rollout(
+        command, in_dim, out_dim, tiny_cfg_path, norm_stats_path, tmp_path, capsys,
+        monkeypatch):
+    ckpt = tmp_path / "other.ckpt"
+    save_checkpoint(ckpt, Mlp(in_dim, out_dim, 8, rng=np.random.default_rng(0)))
+
+    def no_rollout(*args, **kwargs):
+        raise AssertionError("rolled out before checking the checkpoint")
+
+    monkeypatch.setattr(NetworkEnv, "reset", no_rollout)
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--config", tiny_cfg_path, "--checkpoint", str(ckpt),
+                        "--norm-stats", norm_stats_path])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert all(f"{name}={value}" in err for name, value in [
+        ("in_dim", in_dim), ("out_dim", out_dim), ("obs_dim", 24), ("num_actions", 4)])
 
 
 def test_analyze_interferers(tiny_cfg_path, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from marlsched.env import EnvConfig
+from marlsched.env import ConfigError, EnvConfig
 from marlsched.harness import (
     BaselinePolicy, EpisodeMetrics, InsufficientCandidates, RandomPolicy,
     ValidationSet, build_validation_set, dominates,
@@ -166,6 +166,17 @@ def test_validation_set_roundtrip(tmp_path):
     assert again.seeds == vs.seeds
     assert again.env_config == vs.env_config
     assert again.reference == vs.reference
+
+
+@pytest.mark.parametrize("missing", [["env_config"], ["seeds"], ["reference"],
+                                     ["env_config", "seeds", "reference"]])
+def test_validation_set_names_missing_fields(missing):
+    d = {"env_config": tiny_config().to_dict(), "seeds": [1, 2], "reference": {}}
+    for key in missing:
+        del d[key]
+    with pytest.raises(ConfigError) as exc:
+        ValidationSet.from_dict(d)
+    assert all(key in str(exc.value) for key in missing)
 
 
 # ------------------------------------------------------------------- analyses

@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from marlsched.env import EnvConfig
+from marlsched.env import ConfigError, EnvConfig
 from marlsched.normalize import (
     DegenerateDataset, OfflineDataset, PercentileMapper, RewardNormalizer,
     collect_offline_dataset, fit, load_stats, map_observation, save_stats,
@@ -188,3 +190,39 @@ def test_stats_roundtrip(tmp_path):
     assert np.array_equal(mapper.sinr_db_thresholds, m2.sinr_db_thresholds)
     assert (rnorm.mu, rnorm.sigma) == (r2.mu, r2.sigma)
     assert fp == "N2-K6"
+
+
+def _break(payload, key, value):
+    if value is None:
+        del payload[key]
+    else:
+        payload[key] = value(payload[key]) if callable(value) else value
+
+
+@pytest.mark.parametrize("key, value, field", [
+    ("weight_thresholds", None, "weight_thresholds"),
+    ("sinr_db_thresholds", None, "sinr_db_thresholds"),
+    ("weight_thresholds", [], "weight_thresholds"),
+    ("sinr_db_thresholds", lambda a: a[:-1] + [float("nan")], "sinr_db_thresholds"),
+    ("weight_thresholds", lambda a: a[:-1] + [float("inf")], "weight_thresholds"),
+    ("weight_thresholds", lambda a: a[::-1], "weight_thresholds"),
+    ("sinr_db_thresholds", lambda a: a[::-1], "sinr_db_thresholds"),
+    ("sinr_db_thresholds", lambda a: a[:-1], "Q"),
+    ("Q", 19, "Q"),
+    ("mu_rew", None, "mu_rew"),
+    ("mu_rew", float("nan"), "mu_rew"),
+    ("sigma_rew", None, "sigma_rew"),
+    ("sigma_rew", float("inf"), "sigma_rew"),
+    ("config_fingerprint", None, "config_fingerprint"),
+], ids=["weights-missing", "sinr-missing", "weights-empty", "sinr-nan", "weights-inf",
+        "weights-descending", "sinr-descending", "lengths-differ", "q-differs",
+        "mu-missing", "mu-nan", "sigma-missing", "sigma-inf", "fingerprint-missing"])
+def test_load_stats_names_the_broken_field(tmp_path, key, value, field):
+    mapper, rnorm = fit(_synthetic(np.random.default_rng(11), n=2000), 20)
+    path = tmp_path / "norm.json"
+    save_stats(path, mapper, rnorm, "N2-K6")
+    payload = json.loads(path.read_text())
+    _break(payload, key, value)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError, match=field):
+        load_stats(path)
