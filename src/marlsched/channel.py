@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -73,6 +74,7 @@ def draw_long_term_gains(deployment: Deployment, params: PathLossParams,
 SPLIT_COSINES = 4096
 
 _worker: ThreadPoolExecutor | None = None
+_worker_lock = threading.Lock()
 
 
 def _component_sum(arg, alpha_trig, phase):
@@ -96,9 +98,8 @@ def _start_apart(caller_cpu):
     """
     try:
         allowed = os.sched_getaffinity(0)
-        others = sorted(allowed - {caller_cpu})
-        if caller_cpu is not None and others:
-            os.sched_setaffinity(0, {others[0]})
+        if caller_cpu in allowed and len(allowed) > 1:
+            os.sched_setaffinity(0, allowed - {caller_cpu})
             os.sched_setaffinity(0, allowed)
     except (AttributeError, OSError):
         pass
@@ -106,15 +107,17 @@ def _start_apart(caller_cpu):
 
 def _fading_worker() -> ThreadPoolExecutor:
     global _worker
-    if _worker is None:
-        _worker = ThreadPoolExecutor(1, "fading", _start_apart, (_current_cpu(),))
-    return _worker
+    with _worker_lock:
+        if _worker is None:
+            _worker = ThreadPoolExecutor(1, "fading", _start_apart, (_current_cpu(),))
+        return _worker
 
 
 def _forget_worker() -> None:
-    """A forked child inherits the record of a worker thread but not the thread."""
-    global _worker
-    _worker = None
+    """A forked child inherits the record of a worker thread but not the thread
+    (nor a caller that held the lock)."""
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):

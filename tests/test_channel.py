@@ -1,6 +1,9 @@
 import dataclasses
 import os
 import signal
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -153,6 +156,45 @@ def test_fading_worker_error_reaches_the_caller():
     with pytest.raises(ValueError, match="broadcast"):
         broken.sample_all(1)
     assert np.isfinite(proc.sample_all(1)).all()
+
+
+def test_fading_concurrent_callers_share_the_worker(monkeypatch):
+    """More callers than cores, switching threads often, each on its own
+    process above the split: every sample keeps the bits of a lone caller's,
+    and the first samples race to start the one worker."""
+    monkeypatch.setattr(channel, "_worker", None)
+    procs = [create_fading(100, 10, 16, 8.0, 1e-3, np.random.default_rng(s)) for s in range(4)]
+    want = [[p.sample_all(t).tobytes() for t in range(1, 41)] for p in procs]
+    monkeypatch.setattr(channel, "_worker", None)
+    made = []
+
+    def counted(*args):
+        made.append(ThreadPoolExecutor(*args))
+        return made[-1]
+
+    monkeypatch.setattr(channel, "ThreadPoolExecutor", counted)
+    bad = []
+    start = threading.Barrier(4)
+
+    def caller(i):
+        start.wait(timeout=60)
+        for t in range(1, 41):
+            if procs[i].sample_all(t).tobytes() != want[i][t - 1]:
+                bad.append((i, t))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert not bad
+    assert len(made) == 1
 
 
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")
