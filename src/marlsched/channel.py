@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,7 +72,7 @@ def draw_long_term_gains(deployment: Deployment, params: PathLossParams,
 # sum to the worker thread; below it the hand-off costs more than it saves.
 SPLIT_COSINES = 4096
 
-_worker: ThreadPoolExecutor | None = None
+_worker = None   # the ThreadPoolExecutor, started by the first large sample
 _worker_lock = threading.Lock()
 
 
@@ -105,17 +104,19 @@ def _start_apart(caller_cpu):
         pass
 
 
-def _fading_worker() -> ThreadPoolExecutor:
+def _fading_worker():
     global _worker
     with _worker_lock:
         if _worker is None:
+            # imported here: it adds ~6 ms to every start, and small networks never use it
+            from concurrent.futures import ThreadPoolExecutor
             _worker = ThreadPoolExecutor(1, "fading", _start_apart, (_current_cpu(),))
         return _worker
 
 
 def _forget_worker() -> None:
-    """A forked child inherits the record of a worker thread but not the thread
-    (nor a caller that held the lock)."""
+    """A forked child inherits the record of the parent's worker but not its
+    thread, and the lock as some parent thread may have held it."""
     global _worker, _worker_lock
     _worker, _worker_lock = None, threading.Lock()
 

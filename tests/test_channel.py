@@ -3,7 +3,7 @@ import os
 import signal
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -168,11 +168,13 @@ def test_fading_concurrent_callers_share_the_worker(monkeypatch):
     monkeypatch.setattr(channel, "_worker", None)
     made = []
 
+    executor = futures.ThreadPoolExecutor
+
     def counted(*args):
-        made.append(ThreadPoolExecutor(*args))
+        made.append(executor(*args))
         return made[-1]
 
-    monkeypatch.setattr(channel, "ThreadPoolExecutor", counted)
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", counted)
     bad = []
     start = threading.Barrier(4)
 
