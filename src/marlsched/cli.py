@@ -60,12 +60,18 @@ def cmd_build_val_set(args):
     print(f"wrote {args.out}: {len(vset.seeds)} validation environments")
 
 
+def _load_stats(path: str, env_cfg: EnvConfig):
+    """(mapper, normalizer) from path; warns when they were fitted for another config."""
+    mapper, rnorm, fp = normalize.load_stats(path)
+    if fp != env_cfg.fingerprint():
+        print(f"warning: normalization stats {path} fitted for {fp}, "
+              f"running on {env_cfg.fingerprint()}", file=sys.stderr)
+    return mapper, rnorm
+
+
 def cmd_train(args):
     env_cfg, trainer_cfg = load_configs(args.config)
-    mapper, rnorm, fp = normalize.load_stats(args.norm_stats)
-    if fp and fp != env_cfg.fingerprint():
-        print(f"warning: normalization stats fitted for {fp}, "
-              f"training on {env_cfg.fingerprint()}", file=sys.stderr)
+    mapper, rnorm = _load_stats(args.norm_stats, env_cfg)
     if args.val_set:
         vset = ValidationSet.load(args.val_set)
         val_seeds = vset.seeds
@@ -100,7 +106,7 @@ def _dqn_policy(args, env_cfg):
               f"out_dim={net.out_dim}; the config has obs_dim={env_cfg.obs_dim}, "
               f"num_actions={env_cfg.num_actions}", file=sys.stderr)
         raise SystemExit(2)
-    mapper, _, _ = normalize.load_stats(args.norm_stats)
+    mapper, _ = _load_stats(args.norm_stats, env_cfg)
     return DqnPolicy(net, mapper)
 
 

@@ -17,6 +17,10 @@ class BufferUnderfilled(RuntimeError):
     pass
 
 
+class NonFiniteLoss(FloatingPointError):
+    pass
+
+
 class ReplayBuffer:
     """FIFO ring of timestep records with uniform batch sampling.
 
@@ -180,7 +184,8 @@ def run_training(env_config: EnvConfig, trainer_config: TrainerConfig,
 
     All agents in all environments act through one shared online network.
     Training steps and target syncs are triggered by the count of environment
-    intervals summed across the parallel environments.
+    intervals summed across the parallel environments. A non-finite loss
+    raises NonFiniteLoss naming the train step and the epoch.
     """
     cfg, tcfg = env_config, trainer_config
     tcfg.validate()
@@ -222,7 +227,11 @@ def run_training(env_config: EnvConfig, trainer_config: TrainerConfig,
             while intervals >= next_train:
                 next_train += tcfg.train_period_intervals
                 if len(buffer) >= tcfg.batch_timesteps:
-                    losses.append(train_step(buffer, net, target, adam, tcfg, sample_rng))
+                    loss = train_step(buffer, net, target, adam, tcfg, sample_rng)
+                    if not np.isfinite(loss):
+                        raise NonFiniteLoss(f"train step {adam.step} (epoch "
+                                            f"{len(epoch_log) + 1}) gave loss {loss}")
+                    losses.append(loss)
             while intervals >= next_sync:
                 next_sync += tcfg.target_sync_intervals
                 target = net.copy()

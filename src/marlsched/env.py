@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
@@ -128,9 +129,14 @@ class EnvConfig:
         return cls(**d)
 
     def fingerprint(self) -> str:
+        """Readable sizes, then 8 hex digits of SHA-256 over every field."""
+        import hashlib  # here, not at the top: it adds ~4 ms to every package import
+
         dep = self.deployment
+        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:8]
         return (f"N{dep.num_aps}-K{dep.num_ues}-k{self.top_k}-n{self.num_remote}"
-                f"-p{self.power_levels}-T{self.episode_length}")
+                f"-p{self.power_levels}-T{self.episode_length}-{digest}")
 
 
 def draw_layout(cfg: EnvConfig, rng: np.random.Generator):

@@ -16,7 +16,14 @@ PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 
 class Mlp:
-    """in -> hidden -> hidden -> out with tanh activations, linear head."""
+    """in -> hidden -> hidden -> out with tanh activations, linear head.
+
+    An instance is single-writer. forward and backward write the hidden
+    activations into workspaces the instance keeps and reuses, created on first
+    use and grown to the largest batch seen: one block for plain forwards and
+    one for forward(cache=True) and the backward that consumes it. Each
+    returned array is the caller's own. copy() copies the parameters only.
+    """
 
     def __init__(self, in_dim: int, out_dim: int, hidden: int = 128,
                  rng: np.random.Generator | None = None):
@@ -28,6 +35,15 @@ class Mlp:
             bound = np.sqrt(6.0 / (fan_in + fan_out))
             self.params[f"w{idx}"] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
             self.params[f"b{idx}"] = np.zeros(fan_out)
+        self._workspaces = {}   # cache flag -> (2 or 3, rows, hidden) block
+        self._cache = None
+
+    def _slots(self, cache: bool, rows: int) -> np.ndarray:
+        """The (2 or 3, rows, hidden) front of a workspace block; each ws[i] is contiguous."""
+        ws = self._workspaces.get(cache)
+        if ws is None or ws.shape[1] < rows:
+            ws = self._workspaces[cache] = np.empty((3 if cache else 2, rows, self.hidden))
+        return ws[:, :rows]
 
     def forward(self, x: np.ndarray, cache: bool = False):
         """Batched forward pass; x is (B, in_dim). Returns (B, out_dim)."""
@@ -35,33 +51,53 @@ class Mlp:
         if x.shape[1] != self.in_dim:
             raise ShapeMismatch(f"expected input width {self.in_dim}, got {x.shape[1]}")
         p = self.params
-        a1 = np.tanh(x @ p["w1"] + p["b1"])
-        a2 = np.tanh(a1 @ p["w2"] + p["b2"])
-        out = a2 @ p["w3"] + p["b3"]
+        ws = self._slots(cache, x.shape[0])
+        a1, a2 = ws[0], ws[1]
+        np.matmul(x, p["w1"], out=a1)
+        a1 += p["b1"]
+        np.tanh(a1, out=a1)
+        np.matmul(a1, p["w2"], out=a2)
+        a2 += p["b2"]
+        np.tanh(a2, out=a2)
+        out = a2 @ p["w3"]
+        out += p["b3"]
         if cache:
-            self._cache = (x, a1, a2)
+            self._cache = (x, ws)
         return out
 
     def backward(self, grad_out: np.ndarray) -> dict:
         """Gradients w.r.t. all parameters, averaged over the batch.
 
         grad_out holds d(per-example loss)/d(output); forward(..., cache=True)
-        must have been called on the same batch.
+        must have been called on the same batch. The backward overwrites that
+        forward's activations, so each cached forward serves one backward.
         """
-        x, a1, a2 = self._cache
+        if self._cache is None:
+            raise RuntimeError("backward needs a forward(..., cache=True) since the "
+                               "last backward; its activations are consumed")
+        x, (a1, a2, d) = self._cache
         grad_out = np.atleast_2d(grad_out)
         if grad_out.shape != (x.shape[0], self.out_dim):
             raise ShapeMismatch("output gradient shape does not match the cached batch")
+        self._cache = None
         batch = x.shape[0]
         p = self.params
         g = grad_out / batch
         grads = {"w3": a2.T @ g, "b3": g.sum(axis=0)}
-        d2 = (g @ p["w3"].T) * (1.0 - a2 ** 2)
-        grads["w2"] = a1.T @ d2
-        grads["b2"] = d2.sum(axis=0)
-        d1 = (d2 @ p["w2"].T) * (1.0 - a1 ** 2)
-        grads["w1"] = x.T @ d1
-        grads["b1"] = d1.sum(axis=0)
+        # d2 = (g @ w3.T) * (1 - a2**2), in the spare slot
+        np.matmul(g, p["w3"].T, out=d)
+        np.square(a2, out=a2)
+        np.subtract(1.0, a2, out=a2)
+        d *= a2
+        grads["w2"] = a1.T @ d
+        grads["b2"] = d.sum(axis=0)
+        # d1 = (d2 @ w2.T) * (1 - a1**2), in the spent a2 slot
+        np.matmul(d, p["w2"].T, out=a2)
+        np.square(a1, out=a1)
+        np.subtract(1.0, a1, out=a1)
+        a2 *= a1
+        grads["w1"] = x.T @ a2
+        grads["b1"] = a2.sum(axis=0)
         return grads
 
     def num_params(self) -> int:
@@ -71,6 +107,7 @@ class Mlp:
         clone = Mlp.__new__(Mlp)
         clone.in_dim, clone.out_dim, clone.hidden = self.in_dim, self.out_dim, self.hidden
         clone.params = {k: v.copy() for k, v in self.params.items()}
+        clone._workspaces, clone._cache = {}, None
         return clone
 
 

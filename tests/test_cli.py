@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -34,13 +35,14 @@ def norm_stats_path(tiny_cfg_path, tmp_path_factory):
     return str(path)
 
 
-def test_collect_norm_stats_output(norm_stats_path):
+def test_collect_norm_stats_output(norm_stats_path, tiny_cfg_path):
     with open(norm_stats_path) as f:
         payload = json.load(f)
     assert payload["Q"] == 20
     assert len(payload["weight_thresholds"]) == 20
     assert payload["sigma_rew"] > 0
-    assert payload["config_fingerprint"] == "N2-K6-k3-n3-p1-T20"
+    assert re.fullmatch(r"N2-K6-k3-n3-p1-T20-[0-9a-f]{8}", payload["config_fingerprint"])
+    assert payload["config_fingerprint"] == load_configs(tiny_cfg_path)[0].fingerprint()
 
 
 def test_baseline_command(tiny_cfg_path, tmp_path, capsys):
@@ -112,6 +114,27 @@ def test_checkpoint_config_mismatch_exits_before_any_rollout(
     err = capsys.readouterr().err
     assert all(f"{name}={value}" in err for name, value in [
         ("in_dim", in_dim), ("out_dim", out_dim), ("obs_dim", 24), ("num_actions", 4)])
+
+
+@pytest.mark.parametrize("command", [
+    ["evaluate", "--num-envs", "1"],
+    ["analyze", "decisions", "--num-envs", "1", "--out", "dec.csv"],
+], ids=["evaluate", "analyze-decisions"])
+def test_norm_stats_for_another_config_warn(command, norm_stats_path, tmp_path, capsys,
+                                            monkeypatch):
+    """Stats fitted at N=2, K=6 on a 3-AP, 9-UE config: same obs_dim, so only
+    the fingerprint tells them apart."""
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({"env": {"deployment": {"num_aps": 3, "num_ues": 9},
+                                         "episode_length": 20}}))
+    ckpt = tmp_path / "net.ckpt"
+    save_checkpoint(ckpt, Mlp(24, 4, 8, rng=np.random.default_rng(0)))
+    monkeypatch.chdir(tmp_path)
+    main(command + ["--config", str(other), "--checkpoint", str(ckpt),
+                    "--norm-stats", norm_stats_path])
+    err = capsys.readouterr().err
+    assert re.search(r"warning: normalization stats .* fitted for N2-K6-k3-n3-p1-T20-"
+                     r"[0-9a-f]{8}, running on N3-K9-k3-n3-p1-T20-[0-9a-f]{8}", err), err
 
 
 def test_analyze_interferers(tiny_cfg_path, tmp_path):

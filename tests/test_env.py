@@ -82,6 +82,23 @@ def test_config_roundtrip():
     assert again == cfg
 
 
+@pytest.mark.parametrize("physics", [
+    {"shadow_std_db": 0.0}, {"doppler_hz": 4.0}, {"p_max_dbm": 20.0},
+    {"path_loss": PathLossParams(d_bp=50.0)},
+    {"deployment": DeploymentConfig(num_aps=2, num_ues=6, area_side=200.0)},
+], ids=["shadowing", "doppler", "power", "path-loss", "area"])
+def test_fingerprint_sees_physics(physics):
+    """Physics-only changes keep the readable sizes but change the digest;
+    equal configs, however built, share one fingerprint."""
+    cfg = small_config()
+    assert EnvConfig.from_dict(cfg.to_dict()).fingerprint() == cfg.fingerprint()
+    assert small_config().fingerprint() == cfg.fingerprint()
+    other = small_config(**physics).fingerprint()
+    assert other != cfg.fingerprint()
+    assert other.rsplit("-", 1)[0] == cfg.fingerprint().rsplit("-", 1)[0] == \
+        "N2-K6-k3-n3-p1-T60"
+
+
 # ------------------------------------------------------------------ obs shape
 
 def local_slots(env):

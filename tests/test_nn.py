@@ -127,6 +127,29 @@ def test_backward_shape_check():
         net.backward(np.zeros((2, 3)))
 
 
+def test_backward_consumes_its_cache():
+    """The backward overwrites the cached activations, so a second backward
+    (or one after a plain forward only) raises instead of returning gradients
+    of spent buffers; a rejected output gradient leaves the cache usable."""
+    net = small_net(16)
+    x = np.random.default_rng(17).normal(size=(4, 5))
+    g = np.random.default_rng(18).normal(size=(4, 3))
+    with pytest.raises(RuntimeError, match="forward"):
+        net.backward(g)
+    net.forward(x, cache=True)
+    with pytest.raises(ShapeMismatch):
+        net.backward(g[:2])
+    first = net.backward(g)
+    with pytest.raises(RuntimeError, match="consumed"):
+        net.backward(g)
+    net.forward(x)
+    with pytest.raises(RuntimeError, match="consumed"):
+        net.backward(g)
+    net.forward(x, cache=True)
+    again = net.backward(g)
+    assert all(np.array_equal(first[k], again[k]) for k in PARAM_NAMES)
+
+
 # ------------------------------------------------------------------------ Adam
 
 def test_lr_schedule_halving():
@@ -212,6 +235,22 @@ def test_copy_is_independent():
     clone.params["w1"][:] = 0.0
     assert not np.array_equal(net.params["w1"], clone.params["w1"])
     assert np.array_equal(net.params["w2"], clone.params["w2"])
+
+
+def test_copy_shares_no_workspace():
+    net = small_net(26)
+    rng = np.random.default_rng(27)
+    x, y = rng.normal(size=(6, 5)), rng.normal(size=(9, 5))
+    gx, gy = rng.normal(size=(6, 3)), rng.normal(size=(9, 3))
+    want = net.copy()
+    want.forward(x, cache=True)
+    want = want.backward(gx)
+    net.forward(x, cache=True)
+    clone = net.copy()
+    clone.forward(y, cache=True)
+    clone.backward(gy)
+    got = net.backward(gx)
+    assert all(np.array_equal(got[k], want[k]) for k in PARAM_NAMES)
 
 
 def test_checkpoint_roundtrip(tmp_path):

@@ -21,6 +21,11 @@ The fading oracle is the serial in-phase and quadrature sums of
 `FadingProcess.sample_all`; it is compared with `sample_all` bit for bit over
 2,000 intervals at the default and the N=10, K=100 shapes and at one shape
 each side of the size where the two sums go to two threads.
+
+The Q-network oracle is the allocating forward and backward expressions that
+`Mlp` evaluated before it wrote its activations into reused workspaces; it is
+compared with `Mlp` bit for bit as the batch grows and shrinks, with plain and
+cached forwards interleaved as in acceptance criterion 4.
 """
 
 import numpy as np
@@ -32,6 +37,7 @@ from marlsched.channel import create_fading
 from marlsched.env import EnvConfig, NetworkEnv, OutOfRange, draw_layout
 from marlsched.harness import interference_profile
 from marlsched.linklevel import ScheduleDecision
+from marlsched.nn import Mlp
 from marlsched.topology import (
     DeploymentConfig, associate_max_rsrp, balance_pools, nearest_remote_agents,
 )
@@ -194,6 +200,29 @@ def oracle_fading(fading, t):
     re = np.cos(arg * fading.cos_alpha + fading.phi).sum(axis=-1)
     im = np.cos(arg * fading.sin_alpha + fading.psi).sum(axis=-1)
     return (re + 1j * im) / np.sqrt(m)
+
+
+def oracle_mlp_forward(net, x):
+    """(output, a1, a2): every layer a fresh array."""
+    p = net.params
+    a1 = np.tanh(x @ p["w1"] + p["b1"])
+    a2 = np.tanh(a1 @ p["w2"] + p["b2"])
+    return a2 @ p["w3"] + p["b3"], a1, a2
+
+
+def oracle_mlp_backward(net, x, grad_out):
+    """Batch-averaged parameter gradients of one forward on x."""
+    p = net.params
+    _, a1, a2 = oracle_mlp_forward(net, x)
+    g = grad_out / x.shape[0]
+    grads = {"w3": a2.T @ g, "b3": g.sum(axis=0)}
+    d2 = (g @ p["w3"].T) * (1.0 - a2 ** 2)
+    grads["w2"] = a1.T @ d2
+    grads["b2"] = d2.sum(axis=0)
+    d1 = (d2 @ p["w2"].T) * (1.0 - a1 ** 2)
+    grads["w1"] = x.T @ d1
+    grads["b1"] = d1.sum(axis=0)
+    return grads
 
 
 # --------------------------------------------------------------------- checks
@@ -423,3 +452,41 @@ def test_fading_matches_serial_oracle(num_ues, num_aps):
                            cfg.interval_duration_s, np.random.default_rng(num_ues))
     for t in range(1, 2001):
         assert same_bits(fading.sample_all(t), oracle_fading(fading, t)), t
+
+
+# ------------------------------------------------------------------ Q-network
+
+# single row, a small batch, the default train_step batch (1024 timesteps x 4
+# agents), then growing and shrinking again through sizes already seen
+MLP_ROWS = (1, 16, 4096, 16, 1, 4096, 4097, 16)
+
+
+def same_grads(got, want):
+    return sorted(got) == sorted(want) and all(same_bits(got[k], want[k]) for k in want)
+
+
+@pytest.mark.parametrize("in_dim, out_dim, hidden", [(24, 4, 128), (5, 3, 8)])
+def test_mlp_matches_allocating_oracle(in_dim, out_dim, hidden):
+    net = Mlp(in_dim, out_dim, hidden, rng=np.random.default_rng(hidden))
+    rng = np.random.default_rng(in_dim)
+    for rows in MLP_ROWS:
+        x = rng.normal(size=(rows, in_dim))
+        want, _, _ = oracle_mlp_forward(net, x)
+        # criterion 4's order: a plain forward, a cached one, then its backward
+        assert same_bits(net.forward(x), want), rows
+        out = net.forward(x, cache=True)
+        assert same_bits(out, want), rows
+        grad_out = 2.0 * (out - rng.normal(size=out.shape))
+        assert same_grads(net.backward(grad_out), oracle_mlp_backward(net, x, grad_out)), rows
+
+
+def test_mlp_plain_forward_keeps_the_cache():
+    """A plain forward of another batch between a cached forward and its
+    backward changes neither its own output nor the backward's gradients."""
+    net = Mlp(24, 4, 128, rng=np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    x, y = rng.normal(size=(16, 24)), rng.normal(size=(4096, 24))
+    grad_out = rng.normal(size=(16, 4))
+    net.forward(x, cache=True)
+    assert same_bits(net.forward(y), oracle_mlp_forward(net, y)[0])
+    assert same_grads(net.backward(grad_out), oracle_mlp_backward(net, x, grad_out))
