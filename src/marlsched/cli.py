@@ -7,6 +7,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -40,8 +41,7 @@ def _fresh_seeds(seed: int, count: int) -> list[int]:
     return [int(rng.integers(2 ** 63)) for _ in range(count)]
 
 
-def cmd_collect_norm_stats(args):
-    env_cfg, _ = load_configs(args.config)
+def cmd_collect_norm_stats(args, env_cfg, trainer_cfg):
     rng = np.random.default_rng(args.seed)
     dataset = normalize.collect_offline_dataset(
         env_cfg, args.baselines, args.episodes, rng)
@@ -51,8 +51,7 @@ def cmd_collect_norm_stats(args):
           f"{len(dataset.weights)} weight samples")
 
 
-def cmd_build_val_set(args):
-    env_cfg, _ = load_configs(args.config)
+def cmd_build_val_set(args, env_cfg, trainer_cfg):
     rng = np.random.default_rng(args.seed)
     vset = harness.build_validation_set(
         env_cfg, args.count, args.population, args.tolerance, rng)
@@ -69,8 +68,7 @@ def _load_stats(path: str, env_cfg: EnvConfig):
     return mapper, rnorm
 
 
-def cmd_train(args):
-    env_cfg, trainer_cfg = load_configs(args.config)
+def cmd_train(args, env_cfg, trainer_cfg):
     mapper, rnorm = _load_stats(args.norm_stats, env_cfg)
     if args.val_set:
         vset = ValidationSet.load(args.val_set)
@@ -80,13 +78,11 @@ def cmd_train(args):
     os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, "epochs.csv")
     with open(log_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["epoch", "episodes", "sum_rate_mbps", "pct5_mbps",
-                         "score", "mean_loss"])
+        writer = csv.DictWriter(f, [fld.name for fld in fields(dqn.EpochRecord)])
+        writer.writeheader()
 
         def log(rec):
-            writer.writerow([rec.epoch, rec.episodes, rec.sum_rate_mbps,
-                             rec.pct5_mbps, rec.score, rec.mean_loss])
+            writer.writerow(asdict(rec))
             f.flush()
             print(f"epoch {rec.epoch}: score={rec.score:.3f} "
                   f"sum={rec.sum_rate_mbps:.2f} pct5={rec.pct5_mbps:.3f}")
@@ -110,44 +106,34 @@ def _dqn_policy(args, env_cfg):
     return DqnPolicy(net, mapper)
 
 
-def cmd_evaluate(args):
-    env_cfg, _ = load_configs(args.config)
+def cmd_evaluate(args, env_cfg, trainer_cfg):
     if args.env_set:
         vset = ValidationSet.load(args.env_set)
         seeds, env_cfg = vset.seeds, vset.env_config
     else:
         seeds = _fresh_seeds(args.seed, args.num_envs)
-    result = harness.evaluate_policy(env_cfg, _dqn_policy(args, env_cfg), seeds)
-    _print_eval(result)
-    if args.out:
-        _dump_eval(args.out, result)
+    _report(harness.evaluate_policy(env_cfg, _dqn_policy(args, env_cfg), seeds), args.out)
 
 
-def cmd_baseline(args):
-    env_cfg, _ = load_configs(args.config)
+def cmd_baseline(args, env_cfg, trainer_cfg):
     seeds = _fresh_seeds(args.seed, args.num_envs)
-    result = harness.evaluate_policy(env_cfg, BaselinePolicy(args.kind), seeds)
-    _print_eval(result)
-    if args.out:
-        _dump_eval(args.out, result)
+    _report(harness.evaluate_policy(env_cfg, BaselinePolicy(args.kind), seeds), args.out)
 
 
-def _print_eval(result):
+def _report(result, out):
+    """Print an evaluation's metrics and, when out is given, write its per-env CSV."""
     print(f"sum_rate_mbps={result['sum_rate_mbps']:.3f} "
           f"(std {result['sum_rate_mbps_std']:.3f}) "
           f"pct5_mbps={result['pct5_mbps']:.4f} "
           f"(std {result['pct5_mbps_std']:.4f}) score={result['score']:.3f}")
+    if out:
+        rows = [{"env": i, "sum_rate_mbps": m.sum_rate_mbps, "pct5_mbps": m.pct5_mbps,
+                 "score": m.score} for i, m in enumerate(result["per_env"])]
+        harness.metrics_to_csv(out, rows)
+        print(f"wrote {out}")
 
 
-def _dump_eval(path, result):
-    rows = [{"env": i, "sum_rate_mbps": m.sum_rate_mbps, "pct5_mbps": m.pct5_mbps,
-             "score": m.score} for i, m in enumerate(result["per_env"])]
-    harness.metrics_to_csv(path, rows)
-    print(f"wrote {path}")
-
-
-def cmd_analyze_interferers(args):
-    env_cfg, _ = load_configs(args.config)
+def cmd_analyze_interferers(args, env_cfg, trainer_cfg):
     rng = np.random.default_rng(args.seed)
     n_values = list(range(env_cfg.deployment.num_aps))
     profile = harness.interference_profile(env_cfg, n_values, args.realizations, rng)
@@ -156,15 +142,14 @@ def cmd_analyze_interferers(args):
     print(f"wrote {args.out}")
 
 
-def cmd_analyze_decisions(args):
-    env_cfg, _ = load_configs(args.config)
+def cmd_analyze_decisions(args, env_cfg, trainer_cfg):
     policy = _dqn_policy(args, env_cfg)
     seeds = _fresh_seeds(args.seed, args.num_envs)
     rows = harness.export_decision_log(env_cfg, policy, seeds, args.out)
     print(f"wrote {args.out}: {rows} rows")
 
 
-def cmd_analyze_pareto(args):
+def cmd_analyze_pareto(args, env_cfg, trainer_cfg):
     entries = []
     for path in args.inputs:
         with open(path) as f:
@@ -181,76 +166,71 @@ def cmd_analyze_pareto(args):
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="marlsched")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)   # the flags of every leaf command
+    common.add_argument("--config")
+    common.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("collect-norm-stats", help="fit percentile/reward statistics")
-    p.add_argument("--config")
+    p = sub.add_parser("collect-norm-stats", help="fit percentile/reward statistics",
+                       parents=[common])
     p.add_argument("--episodes", type=int, default=10)
     p.add_argument("--baselines", nargs="+", choices=sorted(BASELINES),
                    default=["full_reuse"])
     p.add_argument("--q-levels", type=int, default=DEFAULT_Q_LEVELS)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_collect_norm_stats)
 
-    p = sub.add_parser("build-val-set", help="select typical validation environments")
-    p.add_argument("--config")
+    p = sub.add_parser("build-val-set", help="select typical validation environments",
+                       parents=[common])
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--population", type=int, default=100)
     p.add_argument("--tolerance", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_val_set)
 
-    p = sub.add_parser("train", help="train the shared double-DQN policy")
-    p.add_argument("--config")
+    p = sub.add_parser("train", help="train the shared double-DQN policy", parents=[common])
     p.add_argument("--norm-stats", required=True)
     p.add_argument("--val-set")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="evaluate a checkpoint")
-    p.add_argument("--config")
+    p = sub.add_parser("evaluate", help="evaluate a checkpoint", parents=[common])
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--norm-stats", required=True)
     p.add_argument("--env-set")
     p.add_argument("--num-envs", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("baseline", help="evaluate a baseline scheduler")
+    p = sub.add_parser("baseline", help="evaluate a baseline scheduler", parents=[common])
     p.add_argument("--kind", choices=sorted(BASELINES), required=True)
-    p.add_argument("--config")
     p.add_argument("--num-envs", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_baseline)
 
     analyze = sub.add_parser("analyze", help="interferer profile, decision log, pareto")
     targets = analyze.add_subparsers(dest="what", required=True)
-    p = targets.add_parser("interferers", help="mean UE SINR vs nearest interferers")
+    p = targets.add_parser("interferers", help="mean UE SINR vs nearest interferers",
+                           parents=[common])
     p.add_argument("--realizations", type=int, default=20)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze_interferers)
-    p = targets.add_parser("decisions", help="per agent-interval decision log")
+    p = targets.add_parser("decisions", help="per agent-interval decision log",
+                           parents=[common])
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--norm-stats", required=True)
     p.add_argument("--num-envs", type=int, default=5)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze_decisions)
-    p = targets.add_parser("pareto", help="which eval CSVs Pareto-dominate which")
+    p = targets.add_parser("pareto", help="which eval CSVs Pareto-dominate which",
+                           parents=[common])
     p.add_argument("--inputs", nargs="+", required=True)
     p.set_defaults(func=cmd_analyze_pareto)
-    for p in targets.choices.values():
-        p.add_argument("--config")
-        p.add_argument("--seed", type=int, default=0)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    args.func(args)
+    args.func(args, *load_configs(args.config))
     return 0
 
 

@@ -176,6 +176,11 @@ class DqnPolicy:
         return select_actions(self.net, mapped, 0.0, self.rng)
 
 
+def _crossings(total: int, step: int, period: int) -> int:
+    """How many multiples of period lie in (total - step, total]."""
+    return total // period - (total - step) // period
+
+
 def run_training(env_config: EnvConfig, trainer_config: TrainerConfig,
                  mapper: PercentileMapper, reward_norm: RewardNormalizer,
                  validation_seeds, seed: int, out_dir: str | None = None,
@@ -183,9 +188,10 @@ def run_training(env_config: EnvConfig, trainer_config: TrainerConfig,
     """Full training loop over lockstep parallel environments.
 
     All agents in all environments act through one shared online network.
-    Training steps and target syncs are triggered by the count of environment
-    intervals summed across the parallel environments. A non-finite loss
-    raises NonFiniteLoss naming the train step and the epoch.
+    Train steps and target syncs fall due at each multiple of their period
+    that the interval count, summed across the parallel environments, passes;
+    epochs likewise over episodes, plus one after the last episode. A
+    non-finite loss raises NonFiniteLoss naming the train step and the epoch.
     """
     cfg, tcfg = env_config, trainer_config
     tcfg.validate()
@@ -202,9 +208,6 @@ def run_training(env_config: EnvConfig, trainer_config: TrainerConfig,
     checkpoints: list[dict] = []
     episodes_done = 0
     intervals = 0
-    next_train = tcfg.train_period_intervals
-    next_sync = tcfg.target_sync_intervals
-    next_epoch = tcfg.epoch_episodes
     losses: list[float] = []
 
     while episodes_done < tcfg.episodes:
@@ -224,25 +227,22 @@ def run_training(env_config: EnvConfig, trainer_config: TrainerConfig,
                         next_obs, done)
             obs = next_obs
             intervals += tcfg.num_envs
-            while intervals >= next_train:
-                next_train += tcfg.train_period_intervals
+            for _ in range(_crossings(intervals, tcfg.num_envs,
+                                      tcfg.train_period_intervals)):
                 if len(buffer) >= tcfg.batch_timesteps:
                     loss = train_step(buffer, net, target, adam, tcfg, sample_rng)
                     if not np.isfinite(loss):
                         raise NonFiniteLoss(f"train step {adam.step} (epoch "
                                             f"{len(epoch_log) + 1}) gave loss {loss}")
                     losses.append(loss)
-            while intervals >= next_sync:
-                next_sync += tcfg.target_sync_intervals
-                target = net.copy()
+            if _crossings(intervals, tcfg.num_envs, tcfg.target_sync_intervals):
+                target.load_params(net.params)
         episodes_done += tcfg.num_envs
 
-        if episodes_done >= next_epoch or episodes_done >= tcfg.episodes:
-            while next_epoch <= episodes_done:
-                next_epoch += tcfg.epoch_episodes
+        if (_crossings(episodes_done, tcfg.num_envs, tcfg.epoch_episodes)
+                or episodes_done >= tcfg.episodes):
             epoch = len(epoch_log) + 1
-            policy = DqnPolicy(net.copy(), mapper)
-            result = harness.evaluate_policy(cfg, policy, validation_seeds)
+            result = harness.evaluate_policy(cfg, DqnPolicy(net, mapper), validation_seeds)
             rec = EpochRecord(
                 epoch=epoch, episodes=episodes_done,
                 sum_rate_mbps=result["sum_rate_mbps"], pct5_mbps=result["pct5_mbps"],

@@ -19,9 +19,10 @@ class Mlp:
     """in -> hidden -> hidden -> out with tanh activations, linear head.
 
     An instance is single-writer. forward and backward write the hidden
-    activations into workspaces the instance keeps and reuses, created on first
-    use and grown to the largest batch seen: one block for plain forwards and
-    one for forward(cache=True) and the backward that consumes it. Each
+    activations into one (3, rows, hidden) workspace the instance keeps,
+    created on first use and grown to the largest batch seen. A plain forward
+    uses its first two slots and drops any pending cache, so only
+    forward(cache=True) followed directly by backward yields gradients. Each
     returned array is the caller's own. copy() copies the parameters only.
     """
 
@@ -35,15 +36,8 @@ class Mlp:
             bound = np.sqrt(6.0 / (fan_in + fan_out))
             self.params[f"w{idx}"] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
             self.params[f"b{idx}"] = np.zeros(fan_out)
-        self._workspaces = {}   # cache flag -> (2 or 3, rows, hidden) block
+        self._ws = None
         self._cache = None
-
-    def _slots(self, cache: bool, rows: int) -> np.ndarray:
-        """The (2 or 3, rows, hidden) front of a workspace block; each ws[i] is contiguous."""
-        ws = self._workspaces.get(cache)
-        if ws is None or ws.shape[1] < rows:
-            ws = self._workspaces[cache] = np.empty((3 if cache else 2, rows, self.hidden))
-        return ws[:, :rows]
 
     def forward(self, x: np.ndarray, cache: bool = False):
         """Batched forward pass; x is (B, in_dim). Returns (B, out_dim)."""
@@ -51,7 +45,9 @@ class Mlp:
         if x.shape[1] != self.in_dim:
             raise ShapeMismatch(f"expected input width {self.in_dim}, got {x.shape[1]}")
         p = self.params
-        ws = self._slots(cache, x.shape[0])
+        if self._ws is None or self._ws.shape[1] < len(x):
+            self._ws = np.empty((3, len(x), self.hidden))
+        ws = self._ws[:, :len(x)]   # each ws[i] is contiguous
         a1, a2 = ws[0], ws[1]
         np.matmul(x, p["w1"], out=a1)
         a1 += p["b1"]
@@ -61,20 +57,18 @@ class Mlp:
         np.tanh(a2, out=a2)
         out = a2 @ p["w3"]
         out += p["b3"]
-        if cache:
-            self._cache = (x, ws)
+        self._cache = (x, ws) if cache else None
         return out
 
     def backward(self, grad_out: np.ndarray) -> dict:
         """Gradients w.r.t. all parameters, averaged over the batch.
 
-        grad_out holds d(per-example loss)/d(output); forward(..., cache=True)
-        must have been called on the same batch. The backward overwrites that
-        forward's activations, so each cached forward serves one backward.
+        grad_out holds d(per-example loss)/d(output) of the last forward, which
+        must have had cache=True; the backward overwrites its activations.
         """
         if self._cache is None:
-            raise RuntimeError("backward needs a forward(..., cache=True) since the "
-                               "last backward; its activations are consumed")
+            raise RuntimeError("backward needs the forward(..., cache=True) just before it; "
+                               "a backward or plain forward since consumed its activations")
         x, (a1, a2, d) = self._cache
         grad_out = np.atleast_2d(grad_out)
         if grad_out.shape != (x.shape[0], self.out_dim):
@@ -104,11 +98,14 @@ class Mlp:
         return sum(v.size for v in self.params.values())
 
     def copy(self) -> "Mlp":
-        clone = Mlp.__new__(Mlp)
-        clone.in_dim, clone.out_dim, clone.hidden = self.in_dim, self.out_dim, self.hidden
-        clone.params = {k: v.copy() for k, v in self.params.items()}
-        clone._workspaces, clone._cache = {}, None
+        clone = Mlp(self.in_dim, self.out_dim, self.hidden)
+        clone.load_params(self.params)
         return clone
+
+    def load_params(self, params: dict) -> None:
+        """Copy params into this network's arrays in place; the workspace stays."""
+        for k, v in params.items():
+            np.copyto(self.params[k], v)
 
 
 @dataclass

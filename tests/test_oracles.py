@@ -26,18 +26,26 @@ The Q-network oracle is the allocating forward and backward expressions that
 `Mlp` evaluated before it wrote its activations into reused workspaces; it is
 compared with `Mlp` bit for bit as the batch grows and shrinks, with plain and
 cached forwards interleaved as in acceptance criterion 4.
+
+The training-schedule oracle is the trigger-counter loop (`next_train`,
+`next_sync`, `next_epoch`) that `dqn.run_training` ran before it derived train
+steps, target syncs and epochs from its interval and episode totals; the
+train steps, syncs and validations of tiny runs are compared with it,
+including periods that the number of parallel environments does not divide.
 """
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from marlsched import baselines, channel, linklevel
+from marlsched import baselines, channel, dqn, harness, linklevel
 from marlsched.channel import create_fading
+from marlsched.dqn import TrainerConfig, run_training
 from marlsched.env import EnvConfig, NetworkEnv, OutOfRange, draw_layout
 from marlsched.harness import interference_profile
 from marlsched.linklevel import ScheduleDecision
 from marlsched.nn import Mlp
+from marlsched.normalize import PercentileMapper, RewardNormalizer
 from marlsched.topology import (
     DeploymentConfig, associate_max_rsrp, balance_pools, nearest_remote_agents,
 )
@@ -223,6 +231,33 @@ def oracle_mlp_backward(net, x, grad_out):
     grads["w1"] = x.T @ d1
     grads["b1"] = d1.sum(axis=0)
     return grads
+
+
+def oracle_schedule(tcfg, episode_length):
+    """("sync", 0) for the initial target copy, then ("train" | "sync", interval
+    total) and ("epoch", episodes done) in the order the counter loop ran them.
+    A train step also needs batch_timesteps records in the buffer."""
+    events = [("sync", 0)]
+    episodes_done = intervals = 0
+    next_train = tcfg.train_period_intervals
+    next_sync = tcfg.target_sync_intervals
+    next_epoch = tcfg.epoch_episodes
+    while episodes_done < tcfg.episodes:
+        for _ in range(episode_length):
+            intervals += tcfg.num_envs
+            while intervals >= next_train:
+                next_train += tcfg.train_period_intervals
+                if min(intervals, tcfg.buffer_capacity) >= tcfg.batch_timesteps:
+                    events.append(("train", intervals))
+            while intervals >= next_sync:
+                next_sync += tcfg.target_sync_intervals
+                events.append(("sync", intervals))
+        episodes_done += tcfg.num_envs
+        if episodes_done >= next_epoch or episodes_done >= tcfg.episodes:
+            while next_epoch <= episodes_done:
+                next_epoch += tcfg.epoch_episodes
+            events.append(("epoch", episodes_done))
+    return events
 
 
 # --------------------------------------------------------------------- checks
@@ -480,13 +515,66 @@ def test_mlp_matches_allocating_oracle(in_dim, out_dim, hidden):
         assert same_grads(net.backward(grad_out), oracle_mlp_backward(net, x, grad_out)), rows
 
 
-def test_mlp_plain_forward_keeps_the_cache():
-    """A plain forward of another batch between a cached forward and its
-    backward changes neither its own output nor the backward's gradients."""
+def test_mlp_plain_forward_drops_the_cache():
+    """A plain forward between a cached forward and its backward reuses the
+    activations the backward would read, so that backward raises instead of
+    returning gradients of another batch; the plain forward's output is exact."""
     net = Mlp(24, 4, 128, rng=np.random.default_rng(0))
     rng = np.random.default_rng(1)
     x, y = rng.normal(size=(16, 24)), rng.normal(size=(4096, 24))
     grad_out = rng.normal(size=(16, 4))
     net.forward(x, cache=True)
     assert same_bits(net.forward(y), oracle_mlp_forward(net, y)[0])
+    with pytest.raises(RuntimeError, match="plain forward"):
+        net.backward(grad_out)
+    net.forward(x, cache=True)
     assert same_grads(net.backward(grad_out), oracle_mlp_backward(net, x, grad_out))
+
+
+# ---------------------------------------------------------- training schedule
+
+def once_per_interval(events):
+    """Several syncs due in one interval copy the same network; the counter
+    loop copied it once for each, run_training copies it once."""
+    return [e for i, e in enumerate(events) if e[0] != "sync" or events[i - 1:i] != [e]]
+
+
+@pytest.mark.parametrize("num_envs, train_period, sync_period, epoch_episodes, episodes", [
+    (2, 4, 8, 2, 4),        # every period a multiple of num_envs
+    (3, 7, 10, 4, 10),      # none is, and the last epoch ends past `episodes`
+    (3, 2, 1, 1, 7),        # several train steps and syncs fall due in one interval
+    (4, 5, 3, 3, 12),
+])
+def test_training_schedule_matches_counter_oracle(monkeypatch, num_envs, train_period,
+                                                  sync_period, epoch_episodes, episodes):
+    cfg = EnvConfig(deployment=DeploymentConfig(num_aps=2, num_ues=6), episode_length=5)
+    tcfg = TrainerConfig(num_envs=num_envs, episodes=episodes,
+                         epoch_episodes=epoch_episodes, buffer_capacity=40,
+                         batch_timesteps=8, target_sync_intervals=sync_period,
+                         train_period_intervals=train_period, hidden_units=8)
+    events, steps = [], [0]
+    env_step, train_step, load_params = NetworkEnv.step, dqn.train_step, Mlp.load_params
+
+    def counting_step(env, actions):
+        steps[0] += 1
+        return env_step(env, actions)
+
+    def recording_train_step(*args):
+        events.append(("train", steps[0]))
+        return train_step(*args)
+
+    def recording_load_params(net, params):
+        events.append(("sync", steps[0]))
+        load_params(net, params)
+
+    monkeypatch.setattr(NetworkEnv, "step", counting_step)
+    monkeypatch.setattr(dqn, "train_step", recording_train_step)
+    monkeypatch.setattr(Mlp, "load_params", recording_load_params)
+    monkeypatch.setattr(harness, "evaluate_policy", lambda *args: dict.fromkeys(
+        ("sum_rate_mbps", "pct5_mbps", "score"), 0.0))
+    mapper = PercentileMapper(weight_thresholds=np.linspace(0, 1000, 20),
+                              sinr_db_thresholds=np.linspace(-60, 60, 20))
+    run_training(cfg, tcfg, mapper, RewardNormalizer(mu=0.0, sigma=100.0),
+                 validation_seeds=[0], seed=0,
+                 log=lambda rec: events.append(("epoch", rec.episodes)))
+    assert events == once_per_interval(oracle_schedule(tcfg, cfg.episode_length))
