@@ -59,12 +59,16 @@ def cmd_build_val_set(args, env_cfg, trainer_cfg):
     print(f"wrote {args.out}: {len(vset.seeds)} validation environments")
 
 
+def _warn_other_config(made_for: str, fp: str, env_cfg: EnvConfig) -> None:
+    """Warn on stderr when fp, the config a file was made for, is not env_cfg's."""
+    if fp != env_cfg.fingerprint():
+        print(f"warning: {made_for} {fp}, running on {env_cfg.fingerprint()}", file=sys.stderr)
+
+
 def _load_stats(path: str, env_cfg: EnvConfig):
     """(mapper, normalizer) from path; warns when they were fitted for another config."""
     mapper, rnorm, fp = normalize.load_stats(path)
-    if fp != env_cfg.fingerprint():
-        print(f"warning: normalization stats {path} fitted for {fp}, "
-              f"running on {env_cfg.fingerprint()}", file=sys.stderr)
+    _warn_other_config(f"normalization stats {path} fitted for", fp, env_cfg)
     return mapper, rnorm
 
 
@@ -72,6 +76,8 @@ def cmd_train(args, env_cfg, trainer_cfg):
     mapper, rnorm = _load_stats(args.norm_stats, env_cfg)
     if args.val_set:
         vset = ValidationSet.load(args.val_set)
+        _warn_other_config(f"validation set {args.val_set} built for",
+                           vset.env_config.fingerprint(), env_cfg)
         val_seeds = vset.seeds
     else:
         val_seeds = _fresh_seeds(args.seed + 1, 10)

@@ -138,8 +138,13 @@ class ValidationSet:
         missing = [k for k in ("env_config", "seeds", "reference") if k not in d]
         if missing:
             raise ConfigError(f"validation set lacks {', '.join(missing)}")
+        seeds = d["seeds"]
+        if not (isinstance(seeds, list) and seeds
+                and all(type(s) is int and s >= 0 for s in seeds)):
+            raise ConfigError("seeds must be a non-empty list of non-negative ints, "
+                              f"got {seeds!r}")
         return cls(env_config=EnvConfig.from_dict(d["env_config"]),
-                   seeds=list(d["seeds"]), reference=d["reference"])
+                   seeds=list(seeds), reference=d["reference"])
 
     def save(self, path) -> None:
         with open(path, "w") as f:

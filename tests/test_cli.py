@@ -1,13 +1,16 @@
+import argparse
 import csv
 import json
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from marlsched import harness
+from marlsched import dqn, harness
 from marlsched.baselines import BASELINES
-from marlsched.cli import load_configs, main
+from marlsched.cli import build_parser, load_configs, main
+from marlsched.dqn import EpochRecord
 from marlsched.env import ConfigError, NetworkEnv
 from marlsched.nn import Mlp, load_checkpoint, save_checkpoint
 
@@ -56,11 +59,16 @@ def test_baseline_command(tiny_cfg_path, tmp_path, capsys):
     assert float(rows[0]["sum_rate_mbps"]) > 0
 
 
-def test_build_val_set_command(tiny_cfg_path, tmp_path):
-    out = tmp_path / "val.json"
+@pytest.fixture(scope="module")
+def val_set_path(tiny_cfg_path, tmp_path_factory):
+    path = tmp_path_factory.mktemp("val") / "val.json"
     main(["build-val-set", "--config", tiny_cfg_path, "--count", "2",
-          "--population", "8", "--tolerance", "0.9", "--out", str(out)])
-    with open(out) as f:
+          "--population", "8", "--tolerance", "0.9", "--out", str(path)])
+    return str(path)
+
+
+def test_build_val_set_command(val_set_path):
+    with open(val_set_path) as f:
         payload = json.load(f)
     assert len(payload["seeds"]) == 2
 
@@ -73,6 +81,7 @@ def test_train_then_evaluate_and_analyze(tiny_cfg_path, norm_stats_path,
     with open(run_dir / "epochs.csv") as f:
         epochs = list(csv.DictReader(f))
     assert len(epochs) == 2
+    assert list(epochs[0]) == [field.name for field in fields(EpochRecord)]
     ckpt = run_dir / "epoch_0001.ckpt"
     assert ckpt.exists()
     net, header = load_checkpoint(ckpt)
@@ -137,6 +146,33 @@ def test_norm_stats_for_another_config_warn(command, norm_stats_path, tmp_path, 
                      r"[0-9a-f]{8}, running on N3-K9-k3-n3-p1-T20-[0-9a-f]{8}", err), err
 
 
+@pytest.mark.parametrize("n_aps, warns", [(2, False), (3, True)], ids=["same", "other"])
+def test_val_set_for_another_config_warns(n_aps, warns, tiny_cfg_path, norm_stats_path,
+                                          val_set_path, tmp_path, capsys, monkeypatch):
+    """A validation set built at N=2, K=6 and used with an N=3, K=9 config."""
+    with open(tiny_cfg_path) as f:
+        cfg = json.load(f)
+    cfg["env"]["deployment"] = {"num_aps": n_aps, "num_ues": 3 * n_aps}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+
+    class Trained(Exception):
+        pass
+
+    def no_training(*args, **kwargs):
+        raise Trained
+
+    monkeypatch.setattr(dqn, "run_training", no_training)
+    with pytest.raises(Trained):
+        main(["train", "--config", str(path), "--norm-stats", norm_stats_path,
+              "--val-set", val_set_path, "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    warning = re.search(r"warning: validation set .* built for N2-K6-k3-n3-p1-T20-"
+                        r"[0-9a-f]{8}, running on N3-K9-k3-n3-p1-T20-[0-9a-f]{8}", err)
+    assert bool(warning) == warns, err
+    assert warns or "validation set" not in err
+
+
 def test_analyze_interferers(tiny_cfg_path, tmp_path):
     out = tmp_path / "prof.csv"
     main(["analyze", "interferers", "--config", tiny_cfg_path,
@@ -185,6 +221,39 @@ def test_collect_norm_stats_rejects_unknown_baseline(capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "nope" in err and all(name in err for name in BASELINES)
+
+
+# each leaf command with its required flags
+LEAF_COMMANDS = {
+    "collect-norm-stats": ["--out", "s.json"],
+    "build-val-set": ["--out", "v.json"],
+    "train": ["--norm-stats", "s.json", "--out", "run"],
+    "evaluate": ["--checkpoint", "c.ckpt", "--norm-stats", "s.json"],
+    "baseline": ["--kind", "tdm"],
+    "analyze interferers": ["--out", "p.csv"],
+    "analyze decisions": ["--checkpoint", "c.ckpt", "--norm-stats", "s.json",
+                          "--out", "d.csv"],
+    "analyze pareto": ["--inputs", "a.csv"],
+}
+
+
+def leaf_names(parser, prefix=""):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [prefix.strip()]
+    return [leaf for name, p in subs[0].choices.items()
+            for leaf in leaf_names(p, f"{prefix} {name}")]
+
+
+def test_leaf_command_table_is_complete():
+    assert sorted(leaf_names(build_parser())) == sorted(LEAF_COMMANDS)
+
+
+@pytest.mark.parametrize("name", LEAF_COMMANDS)
+def test_every_leaf_command_takes_config_and_seed(name):
+    argv = name.split() + LEAF_COMMANDS[name] + ["--config", "c.json", "--seed", "7"]
+    args = build_parser().parse_args(argv)
+    assert (args.config, args.seed) == ("c.json", 7)
 
 
 @pytest.mark.parametrize("raw, names", [

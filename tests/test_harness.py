@@ -179,6 +179,15 @@ def test_validation_set_names_missing_fields(missing):
     assert all(key in str(exc.value) for key in missing)
 
 
+@pytest.mark.parametrize("seeds", [[1.7], "12", ["a"], [True], [], [-1], None, 7],
+                         ids=["float", "string", "str-list", "bool", "empty", "negative",
+                              "null", "int"])
+def test_validation_set_rejects_malformed_seeds(seeds):
+    d = {"env_config": tiny_config().to_dict(), "seeds": seeds, "reference": {}}
+    with pytest.raises(ConfigError, match="seeds"):
+        ValidationSet.from_dict(d)
+
+
 # ------------------------------------------------------------------- analyses
 
 def test_interference_profile_shape_and_zero_case():
