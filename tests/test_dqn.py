@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from marlsched import dqn
 from marlsched.dqn import (
     BufferUnderfilled, DqnPolicy, NonFiniteLoss, ReplayBuffer, TrainerConfig,
     compute_double_dqn_targets, run_training, select_actions, train_step,
@@ -252,6 +253,32 @@ def test_warm_default_train_step_allocates_little():
     finally:
         tracemalloc.stop()
     assert peak <= 8e6, f"{peak / 1e6:.1f} MB"
+
+
+def test_train_steps_allocate_little_across_target_syncs(monkeypatch):
+    """A target sync copies the parameters into the target network and keeps
+    its workspace: 8 default episodes of 1,000 intervals with a sync every
+    2,000 make 70 train steps, and each after the second stays under 8 MB,
+    steps 11, 31 and 51, the first after a sync, included."""
+    cfg = EnvConfig(episode_length=1000)
+    tc = TrainerConfig(episodes=8, target_sync_intervals=2000)
+    peaks, real_step = [], dqn.train_step
+
+    def traced_step(*args):
+        tracemalloc.start()
+        try:
+            return real_step(*args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(dqn, "train_step", traced_step)
+    run_training(cfg, tc, _identity_mapper(cfg.obs_dim), RewardNormalizer(mu=0.0, sigma=100.0),
+                 validation_seeds=[0], seed=0)
+    assert len(peaks) == 70
+    over = {step: f"{peak / 1e6:.1f} MB" for step, peak in enumerate(peaks, start=1)
+            if step > 2 and peak > 8e6}
+    assert not over, over
 
 
 # ------------------------------------------------------------------- training
