@@ -149,7 +149,8 @@ def test_norm_stats_for_another_config_warn(command, norm_stats_path, tmp_path, 
 @pytest.mark.parametrize("n_aps, warns", [(2, False), (3, True)], ids=["same", "other"])
 def test_val_set_for_another_config_warns(n_aps, warns, tiny_cfg_path, norm_stats_path,
                                           val_set_path, tmp_path, capsys, monkeypatch):
-    """A validation set built at N=2, K=6 and used with an N=3, K=9 config."""
+    """A validation set built at N=2, K=6 warns when train runs an N=3, K=9
+    config, and stays quiet at N=2, K=6."""
     with open(tiny_cfg_path) as f:
         cfg = json.load(f)
     cfg["env"]["deployment"] = {"num_aps": n_aps, "num_ues": 3 * n_aps}

@@ -273,8 +273,8 @@ def test_train_steps_allocate_little_across_target_syncs(monkeypatch):
             tracemalloc.stop()
 
     monkeypatch.setattr(dqn, "train_step", traced_step)
-    run_training(cfg, tc, _identity_mapper(cfg.obs_dim), RewardNormalizer(mu=0.0, sigma=100.0),
-                 validation_seeds=[0], seed=0)
+    run_training(cfg, tc, _identity_mapper(cfg.obs_dim),
+                 RewardNormalizer(mu=0.0, sigma=100.0), validation_seeds=[0], seed=0)
     assert len(peaks) == 70
     over = {step: f"{peak / 1e6:.1f} MB" for step, peak in enumerate(peaks, start=1)
             if step > 2 and peak > 8e6}
