@@ -26,7 +26,7 @@ def full_reuse_decide(env: NetworkEnv) -> list[ScheduleDecision]:
     """Every AP serves its top-PF UE at full power."""
     sel, _ = _top_pf_per_pool(env)
     p = env.config.p_max_w
-    return [ScheduleDecision.serve(int(j), p) for j in sel]
+    return [ScheduleDecision(j, p) for j in sel.tolist()]
 
 
 def tdm_decide(env: NetworkEnv) -> list[ScheduleDecision]:
@@ -34,7 +34,7 @@ def tdm_decide(env: NetworkEnv) -> list[ScheduleDecision]:
     ue = env.t % env.deployment.num_ues
     server = int(env.association[ue])
     p = env.config.p_max_w
-    return [ScheduleDecision.serve(ue, p) if i == server else ScheduleDecision.silent()
+    return [ScheduleDecision(ue, p) if i == server else ScheduleDecision.silent()
             for i in range(env.deployment.num_aps)]
 
 
@@ -65,14 +65,11 @@ def itlinq_active_set(selected_ues: np.ndarray, order: np.ndarray,
 def itlinq_decide(env: NetworkEnv) -> list[ScheduleDecision]:
     """Centralized binary power control on instantaneous channel gains."""
     sel, pf = _top_pf_per_pool(env)
-    order = np.array(sorted(range(env.deployment.num_aps),
-                            key=lambda i: (-pf[sel[i]], i)))
-    active = itlinq_active_set(sel, order, env.g2, env.config.p_max_w,
-                               env.config.noise_w)
+    order = np.argsort(-pf[sel], kind="stable")      # ties to the lower AP id
     p = env.config.p_max_w
-    return [ScheduleDecision.serve(int(sel[i]), p) if i in active
-            else ScheduleDecision.silent()
-            for i in range(env.deployment.num_aps)]
+    active = set(itlinq_active_set(sel, order, env.g2, p, env.config.noise_w))
+    return [ScheduleDecision(j, p) if i in active else ScheduleDecision.silent()
+            for i, j in enumerate(sel.tolist())]
 
 
 BASELINES = {

@@ -36,15 +36,9 @@ def load_configs(path: str | None):
     return env_cfg, trainer_cfg
 
 
-def _fresh_seeds(seed: int, count: int) -> list[int]:
-    rng = np.random.default_rng(seed)
-    return [int(rng.integers(2 ** 63)) for _ in range(count)]
-
-
 def cmd_collect_norm_stats(args, env_cfg, trainer_cfg):
-    rng = np.random.default_rng(args.seed)
     dataset = normalize.collect_offline_dataset(
-        env_cfg, args.baselines, args.episodes, rng)
+        env_cfg, args.baselines, args.episodes, args.seed)
     mapper, rnorm = normalize.fit(dataset, args.q_levels)
     normalize.save_stats(args.out, mapper, rnorm, env_cfg.fingerprint())
     print(f"wrote {args.out}: {len(dataset.rewards)} reward samples, "
@@ -52,9 +46,8 @@ def cmd_collect_norm_stats(args, env_cfg, trainer_cfg):
 
 
 def cmd_build_val_set(args, env_cfg, trainer_cfg):
-    rng = np.random.default_rng(args.seed)
     vset = harness.build_validation_set(
-        env_cfg, args.count, args.population, args.tolerance, rng)
+        env_cfg, args.count, args.population, args.tolerance, args.seed)
     vset.save(args.out)
     print(f"wrote {args.out}: {len(vset.seeds)} validation environments")
 
@@ -80,7 +73,7 @@ def cmd_train(args, env_cfg, trainer_cfg):
                            vset.env_config.fingerprint(), env_cfg)
         val_seeds = vset.seeds
     else:
-        val_seeds = _fresh_seeds(args.seed + 1, 10)
+        val_seeds = harness.fresh_seeds(args.seed + 1, 10)
     os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, "epochs.csv")
     with open(log_path, "w", newline="") as f:
@@ -117,12 +110,12 @@ def cmd_evaluate(args, env_cfg, trainer_cfg):
         vset = ValidationSet.load(args.env_set)
         seeds, env_cfg = vset.seeds, vset.env_config
     else:
-        seeds = _fresh_seeds(args.seed, args.num_envs)
+        seeds = harness.fresh_seeds(args.seed, args.num_envs)
     _report(harness.evaluate_policy(env_cfg, _dqn_policy(args, env_cfg), seeds), args.out)
 
 
 def cmd_baseline(args, env_cfg, trainer_cfg):
-    seeds = _fresh_seeds(args.seed, args.num_envs)
+    seeds = harness.fresh_seeds(args.seed, args.num_envs)
     _report(harness.evaluate_policy(env_cfg, BaselinePolicy(args.kind), seeds), args.out)
 
 
@@ -133,9 +126,8 @@ def _report(result, out):
           f"pct5_mbps={result['pct5_mbps']:.4f} "
           f"(std {result['pct5_mbps_std']:.4f}) score={result['score']:.3f}")
     if out:
-        rows = [{"env": i, "sum_rate_mbps": m.sum_rate_mbps, "pct5_mbps": m.pct5_mbps,
-                 "score": m.score} for i, m in enumerate(result["per_env"])]
-        harness.metrics_to_csv(out, rows)
+        harness.metrics_to_csv(out, [{"env": i, **asdict(m)}
+                                     for i, m in enumerate(result["per_env"])])
         print(f"wrote {out}")
 
 
@@ -150,7 +142,7 @@ def cmd_analyze_interferers(args, env_cfg, trainer_cfg):
 
 def cmd_analyze_decisions(args, env_cfg, trainer_cfg):
     policy = _dqn_policy(args, env_cfg)
-    seeds = _fresh_seeds(args.seed, args.num_envs)
+    seeds = harness.fresh_seeds(args.seed, args.num_envs)
     rows = harness.export_decision_log(env_cfg, policy, seeds, args.out)
     print(f"wrote {args.out}: {rows} rows")
 
@@ -175,6 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)   # the flags of every leaf command
     common.add_argument("--config")
     common.add_argument("--seed", type=int, default=0)
+    policy = argparse.ArgumentParser(add_help=False)   # evaluate's and analyze decisions'
+    policy.add_argument("--checkpoint", required=True)
+    policy.add_argument("--norm-stats", required=True)
 
     p = sub.add_parser("collect-norm-stats", help="fit percentile/reward statistics",
                        parents=[common])
@@ -199,9 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="evaluate a checkpoint", parents=[common])
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--norm-stats", required=True)
+    p = sub.add_parser("evaluate", help="evaluate a checkpoint", parents=[common, policy])
     p.add_argument("--env-set")
     p.add_argument("--num-envs", type=int, default=100)
     p.add_argument("--out")
@@ -221,9 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze_interferers)
     p = targets.add_parser("decisions", help="per agent-interval decision log",
-                           parents=[common])
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--norm-stats", required=True)
+                           parents=[common, policy])
     p.add_argument("--num-envs", type=int, default=5)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze_decisions)

@@ -200,8 +200,7 @@ def run_training(env_config: EnvConfig, trainer_config: TrainerConfig,
     target = net.copy()
     adam = AdamState(base_lr=tcfg.learning_rate, halving_period=tcfg.lr_halving_period)
     buffer = ReplayBuffer(tcfg.buffer_capacity)
-    act_rng = np.random.default_rng(master.integers(2 ** 63))
-    sample_rng = np.random.default_rng(master.integers(2 ** 63))
+    act_rng, sample_rng = map(np.random.default_rng, harness.fresh_seeds(master, 2))
     envs = [NetworkEnv(cfg) for _ in range(tcfg.num_envs)]
 
     epoch_log: list[EpochRecord] = []
@@ -212,8 +211,8 @@ def run_training(env_config: EnvConfig, trainer_config: TrainerConfig,
 
     while episodes_done < tcfg.episodes:
         eps = tcfg.epsilon(episodes_done)
-        obs = mapper.map_observation_vector(
-            np.stack([env.reset(int(master.integers(2 ** 63))) for env in envs]))
+        obs = mapper.map_observation_vector(np.stack(
+            [env.reset(s) for env, s in zip(envs, harness.fresh_seeds(master, len(envs)))]))
         done = False
         while not done:
             # (B, N, ·) arrays: one row per environment, all agents together

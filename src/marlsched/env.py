@@ -365,15 +365,11 @@ class NetworkEnv:
         """Weighted sum-rate reward with the all-off and invalid exceptions."""
         cfg = self.config
         w_vis = self._latest_visible(0).table[:, 0]
-        r = 0.0
-        any_tx = False
-        for dec in decisions:
-            if not dec.off:
-                any_tx = True
-                r += np.power(w_vis[dec.ue], cfg.reward_exponent) * rates[dec.ue]
-        rewards = np.full(self.deployment.num_aps, r)
-        if not any_tx:
-            # nobody transmits, so r == 0.0: only the penalty is non-zero
+        served = [dec.ue for dec in decisions if not dec.off]
+        rewards = np.full(self.deployment.num_aps, sum(
+            (np.power(w_vis[j], cfg.reward_exponent) * rates[j] for j in served), 0.0))
+        if not served:
+            # nobody transmits, so the sum is 0.0: only the penalty is non-zero
             top = self.agent_top_pf()
             m = int(np.argmax(top))
             rewards[m] = -top[m]
@@ -395,7 +391,7 @@ class NetworkEnv:
         # decoded UEs and powers are valid, so skip serve()'s checks
         decisions = [ScheduleDecision(j, p) if j >= 0 else ScheduleDecision.silent()
                      for j, p in zip(ue.tolist(), power.tolist())]
-        return self.step_decisions(decisions, invalid.tolist())
+        return self.step_decisions(decisions, invalid)
 
     def step_decisions(self, decisions, invalid=None, build_obs: bool = True):
         """Advance one interval with explicit decisions, one per AP (baseline fast path)."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -49,6 +49,12 @@ def dominates(a: EpisodeMetrics, b: EpisodeMetrics) -> bool:
 
 
 # -------------------------------------------------------------------- rollout
+
+def fresh_seeds(seed, count: int) -> list[int]:
+    """count environment seeds from default_rng(seed): an int, or a Generator it advances."""
+    rng = np.random.default_rng(seed)
+    return [int(rng.integers(2 ** 63)) for _ in range(count)]
+
 
 class BaselinePolicy:
     """Adapter turning a baseline decider into a rollout policy."""
@@ -130,8 +136,7 @@ class ValidationSet:
     reference: dict   # per-baseline population means and accepted per-seed metrics
 
     def to_dict(self) -> dict:
-        return {"env_config": self.env_config.to_dict(),
-                "seeds": self.seeds, "reference": self.reference}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ValidationSet":
@@ -158,7 +163,7 @@ class ValidationSet:
 
 def build_validation_set(env_config: EnvConfig, target_count: int,
                          population_size: int, tolerance: float,
-                         rng: np.random.Generator) -> ValidationSet:
+                         rng: int | np.random.Generator) -> ValidationSet:
     """Pick realizations typical of the population under full reuse and TDM.
 
     A realization is accepted when its sum-rate and 5th percentile rate under
@@ -167,43 +172,23 @@ def build_validation_set(env_config: EnvConfig, target_count: int,
     """
     if population_size < target_count:
         raise ValueError("population must be at least the target count")
-    seeds = [int(rng.integers(2 ** 63)) for _ in range(population_size)]
-    names = ("full_reuse", "tdm")
+    seeds = fresh_seeds(rng, population_size)
+    names, keys = ("full_reuse", "tdm"), ("sum_rate_mbps", "pct5_mbps")
     evals = {name: evaluate_policy(env_config, BaselinePolicy(name), seeds)
              for name in names}
-    per_seed = {name: evals[name]["per_env"] for name in names}
-    means = {name: (evals[name]["sum_rate_mbps"], evals[name]["pct5_mbps"])
-             for name in names}
-
-    def within(value, mean):
-        return abs(value - mean) <= tolerance * abs(mean)
-
-    accepted, reference_rows = [], []
-    for idx, s in enumerate(seeds):
-        ok = all(
-            within(per_seed[name][idx].sum_rate_mbps, means[name][0])
-            and within(per_seed[name][idx].pct5_mbps, means[name][1])
-            for name in names)
-        if ok:
-            accepted.append(s)
-            reference_rows.append({
-                name: {"sum_rate_mbps": per_seed[name][idx].sum_rate_mbps,
-                       "pct5_mbps": per_seed[name][idx].pct5_mbps}
-                for name in names})
-            if len(accepted) == target_count:
-                break
-    if len(accepted) < target_count:
+    means = {name: {k: evals[name][k] for k in keys} for name in names}
+    rows = [{name: {k: getattr(evals[name]["per_env"][idx], k) for k in keys}
+             for name in names} for idx in range(population_size)]
+    typical = [all(abs(row[name][k] - means[name][k]) <= tolerance * abs(means[name][k])
+                   for name in names for k in keys) for row in rows]
+    picked = np.flatnonzero(typical)[:target_count].tolist()
+    if len(picked) < target_count:
         raise InsufficientCandidates(
-            f"only {len(accepted)}/{target_count} realizations in the "
+            f"only {len(picked)}/{target_count} realizations in the "
             f"{tolerance:.0%} band over {population_size} candidates")
-    reference = {
-        "population_means": {name: {"sum_rate_mbps": means[name][0],
-                                    "pct5_mbps": means[name][1]}
-                             for name in names},
-        "tolerance": tolerance,
-        "accepted": reference_rows,
-    }
-    return ValidationSet(env_config=env_config, seeds=accepted, reference=reference)
+    reference = {"population_means": means, "tolerance": tolerance,
+                 "accepted": [rows[idx] for idx in picked]}
+    return ValidationSet(env_config, [seeds[idx] for idx in picked], reference)
 
 
 # ------------------------------------------------------------------- analyses

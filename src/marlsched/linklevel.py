@@ -59,22 +59,15 @@ def compute_rates(decisions: list[ScheduleDecision], power_gains: np.ndarray,
     UEs as well (it feeds the long-term interference averages).
     Returns (rates (K,), interference (K,)).
     """
-    n_aps = power_gains.shape[1]
-    tx = np.zeros(n_aps)
-    served = np.full(n_aps, -1, dtype=int)
-    for i, dec in enumerate(decisions):
-        if not dec.off:
-            tx[i] = dec.power_w
-            served[i] = dec.ue
+    tx = np.array([0.0 if dec.off else dec.power_w for dec in decisions])
     total_rx = power_gains @ tx                                 # (K,)
     own_ap_rx = power_gains[np.arange(len(association)), association] * tx[association]
     interference = total_rx - own_ap_rx
     rates = np.zeros(len(association))
-    for i in range(n_aps):
-        j = served[i]
-        if j >= 0:
-            sig = power_gains[j, i] * tx[i]
-            rates[j] = np.log2(1.0 + sig / (interference[j] + noise_power))
+    for i, dec in enumerate(decisions):
+        if not dec.off:
+            sinr = power_gains[dec.ue, i] * tx[i] / (interference[dec.ue] + noise_power)
+            rates[dec.ue] = np.log2(1.0 + sinr)
     return rates, interference
 
 

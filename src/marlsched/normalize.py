@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .env import ConfigError, EnvConfig, NetworkEnv
-from .harness import BaselinePolicy, run_episode
+from .harness import BaselinePolicy, fresh_seeds, run_episode
 
 
 class DegenerateDataset(ValueError):
@@ -77,7 +77,8 @@ class OfflineDataset:
 
 
 def collect_offline_dataset(env_config: EnvConfig, baseline_names: list[str],
-                            num_episodes: int, rng: np.random.Generator) -> OfflineDataset:
+                            num_episodes: int,
+                            rng: int | np.random.Generator) -> OfflineDataset:
     """Run baselines over fresh environment realizations, recording raw data.
 
     Default-valued observation entries (structural padding, which gathers the
@@ -97,9 +98,9 @@ def collect_offline_dataset(env_config: EnvConfig, baseline_names: list[str],
         rewards.append(rew)
 
     env = NetworkEnv(env_config)
-    for _ in range(num_episodes):
-        for policy in policies:
-            run_episode(env, int(rng.integers(2 ** 63)), policy, record)
+    for seed, policy in zip(fresh_seeds(rng, num_episodes * len(policies)),
+                            policies * num_episodes):
+        run_episode(env, seed, policy, record)
     return OfflineDataset(weights=np.concatenate(weights),
                           sinr_db=np.concatenate(sinrs),
                           rewards=np.concatenate(rewards))

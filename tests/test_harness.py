@@ -5,7 +5,7 @@ from marlsched.env import ConfigError, EnvConfig
 from marlsched.harness import (
     BaselinePolicy, EpisodeMetrics, InsufficientCandidates, RandomPolicy,
     ValidationSet, build_validation_set, dominates,
-    evaluate_policy, export_decision_log, interference_profile, metrics_to_csv,
+    evaluate_policy, fresh_seeds, export_decision_log, interference_profile, metrics_to_csv,
     pct5_rate, run_episode,
 )
 from marlsched.topology import DeploymentConfig
@@ -127,6 +127,19 @@ def test_tdm_service_share():
     from marlsched.env import NetworkEnv
     rates = run_episode(NetworkEnv(cfg), 7, BaselinePolicy("tdm"))
     assert np.all(rates > 0)
+
+
+@pytest.mark.parametrize("seed, count", [(0, 5), (123, 1), (7, 0)])
+def test_fresh_seeds_from_an_int_or_a_generator(seed, count):
+    rng = np.random.default_rng(seed)
+    drawn = [int(rng.integers(2 ** 63)) for _ in range(count)]
+    assert fresh_seeds(seed, count) == fresh_seeds(np.random.default_rng(seed), count) == drawn
+    assert all(type(s) is int and 0 <= s < 2 ** 63 for s in drawn)
+
+
+def test_fresh_seeds_advance_a_generator():
+    rng = np.random.default_rng(4)
+    assert fresh_seeds(rng, 2) + fresh_seeds(rng, 3) == fresh_seeds(4, 5)
 
 
 # -------------------------------------------------------------- validation set

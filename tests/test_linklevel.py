@@ -39,6 +39,19 @@ def test_all_off_zero_everything():
     assert np.all(rates == 0) and np.all(interf == 0)
 
 
+def test_off_decision_power_adds_no_interference():
+    """An off decision transmits nothing, whatever power_w it carries."""
+    rng = np.random.default_rng(7)
+    g2 = rng.uniform(1e-12, 1e-8, size=(4, 2))
+    assoc = np.array([0, 0, 1, 1])
+    served = ScheduleDecision.serve(0, 0.01)
+    rates, interf = compute_rates([served, ScheduleDecision(ue=-1, power_w=5.0)], g2,
+                                  3.98e-14, assoc)
+    want_r, want_i = compute_rates([served, ScheduleDecision.silent()], g2, 3.98e-14, assoc)
+    assert np.array_equal(rates, want_r) and np.array_equal(interf, want_i)
+    assert np.all(interf[:2] == 0.0) and rates[0] > 0.0
+
+
 def test_rates_match_naive_oracle():
     rng = np.random.default_rng(0)
     for _ in range(20):

@@ -32,6 +32,12 @@ The training-schedule oracle is the trigger-counter loop (`next_train`,
 steps, target syncs and epochs from its interval and episode totals; the
 train steps, syncs and validations of tiny runs are compared with it,
 including periods that the number of parallel environments does not divide.
+
+The validation-set oracle is the seed-by-seed acceptance loop (`within`,
+`accepted`, `reference_rows`) that `harness.build_validation_set` ran before it
+took the first seeds of one typicality mask; both run on synthetic per-seed
+metrics, with values exactly on the band edge and populations with too few
+typical seeds, and must give the same seeds, reference and error message.
 """
 
 import numpy as np
@@ -42,7 +48,10 @@ from marlsched import baselines, channel, dqn, harness, linklevel
 from marlsched.channel import create_fading
 from marlsched.dqn import TrainerConfig, run_training
 from marlsched.env import EnvConfig, NetworkEnv, OutOfRange, draw_layout
-from marlsched.harness import interference_profile
+from marlsched.harness import (
+    BaselinePolicy, EpisodeMetrics, InsufficientCandidates, build_validation_set,
+    fresh_seeds, interference_profile,
+)
 from marlsched.linklevel import ScheduleDecision
 from marlsched.nn import Mlp
 from marlsched.normalize import PercentileMapper, RewardNormalizer
@@ -258,6 +267,48 @@ def oracle_schedule(tcfg, episode_length):
                 next_epoch += tcfg.epoch_episodes
             events.append(("epoch", episodes_done))
     return events
+
+
+def oracle_validation_set(env_config, target_count, population_size, tolerance, rng):
+    """(seeds, reference): the seed-by-seed acceptance loop, stopping at the
+    target count; InsufficientCandidates when fewer seeds are typical."""
+    seeds = [int(rng.integers(2 ** 63)) for _ in range(population_size)]
+    names = ("full_reuse", "tdm")
+    evals = {name: harness.evaluate_policy(env_config, BaselinePolicy(name), seeds)
+             for name in names}
+    per_seed = {name: evals[name]["per_env"] for name in names}
+    means = {name: (evals[name]["sum_rate_mbps"], evals[name]["pct5_mbps"])
+             for name in names}
+
+    def within(value, mean):
+        return abs(value - mean) <= tolerance * abs(mean)
+
+    accepted, reference_rows = [], []
+    for idx, s in enumerate(seeds):
+        ok = all(
+            within(per_seed[name][idx].sum_rate_mbps, means[name][0])
+            and within(per_seed[name][idx].pct5_mbps, means[name][1])
+            for name in names)
+        if ok:
+            accepted.append(s)
+            reference_rows.append({
+                name: {"sum_rate_mbps": per_seed[name][idx].sum_rate_mbps,
+                       "pct5_mbps": per_seed[name][idx].pct5_mbps}
+                for name in names})
+            if len(accepted) == target_count:
+                break
+    if len(accepted) < target_count:
+        raise InsufficientCandidates(
+            f"only {len(accepted)}/{target_count} realizations in the "
+            f"{tolerance:.0%} band over {population_size} candidates")
+    reference = {
+        "population_means": {name: {"sum_rate_mbps": means[name][0],
+                                    "pct5_mbps": means[name][1]}
+                             for name in names},
+        "tolerance": tolerance,
+        "accepted": reference_rows,
+    }
+    return accepted, reference
 
 
 # --------------------------------------------------------------------- checks
@@ -578,3 +629,76 @@ def test_training_schedule_matches_counter_oracle(monkeypatch, num_envs, train_p
                  validation_seeds=[0], seed=0,
                  log=lambda rec: events.append(("epoch", rec.episodes)))
     assert events == once_per_interval(oracle_schedule(tcfg, cfg.episode_length))
+
+
+# ------------------------------------------------------------- validation set
+
+def synthetic_evaluate(metrics):
+    """An evaluate_policy stand-in: metrics[name][i] is the (sum rate, 5th
+    percentile) of the i-th seed that the first call is given."""
+    order = {}
+
+    def evaluate(env_config, policy, seeds):
+        for s in seeds:
+            order.setdefault(s, len(order))
+        per_env = [EpisodeMetrics(*metrics[policy.name][order[s]], score=0.0)
+                   for s in seeds]
+        return {"per_env": per_env,
+                "sum_rate_mbps": float(np.mean([m.sum_rate_mbps for m in per_env])),
+                "pct5_mbps": float(np.mean([m.pct5_mbps for m in per_env]))}
+    return evaluate
+
+
+def selection_outcome(build, metrics, target_count, tolerance, seed, monkeypatch):
+    """(seeds, reference) of one selection, or the InsufficientCandidates message."""
+    monkeypatch.setattr(harness, "evaluate_policy", synthetic_evaluate(metrics))
+    population = len(metrics["full_reuse"])
+    try:
+        vset = build(EnvConfig(), target_count, population, tolerance,
+                     np.random.default_rng(seed))
+    except InsufficientCandidates as exc:
+        return str(exc)
+    return vset if isinstance(vset, tuple) else (vset.seeds, vset.reference)
+
+
+# dyadic values, so that means and band edges are exact: with tolerance 0.5
+# and mean 2.0 (4.0), 1.0 and 3.0 (2.0 and 6.0) lie exactly on the band edge
+EDGE = {"full_reuse": [(1.0, 2.0), (2.0, 4.0), (3.0, 6.0), (2.0, 4.0)],
+        "tdm": [(2.0, 1.0), (2.0, 1.0), (2.0, 1.0), (2.0, 1.0)]}
+# with tolerance 0.5, each baseline and metric but TDM's 5th percentile
+# rejects a seed; only the fourth is typical
+OUTSIDE = {"full_reuse": [(0.5, 4.0), (2.0, 4.0), (2.0, 1.0), (2.0, 4.0), (3.5, 7.0)],
+           "tdm": [(1.0, 1.0), (0.25, 1.0), (1.0, 1.0), (1.0, 1.0), (1.75, 1.0)]}
+
+
+@pytest.mark.parametrize("metrics, target_count, tolerance, too_few", [
+    (EDGE, 4, 0.5, False),      # every seed typical, two on the edge
+    (EDGE, 2, 0.5, False),      # the first two typical seeds
+    (EDGE, 1, 0.25, False),     # the edges fall outside a narrower band
+    (EDGE, 3, 0.25, True),
+    (OUTSIDE, 1, 0.5, False),
+    (OUTSIDE, 2, 0.5, True),
+], ids=["edge-all", "edge-first", "edge-narrow", "edge-too-few", "outside",
+        "outside-too-few"])
+def test_validation_set_matches_loop_oracle(metrics, target_count, tolerance, too_few,
+                                            monkeypatch):
+    got = selection_outcome(build_validation_set, metrics, target_count, tolerance, 0,
+                            monkeypatch)
+    want = selection_outcome(oracle_validation_set, metrics, target_count, tolerance, 0,
+                             monkeypatch)
+    assert got == want
+    assert isinstance(want, str) == too_few
+
+
+def test_validation_set_matches_loop_oracle_on_random_populations(monkeypatch):
+    """Values on a coarse grid, so that ties and band edges are common."""
+    rng = np.random.default_rng(0)
+    for trial in range(200):
+        population = int(rng.integers(1, 12))
+        metrics = {name: [tuple(rng.integers(1, 9, size=2) / 4.0) for _ in range(population)]
+                   for name in ("full_reuse", "tdm")}
+        target = int(rng.integers(1, population + 1))
+        tolerance = float(rng.choice([0.0, 0.25, 0.5, 1.0]))
+        args = (metrics, target, tolerance, trial, monkeypatch)
+        assert (selection_outcome(build_validation_set, *args)
+                == selection_outcome(oracle_validation_set, *args)), trial
