@@ -7,7 +7,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, dataclass, field, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,25 +15,37 @@ import numpy as np
 from . import dqn, harness, normalize
 from .baselines import BASELINES
 from .dqn import DqnPolicy, TrainerConfig
-from .env import ConfigError, EnvConfig
+from .env import EnvConfig, read_config
 from .harness import BaselinePolicy, ValidationSet
 from .nn import load_checkpoint
 
 DEFAULT_Q_LEVELS = 20
 
 
+@dataclass
+class ConfigFile:
+    """A JSON config file: optional "env" and "trainer" sections."""
+    env: EnvConfig = field(default_factory=EnvConfig)
+    trainer: TrainerConfig = field(default_factory=TrainerConfig)
+
+
 def load_configs(path: str | None):
-    """JSON config file with optional "env" and "trainer" sections."""
+    """(EnvConfig, TrainerConfig) from a config file; the defaults without one."""
     if path is None:
         return EnvConfig(), TrainerConfig()
     with open(path) as f:
-        raw = json.load(f)
-    unknown = sorted(set(raw) - {"env", "trainer"})
-    if unknown:
-        raise ConfigError(f"unknown config sections: {', '.join(unknown)}")
-    env_cfg = EnvConfig.from_dict(raw.get("env", {}))
-    trainer_cfg = TrainerConfig.from_dict(raw.get("trainer", {}))
-    return env_cfg, trainer_cfg
+        cfg = read_config(ConfigFile, json.load(f))
+    cfg.trainer.validate()
+    return cfg.env, cfg.trainer
+
+
+def at_least(low: int):
+    """argparse type: an int of at least low, so that argparse names the flag."""
+    def count(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return int(text)
+    return count
 
 
 def cmd_collect_norm_stats(args, env_cfg, trainer_cfg):
@@ -108,6 +120,9 @@ def _dqn_policy(args, env_cfg):
 def cmd_evaluate(args, env_cfg, trainer_cfg):
     if args.env_set:
         vset = ValidationSet.load(args.env_set)
+        if args.config:
+            _warn_other_config(f"ignoring --config {args.config}, which gives",
+                               env_cfg.fingerprint(), vset.env_config)
         seeds, env_cfg = vset.seeds, vset.env_config
     else:
         seeds = harness.fresh_seeds(args.seed, args.num_envs)
@@ -173,17 +188,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("collect-norm-stats", help="fit percentile/reward statistics",
                        parents=[common])
-    p.add_argument("--episodes", type=int, default=10)
+    p.add_argument("--episodes", type=at_least(1), default=10)
     p.add_argument("--baselines", nargs="+", choices=sorted(BASELINES),
                    default=["full_reuse"])
-    p.add_argument("--q-levels", type=int, default=DEFAULT_Q_LEVELS)
+    p.add_argument("--q-levels", type=at_least(2), default=DEFAULT_Q_LEVELS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_collect_norm_stats)
 
     p = sub.add_parser("build-val-set", help="select typical validation environments",
                        parents=[common])
-    p.add_argument("--count", type=int, default=10)
-    p.add_argument("--population", type=int, default=100)
+    p.add_argument("--count", type=at_least(1), default=10)
+    p.add_argument("--population", type=at_least(1), default=100)
     p.add_argument("--tolerance", type=float, default=0.05)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_val_set)
@@ -196,13 +211,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint", parents=[common, policy])
     p.add_argument("--env-set")
-    p.add_argument("--num-envs", type=int, default=100)
+    p.add_argument("--num-envs", type=at_least(1), default=100)
     p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("baseline", help="evaluate a baseline scheduler", parents=[common])
     p.add_argument("--kind", choices=sorted(BASELINES), required=True)
-    p.add_argument("--num-envs", type=int, default=100)
+    p.add_argument("--num-envs", type=at_least(1), default=100)
     p.add_argument("--out")
     p.set_defaults(func=cmd_baseline)
 
@@ -210,12 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
     targets = analyze.add_subparsers(dest="what", required=True)
     p = targets.add_parser("interferers", help="mean UE SINR vs nearest interferers",
                            parents=[common])
-    p.add_argument("--realizations", type=int, default=20)
+    p.add_argument("--realizations", type=at_least(1), default=20)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze_interferers)
     p = targets.add_parser("decisions", help="per agent-interval decision log",
                            parents=[common, policy])
-    p.add_argument("--num-envs", type=int, default=5)
+    p.add_argument("--num-envs", type=at_least(1), default=5)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze_decisions)
     p = targets.add_parser("pareto", help="which eval CSVs Pareto-dominate which",

@@ -8,7 +8,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import harness
-from .env import ConfigError, EnvConfig, NetworkEnv, known_keys
+from .env import ConfigError, EnvConfig, NetworkEnv, read_config
 from .nn import AdamState, Mlp, adam_update, save_checkpoint
 from .normalize import PercentileMapper, RewardNormalizer
 
@@ -97,7 +97,7 @@ class TrainerConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainerConfig":
-        cfg = cls(**known_keys(cls, d))
+        cfg = read_config(cls, d)
         cfg.validate()
         return cfg
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields, asdict, is_dataclass
 
 import numpy as np
 
@@ -25,12 +25,28 @@ class EpisodeFinished(RuntimeError):
     pass
 
 
-def known_keys(cls, d: dict) -> dict:
-    """d itself; ConfigError names every key of d that is no field of cls."""
-    unknown = [k for k in d if k not in {f.name for f in fields(cls)}]
+def read_config(cls, raw, where: str | None = None):
+    """A cls from a JSON object; each value has its field default's type, but an
+    int is stored as a float where the default is one, and a dataclass field reads
+    an object in the same way. ConfigError names unknown keys or the Class.field.
+    """
+    where = where or cls.__name__
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {raw!r}")
+    unknown = [k for k in raw if k not in {f.name for f in fields(cls)}]
     if unknown:
-        raise ConfigError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
-    return d
+        raise ConfigError(f"unknown {where} keys: {', '.join(unknown)}")
+    values, default = {}, cls()
+    for name, value in raw.items():
+        want = type(getattr(default, name))
+        if is_dataclass(want):
+            value = read_config(want, value, f"{cls.__name__}.{name}")
+        elif want is float and type(value) is int:
+            value = float(value)
+        elif type(value) is not want:
+            raise ConfigError(f"{cls.__name__}.{name} must be {want.__name__}, got {value!r}")
+        values[name] = value
+    return cls(**values)
 
 
 @dataclass
@@ -121,12 +137,7 @@ class EnvConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EnvConfig":
-        d = dict(known_keys(cls, d))
-        if "deployment" in d:
-            d["deployment"] = DeploymentConfig(**known_keys(DeploymentConfig, d["deployment"]))
-        if "path_loss" in d:
-            d["path_loss"] = PathLossParams(**known_keys(PathLossParams, d["path_loss"]))
-        return cls(**d)
+        return read_config(cls, d)
 
     def fingerprint(self) -> str:
         """Readable sizes, then 8 hex digits of SHA-256 over every field."""

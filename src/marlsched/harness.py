@@ -170,8 +170,8 @@ def build_validation_set(env_config: EnvConfig, target_count: int,
     BOTH baselines are within `tolerance` relative error of the population
     means over `population_size` fresh realizations.
     """
-    if population_size < target_count:
-        raise ValueError("population must be at least the target count")
+    if not 1 <= target_count <= population_size:
+        raise ValueError("need 1 <= target count <= population")
     seeds = fresh_seeds(rng, population_size)
     names, keys = ("full_reuse", "tdm"), ("sum_rate_mbps", "pct5_mbps")
     evals = {name: evaluate_policy(env_config, BaselinePolicy(name), seeds)

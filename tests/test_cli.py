@@ -11,7 +11,7 @@ from marlsched import dqn, harness
 from marlsched.baselines import BASELINES
 from marlsched.cli import build_parser, load_configs, main
 from marlsched.dqn import EpochRecord
-from marlsched.env import ConfigError, NetworkEnv
+from marlsched.env import ConfigError, EnvConfig, NetworkEnv
 from marlsched.nn import Mlp, load_checkpoint, save_checkpoint
 
 
@@ -270,3 +270,100 @@ def test_load_configs_names_unknown_entries(tmp_path, raw, names):
     with pytest.raises(ConfigError) as exc:
         load_configs(str(path))
     assert all(name in str(exc.value) for name in names)
+
+
+@pytest.mark.parametrize("raw, names", [
+    ({"trainer": {"num_envs": "4"}}, ["TrainerConfig.num_envs", "'4'"]),
+    ({"trainer": {"episodes": 2.5}}, ["TrainerConfig.episodes", "2.5"]),
+    ({"env": {"episode_length": "10"}}, ["EnvConfig.episode_length"]),
+    ({"env": {"top_k": 2.5}}, ["EnvConfig.top_k"]),
+    ({"env": {"sort_by_pf": 0}}, ["EnvConfig.sort_by_pf", "bool"]),
+    ({"env": {"p_max_dbm": True}}, ["EnvConfig.p_max_dbm", "float"]),
+    ({"env": {"shadow_std_db": None}}, ["EnvConfig.shadow_std_db"]),
+    ({"env": {"deployment": {"num_aps": 2.0}}}, ["DeploymentConfig.num_aps", "int"]),
+    ({"env": {"path_loss": {"d_bp": "100"}}}, ["PathLossParams.d_bp"]),
+    ({"env": {"deployment": 3}}, ["EnvConfig.deployment", "JSON object"]),
+    ({"env": [1]}, ["ConfigFile.env", "JSON object"]),
+    ([1, 2], ["ConfigFile", "JSON object"]),
+], ids=["trainer-str", "trainer-float", "env-str", "env-float", "bool-as-int",
+        "float-as-bool", "null", "deployment-float", "path-loss-str", "deployment-int",
+        "env-list", "top-level-list"])
+def test_load_configs_names_wrongly_typed_values(tmp_path, raw, names):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ConfigError) as exc:
+        load_configs(str(path))
+    assert all(name in str(exc.value) for name in names), str(exc.value)
+
+
+def test_load_configs_stores_integers_of_float_fields_as_floats(tmp_path):
+    """10 and 10.0 give equal configs, so they must give one fingerprint."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"env": {"p_max_dbm": 10,
+                                        "path_loss": {"d_bp": 100}},
+                                "trainer": {"gamma": 1}}))
+    env_cfg, trainer_cfg = load_configs(str(path))
+    assert env_cfg == EnvConfig() and env_cfg.fingerprint() == EnvConfig().fingerprint()
+    assert type(env_cfg.p_max_dbm) is float and type(env_cfg.path_loss.d_bp) is float
+    assert trainer_cfg.gamma == 1.0 and type(trainer_cfg.gamma) is float
+
+
+@pytest.mark.parametrize("argv, flag, low", [
+    (["collect-norm-stats", "--out", "s.json", "--episodes"], "--episodes", 1),
+    (["collect-norm-stats", "--out", "s.json", "--q-levels"], "--q-levels", 2),
+    (["build-val-set", "--out", "v.json", "--count"], "--count", 1),
+    (["build-val-set", "--out", "v.json", "--population"], "--population", 1),
+    (["evaluate", *LEAF_COMMANDS["evaluate"], "--num-envs"], "--num-envs", 1),
+    (["baseline", "--kind", "tdm", "--num-envs"], "--num-envs", 1),
+    (["analyze", "interferers", "--out", "p.csv", "--realizations"], "--realizations", 1),
+    (["analyze", "decisions", *LEAF_COMMANDS["analyze decisions"], "--num-envs"],
+     "--num-envs", 1),
+], ids=["episodes", "q-levels", "count", "population", "evaluate-num-envs",
+        "baseline-num-envs", "realizations", "decisions-num-envs"])
+@pytest.mark.parametrize("below", [1, 2], ids=["one-below", "zero-or-negative"])
+def test_counts_below_their_minimum_exit_2_naming_the_flag(argv, flag, low, below, capsys,
+                                                             monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before checking its flags")
+
+    monkeypatch.setattr(NetworkEnv, "reset", no_work)
+    monkeypatch.setattr(harness, "interference_profile", no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [str(low - below)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be >= {low}, got {low - below}" in err, err
+    args = build_parser().parse_args(argv + [str(low)])
+    assert getattr(args, flag[2:].replace("-", "_")) == low
+
+
+def test_count_flags_refuse_non_integers(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["baseline", "--kind", "tdm", "--num-envs", "2.5"])
+    assert exc.value.code == 2
+    assert "argument --num-envs: invalid count value: '2.5'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shadow_std_db, warns", [(7.0, False), (3.0, True)],
+                         ids=["same", "other"])
+def test_evaluate_env_set_warns_when_it_overrides_the_config(
+        shadow_std_db, warns, tiny_cfg_path, norm_stats_path, val_set_path, tmp_path,
+        capsys):
+    """--env-set runs the set's own config; a --config that differs from it is
+    ignored, and that is said on stderr."""
+    with open(tiny_cfg_path) as f:
+        cfg = json.load(f)
+    cfg["env"]["shadow_std_db"] = shadow_std_db
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    ckpt = tmp_path / "net.ckpt"
+    save_checkpoint(ckpt, Mlp(24, 4, 8, rng=np.random.default_rng(0)))
+    main(["evaluate", "--config", str(path), "--checkpoint", str(ckpt),
+          "--norm-stats", norm_stats_path, "--env-set", val_set_path])
+    captured = capsys.readouterr()
+    assert "score=" in captured.out
+    warning = re.search(rf"warning: ignoring --config {re.escape(str(path))}, which gives "
+                        r"N2-K6-k3-n3-p1-T20-[0-9a-f]{8}, running on "
+                        r"N2-K6-k3-n3-p1-T20-[0-9a-f]{8}", captured.err)
+    assert bool(warning) == warns, captured.err
+    assert warns or "warning" not in captured.err

@@ -690,6 +690,13 @@ def test_validation_set_matches_loop_oracle(metrics, target_count, tolerance, to
     assert isinstance(want, str) == too_few
 
 
+def test_validation_set_refuses_an_empty_target(monkeypatch):
+    """The loop never stopped at a target of 0 and kept every typical seed; a
+    set without seeds cannot be loaded, so the target must be at least 1."""
+    with pytest.raises(ValueError, match="target count"):
+        selection_outcome(build_validation_set, EDGE, 0, 0.5, 0, monkeypatch)
+
+
 def test_validation_set_matches_loop_oracle_on_random_populations(monkeypatch):
     """Values on a coarse grid, so that ties and band edges are common."""
     rng = np.random.default_rng(0)
