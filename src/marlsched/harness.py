@@ -50,7 +50,7 @@ def dominates(a: EpisodeMetrics, b: EpisodeMetrics) -> bool:
 
 # -------------------------------------------------------------------- rollout
 
-def fresh_seeds(seed, count: int) -> list[int]:
+def fresh_seeds(seed: int | np.random.Generator, count: int) -> list[int]:
     """count environment seeds from default_rng(seed): an int, or a Generator it advances."""
     rng = np.random.default_rng(seed)
     return [int(rng.integers(2 ** 63)) for _ in range(count)]
@@ -168,7 +168,7 @@ def build_validation_set(env_config: EnvConfig, target_count: int,
 
     A realization is accepted when its sum-rate and 5th percentile rate under
     BOTH baselines are within `tolerance` relative error of the population
-    means over `population_size` fresh realizations.
+    means over `population_size` fresh realizations; the first `target_count` are kept.
     """
     if not 1 <= target_count <= population_size:
         raise ValueError("need 1 <= target count <= population")
