@@ -39,13 +39,21 @@ def load_configs(path: str | None):
     return cfg.env, cfg.trainer
 
 
-def at_least(low: int):
-    """argparse type: an int of at least low, so that argparse names the flag."""
+def at_least(low, kind=int):
+    """argparse type: an int (or kind) of at least low, NaN refused, so that
+    argparse names the flag. A malformed int reads as an "invalid count value"."""
     def count(text):
-        if int(text) < low:
+        if not kind(text) >= low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
-        return int(text)
+        return kind(text)
+    count.__name__ = "count" if kind is int else kind.__name__
     return count
+
+
+def _usage_error(message: str):
+    """Exit 2 with message on stderr, as argparse does for a bad flag."""
+    print(f"marlsched: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def cmd_collect_norm_stats(args, env_cfg, trainer_cfg):
@@ -58,6 +66,8 @@ def cmd_collect_norm_stats(args, env_cfg, trainer_cfg):
 
 
 def cmd_build_val_set(args, env_cfg, trainer_cfg):
+    if args.population < args.count:
+        _usage_error(f"--population {args.population} cannot hold --count {args.count}")
     vset = harness.build_validation_set(
         env_cfg, args.count, args.population, args.tolerance, args.seed)
     vset.save(args.out)
@@ -109,10 +119,9 @@ def _dqn_policy(args, env_cfg):
     """The checkpoint's greedy policy; exits 2 when its widths do not fit env_cfg."""
     net, _ = load_checkpoint(args.checkpoint)
     if (net.in_dim, net.out_dim) != (env_cfg.obs_dim, env_cfg.num_actions):
-        print(f"marlsched: error: checkpoint {args.checkpoint} has in_dim={net.in_dim}, "
-              f"out_dim={net.out_dim}; the config has obs_dim={env_cfg.obs_dim}, "
-              f"num_actions={env_cfg.num_actions}", file=sys.stderr)
-        raise SystemExit(2)
+        _usage_error(f"checkpoint {args.checkpoint} has in_dim={net.in_dim}, "
+                     f"out_dim={net.out_dim}; the config has obs_dim={env_cfg.obs_dim}, "
+                     f"num_actions={env_cfg.num_actions}")
     mapper, _ = _load_stats(args.norm_stats, env_cfg)
     return DqnPolicy(net, mapper)
 
@@ -181,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)   # the flags of every leaf command
     common.add_argument("--config")
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=at_least(0), default=0)
     policy = argparse.ArgumentParser(add_help=False)   # evaluate's and analyze decisions'
     policy.add_argument("--checkpoint", required=True)
     policy.add_argument("--norm-stats", required=True)
@@ -199,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
                        parents=[common])
     p.add_argument("--count", type=at_least(1), default=10)
     p.add_argument("--population", type=at_least(1), default=100)
-    p.add_argument("--tolerance", type=float, default=0.05)
+    p.add_argument("--tolerance", type=at_least(0.0, float), default=0.05)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_val_set)
 

@@ -21,41 +21,83 @@ class NonFiniteLoss(FloatingPointError):
     pass
 
 
+@dataclass(frozen=True)
+class Transitions:
+    """Records as one array per field: obs, next_obs (..., N, obs_dim),
+    actions, rewards (..., N) and done (...). A batch iterates as its
+    records, each a Transitions without the leading axis."""
+
+    obs: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    next_obs: np.ndarray
+    done: np.ndarray
+
+    def __iter__(self):
+        return map(Transitions, self.obs, self.actions, self.rewards, self.next_obs, self.done)
+
+
 class ReplayBuffer:
     """FIFO ring of timestep records with uniform batch sampling.
 
-    A record holds all agents of one environment at one interval: obs,
-    next_obs (N, obs_dim), actions, rewards (N,) and done.
+    A record holds all agents of one environment at one interval: obs
+    (N, obs_dim), actions, rewards (N,) and done. Records come B to a push,
+    one lockstep interval of B environments, and each interval after a
+    non-done one starts from its predecessor's next_obs. So every observation
+    is stored once: record i's next_obs is the obs of record i + B, the
+    newest interval's is kept (by reference) until the next push, and a done
+    record's reads zeros.
     """
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self._data: np.ndarray | None = None    # allocated at the first push
+        self._obs = self._actions = self._rewards = self._done = None   # at the first push
+        self._next_obs = None       # the newest interval's next_obs, (B, N, obs_dim)
         self._pushed = 0
 
     def __len__(self) -> int:
         return min(self._pushed, self.capacity)
 
     def push(self, obs, actions, rewards, next_obs, done) -> None:
-        """Store one lockstep interval of B environments as B records, in order."""
-        if self._data is None:
-            n, d = obs.shape[1:]
-            self._data = np.empty(self.capacity, dtype=[
-                ("obs", float, (n, d)), ("actions", int, (n,)), ("rewards", float, (n,)),
-                ("next_obs", float, (n, d)), ("done", bool)])
+        """Store one lockstep interval of B environments as B records, in order.
+
+        Raises ValueError when B differs from the first push's, or when the
+        last interval was not done and obs is not its next_obs.
+        """
+        if self._obs is None:
+            self._obs = np.empty((self.capacity, *obs.shape[1:]))
+            self._actions = np.empty((self.capacity, *actions.shape[1:]), dtype=int)
+            self._rewards = np.empty((self.capacity, *rewards.shape[1:]))
+            self._done = np.empty(self.capacity, dtype=bool)
+        elif len(obs) != len(self._next_obs):
+            raise ValueError(f"an interval of {len(obs)} environments after intervals "
+                             f"of {len(self._next_obs)}")
+        elif not (self._done[(self._pushed - 1) % self.capacity] or obs is self._next_obs
+                  or np.array_equal(obs, self._next_obs)):
+            raise ValueError("obs is not the next_obs of the last interval, which was not done")
         idx = (self._pushed + np.arange(len(obs))) % self.capacity
-        values = (obs, actions, rewards, next_obs, done)
-        for name, value in zip(self._data.dtype.names, values):
-            self._data[name][idx] = value
+        self._obs[idx] = obs
+        self._actions[idx] = actions
+        self._rewards[idx] = rewards
+        self._done[idx] = done
+        self._next_obs = next_obs
         self._pushed += len(obs)
 
-    def sample(self, batch_size: int, rng: np.random.Generator) -> np.recarray:
-        """batch_size distinct records; fields read as batch.obs, batch.done, ..."""
+    def sample(self, batch_size: int, rng: np.random.Generator) -> Transitions:
+        """batch_size distinct records, each field one contiguous array."""
         if len(self) < batch_size:
             raise BufferUnderfilled(
                 f"buffer holds {len(self)} timesteps, need {batch_size}")
         idx = rng.choice(len(self), size=batch_size, replace=False)
-        return self._data[idx].view(np.recarray)
+        envs = len(self._next_obs)
+        age = (self._pushed - 1 - idx) % self.capacity      # 0 for the newest record
+        next_obs = self._obs[(idx + envs) % self.capacity]
+        newest = age < envs
+        next_obs[newest] = self._next_obs[envs - 1 - age[newest]]
+        done = self._done[idx]
+        next_obs[done] = 0.0
+        return Transitions(self._obs[idx], self._actions[idx], self._rewards[idx],
+                           next_obs, done)
 
 
 @dataclass
@@ -113,15 +155,19 @@ def select_actions(net: Mlp, mapped_obs: np.ndarray, epsilon: float,
     return np.where(explore, randoms, greedy)
 
 
-def compute_double_dqn_targets(batch: np.recarray, online: Mlp, target: Mlp,
+def compute_double_dqn_targets(batch: Transitions, online: Mlp, target: Mlp,
                                gamma: float) -> np.ndarray:
-    """Per-agent-transition regression targets, flattened in batch order."""
+    """Per-agent-transition regression targets, flattened in batch order.
+
+    The target's parameters are evaluated through the online network's
+    workspace, so the target network never allocates one.
+    """
     n_agents, obs_dim = batch.next_obs.shape[1:]
     next_obs = batch.next_obs.reshape(-1, obs_dim)
     rewards = batch.rewards.reshape(-1)
     not_done = np.repeat(1.0 - batch.done, n_agents)
     best = np.argmax(online.forward(next_obs), axis=1)
-    q_next = target.forward(next_obs)[np.arange(len(best)), best]
+    q_next = online.forward(next_obs, params=target.params)[np.arange(len(best)), best]
     return rewards + gamma * not_done * q_next
 
 

@@ -22,8 +22,11 @@ class Mlp:
     activations into one (3, rows, hidden) workspace the instance keeps,
     created on first use and grown to the largest batch seen. A plain forward
     uses its first two slots and drops any pending cache, so only
-    forward(cache=True) followed directly by backward yields gradients. Each
-    returned array is the caller's own. copy() copies the parameters only.
+    forward(cache=True) followed directly by backward yields gradients. A
+    forward with another network's params is a plain forward through this
+    workspace, so a network only ever evaluated that way (a double-DQN
+    target) holds none. Each returned array is the caller's own. copy()
+    copies the parameters only.
     """
 
     def __init__(self, in_dim: int, out_dim: int, hidden: int = 128,
@@ -39,12 +42,18 @@ class Mlp:
         self._ws = None
         self._cache = None
 
-    def forward(self, x: np.ndarray, cache: bool = False):
-        """Batched forward pass; x is (B, in_dim). Returns (B, out_dim)."""
+    def forward(self, x: np.ndarray, cache: bool = False, params: dict | None = None):
+        """Batched forward pass; x is (B, in_dim). Returns (B, out_dim).
+
+        params, a parameter dict of this network's shapes, is evaluated
+        instead of self.params; such a forward cannot be cached.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.in_dim:
             raise ShapeMismatch(f"expected input width {self.in_dim}, got {x.shape[1]}")
-        p = self.params
+        if cache and params is not None:
+            raise ValueError("a forward with other params cannot be cached for backward")
+        p = self.params if params is None else params
         if self._ws is None or self._ws.shape[1] < len(x):
             self._ws = np.empty((3, len(x), self.hidden))
         ws = self._ws[:, :len(x)]   # each ws[i] is contiguous
@@ -130,15 +139,28 @@ def adam_update(net: Mlp, grads: dict, state: AdamState, l2_coeff: float = 0.0) 
     lr = state.learning_rate()
     t = state.step + 1
     for name, p in net.params.items():
-        g = grads[name] + l2_coeff * p
         if name not in state.m:
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
-        state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * g ** 2
-        m_hat = state.m[name] / (1 - state.beta1 ** t)
-        v_hat = state.v[name] / (1 - state.beta2 ** t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m, v = state.m[name], state.v[name]
+        # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2, p -= lr*m_hat/(sqrt(v_hat)+eps)
+        # with the operations in that order, so the bits are the allocating form's
+        g = l2_coeff * p
+        np.add(grads[name], g, out=g)
+        u = np.multiply(g, 1 - state.beta1)
+        m *= state.beta1
+        m += u
+        np.square(g, out=g)
+        g *= 1 - state.beta2
+        v *= state.beta2
+        v += g
+        np.divide(m, 1 - state.beta1 ** t, out=u)
+        u *= lr
+        np.divide(v, 1 - state.beta2 ** t, out=g)
+        np.sqrt(g, out=g)
+        g += state.eps
+        u /= g
+        p -= u
     state.step = t
 
 

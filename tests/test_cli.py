@@ -344,6 +344,48 @@ def test_count_flags_refuse_non_integers(capsys):
     assert "argument --num-envs: invalid count value: '2.5'" in capsys.readouterr().err
 
 
+def no_rollout(*args, **kwargs):
+    raise AssertionError("rolled out before checking its flags")
+
+
+@pytest.mark.parametrize("name", LEAF_COMMANDS)
+def test_every_leaf_command_refuses_a_negative_seed(name, capsys, monkeypatch):
+    """numpy's seeding refuses negative ints; the command line says which flag."""
+    monkeypatch.setattr(NetworkEnv, "reset", no_rollout)
+    with pytest.raises(SystemExit) as exc:
+        main(name.split() + LEAF_COMMANDS[name] + ["--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--count", "3", "--population", "2"], "error: --population 2 cannot hold --count 3"),
+    (["--tolerance", "-0.5"], "argument --tolerance: must be >= 0.0, got -0.5"),
+    (["--tolerance", "nan"], "argument --tolerance: must be >= 0.0, got nan"),
+], ids=["population-below-count", "negative-tolerance", "nan-tolerance"])
+def test_build_val_set_refuses_its_flags_before_any_rollout(flags, message, tiny_cfg_path,
+                                                           capsys, monkeypatch):
+    monkeypatch.setattr(NetworkEnv, "reset", no_rollout)
+    with pytest.raises(SystemExit) as exc:
+        main(["build-val-set", "--config", tiny_cfg_path, "--out", "v.json", *flags])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_build_val_set_takes_the_edge_values(tiny_cfg_path, monkeypatch):
+    calls = []
+
+    def recording_build(*args):
+        calls.append(args[1:])
+        raise LookupError("stop after the call")
+
+    monkeypatch.setattr(harness, "build_validation_set", recording_build)
+    with pytest.raises(LookupError):
+        main(["build-val-set", "--config", tiny_cfg_path, "--out", "v.json", "--count", "2",
+              "--population", "2", "--tolerance", "0"])
+    assert calls == [(2, 2, 0.0, 0)]
+
+
 @pytest.mark.parametrize("shadow_std_db, warns", [(7.0, False), (3.0, True)],
                          ids=["same", "other"])
 def test_evaluate_env_set_warns_when_it_overrides_the_config(

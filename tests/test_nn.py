@@ -150,6 +150,16 @@ def test_backward_consumes_its_cache():
     assert all(np.array_equal(first[k], again[k]) for k in PARAM_NAMES)
 
 
+def test_forward_with_other_params_cannot_be_cached():
+    """Gradients of a forward with another network's params would belong to
+    that network, which backward cannot update; such a forward is plain."""
+    net, other = small_net(19), small_net(20)
+    x = np.random.default_rng(21).normal(size=(4, 5))
+    with pytest.raises(ValueError, match="cannot be cached"):
+        net.forward(x, cache=True, params=other.params)
+    assert np.array_equal(net.forward(x, params=other.params), other.forward(x))
+
+
 # ------------------------------------------------------------------------ Adam
 
 def test_lr_schedule_halving():

@@ -27,6 +27,18 @@ The Q-network oracle is the allocating forward and backward expressions that
 compared with `Mlp` bit for bit as the batch grows and shrinks, with plain and
 cached forwards interleaved as in acceptance criterion 4.
 
+The Adam oracle is the allocating update expression that `nn.adam_update`
+evaluated before it updated the moments and the parameters in place; it is
+compared with `adam_update` bit for bit over 300 steps with an L2 term,
+through several learning-rate halvings.
+
+The replay oracle is the structured-record ring that `dqn.ReplayBuffer` was
+before it stored each observation once, reading record i's next_obs from
+record i + B: every record kept its own next_obs. Both rings take the same
+chained lockstep intervals, with random B, capacities that are no multiple of
+B, done intervals and many wraps, and must sample the same bits for every
+field from equal generators.
+
 The training-schedule oracle is the trigger-counter loop (`next_train`,
 `next_sync`, `next_epoch`) that `dqn.run_training` ran before it derived train
 steps, target syncs and epochs from its interval and episode totals; the
@@ -53,7 +65,7 @@ from marlsched.harness import (
     fresh_seeds, interference_profile,
 )
 from marlsched.linklevel import ScheduleDecision
-from marlsched.nn import Mlp
+from marlsched.nn import PARAM_NAMES, AdamState, Mlp, adam_update
 from marlsched.normalize import PercentileMapper, RewardNormalizer
 from marlsched.topology import (
     DeploymentConfig, associate_max_rsrp, balance_pools, nearest_remote_agents,
@@ -240,6 +252,51 @@ def oracle_mlp_backward(net, x, grad_out):
     grads["w1"] = x.T @ d1
     grads["b1"] = d1.sum(axis=0)
     return grads
+
+
+def oracle_adam_update(net, grads, state, l2_coeff=0.0):
+    """One Adam step on (grad + l2 * param), every term a fresh array."""
+    lr = state.learning_rate()
+    t = state.step + 1
+    for name, p in net.params.items():
+        g = grads[name] + l2_coeff * p
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p)
+            state.v[name] = np.zeros_like(p)
+        state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
+        state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * g ** 2
+        m_hat = state.m[name] / (1 - state.beta1 ** t)
+        v_hat = state.v[name] / (1 - state.beta2 ** t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.step = t
+
+
+class OracleReplayBuffer:
+    """The ring of structured records, each with its own next_obs."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._data = None
+        self._pushed = 0
+
+    def __len__(self) -> int:
+        return min(self._pushed, self.capacity)
+
+    def push(self, obs, actions, rewards, next_obs, done) -> None:
+        if self._data is None:
+            n, d = obs.shape[1:]
+            self._data = np.empty(self.capacity, dtype=[
+                ("obs", float, (n, d)), ("actions", int, (n,)), ("rewards", float, (n,)),
+                ("next_obs", float, (n, d)), ("done", bool)])
+        idx = (self._pushed + np.arange(len(obs))) % self.capacity
+        values = (obs, actions, rewards, next_obs, done)
+        for name, value in zip(self._data.dtype.names, values):
+            self._data[name][idx] = value
+        self._pushed += len(obs)
+
+    def sample(self, batch_size: int, rng: np.random.Generator) -> np.recarray:
+        idx = rng.choice(len(self), size=batch_size, replace=False)
+        return self._data[idx].view(np.recarray)
 
 
 def oracle_schedule(tcfg, episode_length):
@@ -580,6 +637,76 @@ def test_mlp_plain_forward_drops_the_cache():
         net.backward(grad_out)
     net.forward(x, cache=True)
     assert same_grads(net.backward(grad_out), oracle_mlp_backward(net, x, grad_out))
+
+
+def test_mlp_forward_with_other_params_matches_oracle():
+    """The target network's forward run through the online network's
+    workspace: the same bits as the target's own forward, no workspace for
+    the target, and the online network's pending cache dropped."""
+    online = Mlp(24, 4, 128, rng=np.random.default_rng(2))
+    target = Mlp(24, 4, 128, rng=np.random.default_rng(3))
+    rng = np.random.default_rng(4)
+    for rows in MLP_ROWS:
+        x = rng.normal(size=(rows, 24))
+        assert same_bits(online.forward(x, params=target.params),
+                         oracle_mlp_forward(target, x)[0]), rows
+    assert target._ws is None
+    x = rng.normal(size=(16, 24))
+    online.forward(x, cache=True)
+    online.forward(x, params=target.params)
+    with pytest.raises(RuntimeError, match="plain forward"):
+        online.backward(rng.normal(size=(16, 4)))
+
+
+@pytest.mark.parametrize("in_dim, out_dim, hidden", [(24, 4, 128), (5, 3, 8)])
+def test_adam_matches_allocating_oracle(in_dim, out_dim, hidden):
+    """300 steps with L2 on, the learning rate halving every 50, on gradients
+    of every sign and several magnitudes."""
+    nets = [Mlp(in_dim, out_dim, hidden, rng=np.random.default_rng(5)) for _ in range(2)]
+    states = [AdamState(base_lr=0.01, halving_period=50) for _ in range(2)]
+    rng = np.random.default_rng(6)
+    for step in range(300):
+        grads = {k: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=p.shape)
+                 for k, p in nets[0].params.items()}
+        adam_update(nets[0], grads, states[0], l2_coeff=0.001)
+        oracle_adam_update(nets[1], grads, states[1], l2_coeff=0.001)
+        assert states[0].step == states[1].step
+        for k in PARAM_NAMES:
+            assert same_bits(nets[0].params[k], nets[1].params[k]), (step, k)
+            assert same_bits(states[0].m[k], states[1].m[k]), (step, k)
+            assert same_bits(states[0].v[k], states[1].v[k]), (step, k)
+
+
+# ---------------------------------------------------------------------- replay
+
+@settings(max_examples=60, deadline=None)
+@given(envs=st.integers(1, 5), spare=st.integers(0, 13), episode=st.integers(1, 6),
+       count=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+# 3 environments in a ring of 7: 120 records wrap it 17 times, mid-interval
+@example(envs=3, spare=4, episode=5, count=40, seed=0)
+# one environment whose every interval is done, and a ring of exactly B
+@example(envs=1, spare=0, episode=1, count=10, seed=1)
+@example(envs=4, spare=0, episode=3, count=12, seed=2)
+def test_replay_matches_record_oracle(envs, spare, episode, count, seed):
+    """Chained intervals as run_training pushes them: each starts from the
+    last one's next_obs, or afresh after a done one, whose next_obs is zeros.
+    After every push both rings sample a random number of records from equal
+    generators."""
+    rng = np.random.default_rng(seed)
+    rings = (dqn.ReplayBuffer(envs + spare), OracleReplayBuffer(envs + spare))
+    obs = rng.normal(size=(envs, 3, 5))
+    for t in range(count):
+        done = (t + 1) % episode == 0
+        next_obs = np.zeros_like(obs) if done else rng.normal(size=obs.shape)
+        step = (obs, rng.integers(0, 4, size=(envs, 3)), rng.normal(size=(envs, 3)),
+                next_obs, done)
+        for ring in rings:
+            ring.push(*step)
+        obs = rng.normal(size=obs.shape) if done else next_obs
+        size = int(rng.integers(1, len(rings[0]) + 1))
+        got, want = (ring.sample(size, np.random.default_rng(t)) for ring in rings)
+        for name in ("obs", "actions", "rewards", "next_obs", "done"):
+            assert same_bits(getattr(got, name), getattr(want, name)), (t, name)
 
 
 # ---------------------------------------------------------- training schedule
