@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import harness
-from .env import ConfigError, EnvConfig, NetworkEnv, read_config
+from .env import ConfigError, EnvConfig, NetworkEnv
 from .nn import AdamState, Mlp, adam_update, save_checkpoint
 from .normalize import PercentileMapper, RewardNormalizer
 
@@ -133,15 +133,6 @@ class TrainerConfig:
         if self.buffer_capacity < max(self.num_envs, self.batch_timesteps):
             raise ConfigError(f"buffer_capacity {self.buffer_capacity} must hold num_envs "
                               f"{self.num_envs} and batch_timesteps {self.batch_timesteps}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainerConfig":
-        cfg = read_config(cls, d)
-        cfg.validate()
-        return cfg
 
 
 def select_actions(net: Mlp, mapped_obs: np.ndarray, epsilon: float,

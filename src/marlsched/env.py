@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, asdict, is_dataclass
+import math
+import typing
+from dataclasses import MISSING, dataclass, field, fields, asdict, is_dataclass
 
 import numpy as np
 
@@ -26,9 +28,12 @@ class EpisodeFinished(RuntimeError):
 
 
 def read_config(cls, raw, where: str | None = None):
-    """A cls from a JSON object; each value has its field default's type, but an
-    int is stored as a float where the default is one, and a dataclass field reads
-    an object in the same way. ConfigError names unknown keys or the Class.field.
+    """A cls from a JSON object, the one reader of every JSON object read back.
+
+    Each value has its field's annotated type (list[int] checks list), but an
+    int is stored as a float for a float field, a float must be finite, and a
+    dataclass field reads an object in the same way. A field without a default
+    is required. ConfigError names unknown or missing keys, or the Class.field.
     """
     where = where or cls.__name__
     if not isinstance(raw, dict):
@@ -36,15 +41,21 @@ def read_config(cls, raw, where: str | None = None):
     unknown = [k for k in raw if k not in {f.name for f in fields(cls)}]
     if unknown:
         raise ConfigError(f"unknown {where} keys: {', '.join(unknown)}")
-    values, default = {}, cls()
+    missing = [f.name for f in fields(cls) if f.name not in raw
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"{where} lacks {', '.join(missing)}")
+    values, hints = {}, typing.get_type_hints(cls)
     for name, value in raw.items():
-        want = type(getattr(default, name))
+        want = typing.get_origin(hints[name]) or hints[name]
         if is_dataclass(want):
             value = read_config(want, value, f"{cls.__name__}.{name}")
         elif want is float and type(value) is int:
             value = float(value)
         elif type(value) is not want:
             raise ConfigError(f"{cls.__name__}.{name} must be {want.__name__}, got {value!r}")
+        if want is float and not math.isfinite(value):
+            raise ConfigError(f"{cls.__name__}.{name} must be finite, got {value}")
         values[name] = value
     return cls(**values)
 
@@ -132,19 +143,12 @@ class EnvConfig:
                 raise ConfigError(
                     "unsorted observations require num_ues == num_aps * top_k")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EnvConfig":
-        return read_config(cls, d)
-
     def fingerprint(self) -> str:
         """Readable sizes, then 8 hex digits of SHA-256 over every field."""
         import hashlib  # here, not at the top: it adds ~4 ms to every package import
 
         dep = self.deployment
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        canonical = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
         digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:8]
         return (f"N{dep.num_aps}-K{dep.num_ues}-k{self.top_k}-n{self.num_remote}"
                 f"-p{self.power_levels}-T{self.episode_length}-{digest}")

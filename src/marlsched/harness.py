@@ -10,7 +10,7 @@ import numpy as np
 
 from . import baselines as bl
 from . import linklevel, topology
-from .env import ConfigError, EnvConfig, NetworkEnv, draw_layout
+from .env import ConfigError, EnvConfig, NetworkEnv, draw_layout, read_config
 
 
 class InsufficientCandidates(RuntimeError):
@@ -135,25 +135,17 @@ class ValidationSet:
     seeds: list[int]
     reference: dict   # per-baseline population means and accepted per-seed metrics
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "ValidationSet":
-        missing = [k for k in ("env_config", "seeds", "reference") if k not in d]
-        if missing:
-            raise ConfigError(f"validation set lacks {', '.join(missing)}")
-        seeds = d["seeds"]
-        if not (isinstance(seeds, list) and seeds
-                and all(type(s) is int and s >= 0 for s in seeds)):
+        vset = read_config(cls, d)
+        if not (vset.seeds and all(type(s) is int and s >= 0 for s in vset.seeds)):
             raise ConfigError("seeds must be a non-empty list of non-negative ints, "
-                              f"got {seeds!r}")
-        return cls(env_config=EnvConfig.from_dict(d["env_config"]),
-                   seeds=list(seeds), reference=d["reference"])
+                              f"got {vset.seeds!r}")
+        return vset
 
     def save(self, path) -> None:
         with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2)
+            json.dump(asdict(self), f, indent=2)
 
     @classmethod
     def load(cls, path) -> "ValidationSet":

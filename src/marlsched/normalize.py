@@ -7,11 +7,11 @@ schedulers drive the environment, then frozen for training and evaluation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .env import ConfigError, EnvConfig, NetworkEnv
+from .env import ConfigError, EnvConfig, NetworkEnv, read_config
 from .harness import BaselinePolicy, fresh_seeds, run_episode
 
 
@@ -124,53 +124,53 @@ def fit(dataset: OfflineDataset, q_levels: int):
 
 # ----------------------------------------------------------------- persistence
 
+@dataclass
+class StatsFile:
+    """The norm-stats JSON object, as save_stats writes it."""
+
+    Q: int
+    weight_thresholds: list[float]
+    sinr_db_thresholds: list[float]
+    mu_rew: float
+    sigma_rew: float
+    config_fingerprint: str
+
+
 def save_stats(path, mapper: PercentileMapper, normalizer: RewardNormalizer,
                config_fingerprint: str) -> None:
-    payload = {
-        "Q": mapper.num_levels,
-        "weight_thresholds": mapper.weight_thresholds.tolist(),
-        "sinr_db_thresholds": mapper.sinr_db_thresholds.tolist(),
-        "mu_rew": normalizer.mu,
-        "sigma_rew": normalizer.sigma,
-        "config_fingerprint": config_fingerprint,
-    }
+    stats = StatsFile(mapper.num_levels, mapper.weight_thresholds.tolist(),
+                      mapper.sinr_db_thresholds.tolist(), normalizer.mu,
+                      normalizer.sigma, config_fingerprint)
     with open(path, "w") as f:
-        json.dump(payload, f, indent=2)
+        json.dump(asdict(stats), f, indent=2)
 
 
 def load_stats(path):
     """Read save_stats output back into (mapper, normalizer, config_fingerprint).
 
-    Raises ConfigError naming the field when a threshold array is missing,
-    empty, non-finite or descending, when the two arrays (and Q) disagree in
-    length, when mu_rew or sigma_rew is missing or non-finite (or sigma_rew is
-    not positive), or when config_fingerprint is missing.
+    Raises ConfigError naming the field when read_config refuses the file
+    (a field missing, wrongly typed or non-finite), when a threshold array
+    is empty, non-finite or descending, when the two arrays (and Q) disagree
+    in length, or when sigma_rew is not positive.
     """
     with open(path) as f:
-        payload = json.load(f)
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{path}: norm stats must be a JSON object")
-    thresholds = {name: _stats_array(payload, name)
+        stats = read_config(StatsFile, json.load(f))
+    thresholds = {name: _stats_array(getattr(stats, name), name)
                   for name in ("weight_thresholds", "sinr_db_thresholds")}
     q, q_sinr = (len(a) for a in thresholds.values())
-    if q_sinr != q or payload.get("Q", q) != q:
+    if q_sinr != q or stats.Q != q:
         raise ConfigError(f"Q: weight_thresholds has {q} levels, sinr_db_thresholds "
-                          f"{q_sinr}, Q is {payload.get('Q')}")
-    mu, sigma = (_stats_number(payload, name) for name in ("mu_rew", "sigma_rew"))
-    if not sigma > 0:
-        raise ConfigError(f"sigma_rew must be positive, got {sigma}")
-    if "config_fingerprint" not in payload:
-        raise ConfigError("config_fingerprint is missing")
-    mapper = PercentileMapper(**thresholds)
-    return mapper, RewardNormalizer(mu=mu, sigma=sigma), payload["config_fingerprint"]
+                          f"{q_sinr}, Q is {stats.Q}")
+    if not stats.sigma_rew > 0:
+        raise ConfigError(f"sigma_rew must be positive, got {stats.sigma_rew}")
+    return (PercentileMapper(**thresholds), RewardNormalizer(stats.mu_rew, stats.sigma_rew),
+            stats.config_fingerprint)
 
 
-def _stats_array(payload, name):
-    """A non-empty, finite, ascending threshold array from the payload."""
+def _stats_array(values: list, name):
+    """A non-empty, finite, ascending threshold array from a JSON list."""
     try:
-        a = np.asarray(payload[name], dtype=float)
-    except KeyError:
-        raise ConfigError(f"{name} is missing") from None
+        a = np.asarray(values, dtype=float)
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must be a list of numbers") from None
     if a.ndim != 1 or a.size == 0:
@@ -180,15 +180,3 @@ def _stats_array(payload, name):
     if np.any(np.diff(a) < 0):
         raise ConfigError(f"{name} must be ascending")
     return a
-
-
-def _stats_number(payload, name):
-    try:
-        value = float(payload[name])
-    except KeyError:
-        raise ConfigError(f"{name} is missing") from None
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number") from None
-    if not np.isfinite(value):
-        raise ConfigError(f"{name} must be finite, got {value}")
-    return value

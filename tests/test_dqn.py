@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from marlsched.dqn import (
     BufferUnderfilled, DqnPolicy, NonFiniteLoss, ReplayBuffer, TrainerConfig,
     compute_double_dqn_targets, run_training, select_actions, train_step,
 )
-from marlsched.env import ConfigError, EnvConfig
+from marlsched.env import ConfigError, EnvConfig, read_config
 from marlsched.nn import PARAM_NAMES, AdamState, Mlp
 from marlsched.normalize import PercentileMapper, RewardNormalizer
 from marlsched.topology import DeploymentConfig
@@ -444,7 +445,7 @@ def test_dqn_policy_rolls_out():
 
 def test_trainer_config_roundtrip():
     tc = TrainerConfig(num_envs=3, episodes=7, gamma=0.5)
-    assert TrainerConfig.from_dict(tc.to_dict()) == tc
+    assert read_config(TrainerConfig, asdict(tc)) == tc
 
 
 @pytest.mark.parametrize("field, value", [
@@ -457,7 +458,7 @@ def test_trainer_config_roundtrip():
 ])
 def test_trainer_config_rejects_values_that_hang_or_never_train(field, value):
     with pytest.raises(ConfigError, match=field):
-        TrainerConfig.from_dict({field: value})
+        read_config(TrainerConfig, {field: value}).validate()
     with pytest.raises(ConfigError, match=field):
         TrainerConfig(**{field: value}).validate()
 

@@ -1,9 +1,11 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from marlsched.channel import PathLossParams
 from marlsched.env import (
-    ConfigError, EnvConfig, EpisodeFinished, NetworkEnv, OutOfRange,
+    ConfigError, EnvConfig, EpisodeFinished, NetworkEnv, OutOfRange, read_config,
 )
 from marlsched.linklevel import ScheduleDecision, compute_rates
 from marlsched.topology import DeploymentConfig
@@ -78,7 +80,7 @@ def test_validate_rejects_broken_physics(field, value, error, match):
 
 def test_config_roundtrip():
     cfg = small_config(top_k=2, power_levels=2)
-    again = EnvConfig.from_dict(cfg.to_dict())
+    again = read_config(EnvConfig, asdict(cfg))
     assert again == cfg
 
 
@@ -91,7 +93,7 @@ def test_fingerprint_sees_physics(physics):
     """Physics-only changes keep the readable sizes but change the digest;
     equal configs, however built, share one fingerprint."""
     cfg = small_config()
-    assert EnvConfig.from_dict(cfg.to_dict()).fingerprint() == cfg.fingerprint()
+    assert read_config(EnvConfig, asdict(cfg)).fingerprint() == cfg.fingerprint()
     assert small_config().fingerprint() == cfg.fingerprint()
     other = small_config(**physics).fingerprint()
     assert other != cfg.fingerprint()

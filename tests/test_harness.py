@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -184,7 +186,7 @@ def test_validation_set_roundtrip(tmp_path):
 @pytest.mark.parametrize("missing", [["env_config"], ["seeds"], ["reference"],
                                      ["env_config", "seeds", "reference"]])
 def test_validation_set_names_missing_fields(missing):
-    d = {"env_config": tiny_config().to_dict(), "seeds": [1, 2], "reference": {}}
+    d = {"env_config": asdict(tiny_config()), "seeds": [1, 2], "reference": {}}
     for key in missing:
         del d[key]
     with pytest.raises(ConfigError) as exc:
@@ -196,7 +198,7 @@ def test_validation_set_names_missing_fields(missing):
                          ids=["float", "string", "str-list", "bool", "empty", "negative",
                               "null", "int"])
 def test_validation_set_rejects_malformed_seeds(seeds):
-    d = {"env_config": tiny_config().to_dict(), "seeds": seeds, "reference": {}}
+    d = {"env_config": asdict(tiny_config()), "seeds": seeds, "reference": {}}
     with pytest.raises(ConfigError, match="seeds"):
         ValidationSet.from_dict(d)
 
