@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import Deployment
+from .topology import ConfigError, Deployment
 
 
 class DomainError(ValueError):
@@ -23,10 +23,12 @@ class PathLossParams:
     d_bp: float = 100.0      # break-point distance, meters
 
     def validate(self) -> None:
-        if self.alpha1 > self.alpha2:
-            raise ValueError("alpha1 must not exceed alpha2")
-        if self.d_bp <= 0:
-            raise ValueError("break-point distance must be positive")
+        if not self.alpha1 <= self.alpha2:
+            raise ConfigError(f"PathLossParams.alpha1 {self.alpha1} must not exceed "
+                              f"alpha2 {self.alpha2}")
+        if not self.d_bp > 0:
+            raise ConfigError(f"PathLossParams.d_bp, the break-point distance, must be > 0, "
+                              f"got {self.d_bp}")
 
 
 def path_loss_db(d, params: PathLossParams):

@@ -133,6 +133,13 @@ class TrainerConfig:
         if self.buffer_capacity < max(self.num_envs, self.batch_timesteps):
             raise ConfigError(f"buffer_capacity {self.buffer_capacity} must hold num_envs "
                               f"{self.num_envs} and batch_timesteps {self.batch_timesteps}")
+        for name in ("gamma", "epsilon_start", "epsilon_end"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+        if not self.learning_rate > 0:
+            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not self.l2_coeff >= 0:
+            raise ConfigError(f"l2_coeff must be >= 0, got {self.l2_coeff}")
 
 
 def select_actions(net: Mlp, mapped_obs: np.ndarray, epsilon: float,

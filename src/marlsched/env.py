@@ -12,11 +12,7 @@ import numpy as np
 from . import channel, linklevel, topology
 from .channel import PathLossParams
 from .linklevel import LinkStats, ScheduleDecision
-from .topology import DeploymentConfig
-
-
-class ConfigError(ValueError):
-    pass
+from .topology import ConfigError, DeploymentConfig
 
 
 class OutOfRange(ValueError):

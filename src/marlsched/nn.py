@@ -186,7 +186,8 @@ def load_checkpoint(path):
     """Read a save_checkpoint file back into (net, header).
 
     Raises ShapeMismatch when the header lacks a field, names an activation
-    other than tanh, has shapes that disagree with its in_dim/hidden/out_dim,
+    other than tanh or a param_order other than PARAM_NAMES (the order the
+    bytes are read in), has shapes that disagree with its in_dim/hidden/out_dim,
     or when the parameter bytes disagree with those shapes.
     """
     with open(path, "rb") as f:
@@ -199,7 +200,7 @@ def load_checkpoint(path):
     if header["activation"] != "tanh":
         raise ShapeMismatch(f"activation {header['activation']!r} is not 'tanh'")
     net = Mlp(header["in_dim"], header["out_dim"], header["hidden"])
-    if sorted(header["param_order"]) != sorted(PARAM_NAMES):
+    if header["param_order"] != list(PARAM_NAMES):
         raise ShapeMismatch(f"parameters {header['param_order']} are not {list(PARAM_NAMES)}")
     for k in PARAM_NAMES:
         shape = header["shapes"].get(k)
@@ -210,7 +211,7 @@ def load_checkpoint(path):
         raise ShapeMismatch(f"{len(blob)} parameter bytes; the header's shapes "
                             f"need {8 * net.num_params()}")
     offset = 0
-    for k in header["param_order"]:
+    for k in PARAM_NAMES:
         shape = net.params[k].shape
         n = int(np.prod(shape))
         net.params[k] = np.frombuffer(

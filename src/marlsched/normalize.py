@@ -154,7 +154,7 @@ def load_stats(path):
     in length, or when sigma_rew is not positive.
     """
     with open(path) as f:
-        stats = read_config(StatsFile, json.load(f))
+        stats = read_config(StatsFile, json.load(f), f"norm stats {path}")
     thresholds = {name: _stats_array(getattr(stats, name), name)
                   for name in ("weight_thresholds", "sinr_db_thresholds")}
     q, q_sinr = (len(a) for a in thresholds.values())

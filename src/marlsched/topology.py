@@ -9,6 +9,10 @@ import numpy as np
 MAX_PLACEMENT_ATTEMPTS = 10_000
 
 
+class ConfigError(ValueError):
+    """A config or file read back holds a value the program cannot use; names the field."""
+
+
 class PlacementInfeasible(RuntimeError):
     """Rejection sampling could not satisfy the minimum-distance constraints."""
 
@@ -22,14 +26,17 @@ class DeploymentConfig:
     min_ap_ue_dist: float = 10.0
 
     def validate(self) -> None:
-        if self.num_aps < 1:
-            raise ValueError("need at least one AP")
-        if self.num_ues < self.num_aps:
-            raise ValueError("need at least one UE per AP")
-        if self.area_side <= 0:
-            raise ValueError("area_side must be positive")
-        if self.min_ap_ap_dist < 0 or self.min_ap_ue_dist < 0:
-            raise ValueError("minimum distances must be nonnegative")
+        if not self.num_aps >= 1:
+            raise ConfigError(f"DeploymentConfig.num_aps must be >= 1, got {self.num_aps}")
+        if not self.num_ues >= self.num_aps:
+            raise ConfigError(f"DeploymentConfig.num_ues {self.num_ues} must give "
+                              f"each of the {self.num_aps} APs a UE")
+        if not self.area_side > 0:
+            raise ConfigError(f"DeploymentConfig.area_side must be > 0, got {self.area_side}")
+        for name in ("min_ap_ap_dist", "min_ap_ue_dist"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"DeploymentConfig.{name} must be >= 0, "
+                                  f"got {getattr(self, name)}")
 
 
 @dataclass

@@ -2,7 +2,7 @@ import argparse
 import csv
 import json
 import re
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ import pytest
 from marlsched import dqn, harness
 from marlsched.baselines import BASELINES
 from marlsched.cli import build_parser, load_configs, main
-from marlsched.dqn import EpochRecord
+from marlsched.dqn import EpochRecord, TrainerConfig
 from marlsched.env import ConfigError, EnvConfig, NetworkEnv
 from marlsched.nn import Mlp, load_checkpoint, save_checkpoint
 
@@ -306,6 +306,41 @@ def test_load_configs_stores_integers_of_float_fields_as_floats(tmp_path):
     assert env_cfg == EnvConfig() and env_cfg.fingerprint() == EnvConfig().fingerprint()
     assert type(env_cfg.p_max_dbm) is float and type(env_cfg.path_loss.d_bp) is float
     assert trainer_cfg.gamma == 1.0 and type(trainer_cfg.gamma) is float
+
+
+def _float_fields(config, path):
+    """(JSON key path, Class.field) of every float field of config, nested ones too."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            yield from _float_fields(value, path + (f.name,))
+        elif type(value) is float:
+            yield path + (f.name,), f"{type(config).__name__}.{f.name}"
+
+
+FLOAT_FIELDS = [*_float_fields(EnvConfig(), ("env",)),
+                *_float_fields(TrainerConfig(), ("trainer",))]
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("path, name", FLOAT_FIELDS, ids=[name for _, name in FLOAT_FIELDS])
+def test_load_configs_refuses_non_finite_floats(tmp_path, path, name, value):
+    """json reads NaN and Infinity, which would run to NaN metrics or numpy errors."""
+    raw = section = {}
+    for key in path[:-1]:
+        section = section.setdefault(key, {})
+    section[path[-1]] = float(value)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    assert value in config.read_text()
+    with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+        load_configs(str(config))
+
+
+def test_non_finite_fields_cover_every_float_section():
+    assert len(FLOAT_FIELDS) == 24
+    assert {name.split(".")[0] for _, name in FLOAT_FIELDS} == {
+        "EnvConfig", "DeploymentConfig", "PathLossParams", "TrainerConfig"}
 
 
 @pytest.mark.parametrize("argv, flag, low", [

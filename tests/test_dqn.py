@@ -463,6 +463,26 @@ def test_trainer_config_rejects_values_that_hang_or_never_train(field, value):
         TrainerConfig(**{field: value}).validate()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("gamma", -0.1), ("gamma", 1.5), ("gamma", float("nan")),     # NaN: NonFiniteLoss
+    ("learning_rate", -5.0), ("learning_rate", 0.0),              # -5.0 trains to the end
+    ("learning_rate", float("nan")),
+    ("epsilon_start", 1.5), ("epsilon_start", float("nan")),
+    ("epsilon_end", -0.01), ("epsilon_end", float("nan")),
+    ("l2_coeff", -0.001), ("l2_coeff", float("nan")),
+])
+def test_trainer_config_rejects_hyperparameters_out_of_range(field, value):
+    with pytest.raises(ConfigError, match=field):
+        TrainerConfig(**{field: value}).validate()
+
+
+def test_trainer_config_accepts_the_edges_of_its_ranges():
+    for edges in ({"gamma": 0.0, "epsilon_start": 0.0, "epsilon_end": 0.0, "l2_coeff": 0.0},
+                  {"gamma": 1.0, "epsilon_start": 1.0, "epsilon_end": 1.0,
+                   "learning_rate": 1e-12}):
+        TrainerConfig(**edges).validate()
+
+
 def test_run_training_validates_its_config():
     cfg, tc, mapper, rnorm = _mini_setup()
     tc.num_envs = 0

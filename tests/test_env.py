@@ -72,6 +72,15 @@ def test_validate_rejects_bad_values():
     ("shadow_std_db", -1.0, ConfigError, "shadow_std_db"),      # else reset
     ("path_loss", PathLossParams(d_bp=0.0), ValueError, "break-point"),
     ("path_loss", PathLossParams(alpha1=5.0), ValueError, "alpha1"),
+    ("path_loss", PathLossParams(d_bp=float("nan")), ConfigError, "PathLossParams.d_bp"),
+    ("path_loss", PathLossParams(alpha2=float("nan")), ConfigError, "PathLossParams.alpha1"),
+    ("deployment", DeploymentConfig(num_aps=0), ConfigError, "DeploymentConfig.num_aps"),
+    ("deployment", DeploymentConfig(num_aps=4, num_ues=3), ConfigError,
+     "DeploymentConfig.num_ues"),
+    ("deployment", DeploymentConfig(area_side=float("nan")), ConfigError,
+     "DeploymentConfig.area_side"),
+    ("deployment", DeploymentConfig(min_ap_ue_dist=-1.0), ConfigError,
+     "DeploymentConfig.min_ap_ue_dist"),
 ])
 def test_validate_rejects_broken_physics(field, value, error, match):
     with pytest.raises(error, match=match):

@@ -1,3 +1,4 @@
+import json
 from dataclasses import asdict
 
 import numpy as np
@@ -201,6 +202,14 @@ def test_validation_set_rejects_malformed_seeds(seeds):
     d = {"env_config": asdict(tiny_config()), "seeds": seeds, "reference": {}}
     with pytest.raises(ConfigError, match="seeds"):
         ValidationSet.from_dict(d)
+
+
+def test_validation_set_refuses_a_non_finite_env_config(tmp_path):
+    path = tmp_path / "val.json"
+    env_config = {**asdict(tiny_config()), "p_max_dbm": float("nan")}
+    path.write_text(json.dumps({"env_config": env_config, "seeds": [1], "reference": {}}))
+    with pytest.raises(ConfigError, match="EnvConfig.p_max_dbm must be finite"):
+        ValidationSet.load(path)
 
 
 # ------------------------------------------------------------------- analyses

@@ -294,8 +294,10 @@ def _rewrite_checkpoint(path, edit_header=None, tail=b"", cut=0):
     ({"edit_header": lambda h: h.update(param_order=["w1", "b1"])}, None),
     ({"edit_header": lambda h: h.update(activation="linear")}, None),   # tanh only
     ({"edit_header": lambda h: h.pop("shapes")}, "shapes"),             # missing field
+    ({"edit_header": lambda h: h.update(param_order=h["param_order"][::-1])},
+     "parameters"),                                                     # would scramble
 ], ids=["trailing-bytes", "truncated", "in_dim", "out_dim", "param-order",
-        "activation", "no-shapes"])
+        "activation", "no-shapes", "param-order-reversed"])
 def test_checkpoint_rejects_malformed_files(tmp_path, edit, names):
     path = tmp_path / "net.ckpt"
     save_checkpoint(path, Mlp(4, 3, hidden=8, rng=np.random.default_rng(0)))
