@@ -26,10 +26,9 @@ class EpisodeFinished(RuntimeError):
 def read_config(cls, raw, where: str | None = None):
     """A cls from a JSON object, the one reader of every JSON object read back.
 
-    Each value has its field's annotated type (list[int] checks list), but an
-    int is stored as a float for a float field, a float must be finite, and a
-    dataclass field reads an object in the same way. A field without a default
-    is required. ConfigError names unknown or missing keys, or the Class.field.
+    A field without a default is required, and each value is read as its
+    field's annotated type by _read_value. ConfigError names unknown or
+    missing keys, or the Class.field.
     """
     where = where or cls.__name__
     if not isinstance(raw, dict):
@@ -41,19 +40,28 @@ def read_config(cls, raw, where: str | None = None):
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise ConfigError(f"{where} lacks {', '.join(missing)}")
-    values, hints = {}, typing.get_type_hints(cls)
-    for name, value in raw.items():
-        want = typing.get_origin(hints[name]) or hints[name]
-        if is_dataclass(want):
-            value = read_config(want, value, f"{cls.__name__}.{name}")
-        elif want is float and type(value) is int:
-            value = float(value)
-        elif type(value) is not want:
-            raise ConfigError(f"{cls.__name__}.{name} must be {want.__name__}, got {value!r}")
-        if want is float and not math.isfinite(value):
-            raise ConfigError(f"{cls.__name__}.{name} must be finite, got {value}")
-        values[name] = value
-    return cls(**values)
+    hints = typing.get_type_hints(cls)
+    return cls(**{name: _read_value(hints[name], value, f"{cls.__name__}.{name}")
+                  for name, value in raw.items()})
+
+
+def _read_value(hint, value, name: str):
+    """value as a hint: exactly that JSON type, but an int stands for a float, a
+    float must be finite, a dataclass reads an object through read_config, and
+    list[X] reads each item as an X."""
+    want = typing.get_origin(hint) or hint
+    if is_dataclass(want):
+        return read_config(want, value, name)
+    if want is float and type(value) is int:
+        value = float(value)
+    elif type(value) is not want:
+        raise ConfigError(f"{name} must be {want.__name__}, got {value!r}")
+    if want is float and not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
+    if want is list:
+        (item,) = typing.get_args(hint)
+        value = [_read_value(item, v, f"{name}[{i}]") for i, v in enumerate(value)]
+    return value
 
 
 @dataclass

@@ -138,7 +138,7 @@ class ValidationSet:
     @classmethod
     def from_dict(cls, d: dict) -> "ValidationSet":
         vset = read_config(cls, d)
-        if not (vset.seeds and all(type(s) is int and s >= 0 for s in vset.seeds)):
+        if not (vset.seeds and min(vset.seeds) >= 0):
             raise ConfigError("seeds must be a non-empty list of non-negative ints, "
                               f"got {vset.seeds!r}")
         return vset

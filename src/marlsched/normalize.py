@@ -149,9 +149,9 @@ def load_stats(path):
     """Read save_stats output back into (mapper, normalizer, config_fingerprint).
 
     Raises ConfigError naming the field when read_config refuses the file
-    (a field missing, wrongly typed or non-finite), when a threshold array
-    is empty, non-finite or descending, when the two arrays (and Q) disagree
-    in length, or when sigma_rew is not positive.
+    (a field missing or wrongly typed, a number non-finite, thresholds included),
+    when a threshold array is empty or descending, when the two arrays (and Q)
+    disagree in length, or when sigma_rew is not positive.
     """
     with open(path) as f:
         stats = read_config(StatsFile, json.load(f), f"norm stats {path}")
@@ -167,16 +167,11 @@ def load_stats(path):
             stats.config_fingerprint)
 
 
-def _stats_array(values: list, name):
-    """A non-empty, finite, ascending threshold array from a JSON list."""
-    try:
-        a = np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a list of numbers") from None
-    if a.ndim != 1 or a.size == 0:
+def _stats_array(values: list[float], name):
+    """A non-empty, ascending threshold array from a list read_config has checked."""
+    a = np.asarray(values)
+    if a.size == 0:
         raise ConfigError(f"{name} must be a non-empty list of numbers")
-    if not np.all(np.isfinite(a)):
-        raise ConfigError(f"{name} holds non-finite values")
     if np.any(np.diff(a) < 0):
         raise ConfigError(f"{name} must be ascending")
     return a

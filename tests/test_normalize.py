@@ -214,9 +214,11 @@ def _break(payload, key, value):
     ("sigma_rew", None, "sigma_rew"),
     ("sigma_rew", float("inf"), "sigma_rew"),
     ("config_fingerprint", None, "config_fingerprint"),
+    ("weight_thresholds", lambda a: [str(x) for x in a], r"weight_thresholds\[0\]"),
 ], ids=["weights-missing", "sinr-missing", "weights-empty", "sinr-nan", "weights-inf",
         "weights-descending", "sinr-descending", "lengths-differ", "q-differs",
-        "mu-missing", "mu-nan", "sigma-missing", "sigma-inf", "fingerprint-missing"])
+        "mu-missing", "mu-nan", "sigma-missing", "sigma-inf", "fingerprint-missing",
+        "weights-strings"])
 def test_load_stats_names_the_broken_field(tmp_path, key, value, field):
     mapper, rnorm = fit(_synthetic(np.random.default_rng(11), n=2000), 20)
     path = tmp_path / "norm.json"
