@@ -144,13 +144,12 @@ class TrainerConfig:
 
 def select_actions(net: Mlp, mapped_obs: np.ndarray, epsilon: float,
                    rng: np.random.Generator) -> np.ndarray:
-    """Per-agent epsilon-greedy over the Q-values (ties -> lowest action id)."""
-    mapped_obs = np.atleast_2d(mapped_obs)
-    q = net.forward(mapped_obs)
-    greedy = np.argmax(q, axis=1)
-    explore = rng.random(len(mapped_obs)) < epsilon
-    randoms = rng.integers(0, net.out_dim, size=len(mapped_obs))
-    return np.where(explore, randoms, greedy)
+    """Epsilon-greedy over the Q-values of each (..., obs_dim) row (ties -> lowest id)."""
+    rows = mapped_obs.reshape(-1, mapped_obs.shape[-1])
+    greedy = np.argmax(net.forward(rows), axis=1)
+    explore = rng.random(len(rows)) < epsilon
+    randoms = rng.integers(0, net.out_dim, size=len(rows))
+    return np.where(explore, randoms, greedy).reshape(mapped_obs.shape[:-1])
 
 
 def compute_double_dqn_targets(batch: Transitions, online: Mlp, target: Mlp,
@@ -206,18 +205,20 @@ class TrainingResult:
 
 
 class DqnPolicy:
-    """Rollout adapter: percentile-map raw observations, then act greedily."""
+    """Rollout adapter: percentile-map raw observations, then act epsilon-greedily."""
 
     kind = "actions"
 
-    def __init__(self, net: Mlp, mapper: PercentileMapper):
+    def __init__(self, net: Mlp, mapper: PercentileMapper, epsilon: float = 0.0,
+                 rng: np.random.Generator | None = None):
         self.net = net
         self.mapper = mapper
-        self.rng = np.random.default_rng(0)     # drawn from, never used at epsilon 0
+        self.epsilon = epsilon
+        self.rng = np.random.default_rng(0) if rng is None else rng   # drawn even at epsilon 0
 
-    def act(self, env: NetworkEnv, obs):
-        mapped = self.mapper.map_observation_vector(np.asarray(obs))
-        return select_actions(self.net, mapped, 0.0, self.rng)
+    def act(self, envs, obs):
+        return select_actions(self.net, self.mapper.map_observation_vector(obs),
+                              self.epsilon, self.rng)
 
 
 def _crossings(total: int, step: int, period: int) -> int:
@@ -252,34 +253,30 @@ def run_training(env_config: EnvConfig, trainer_config: TrainerConfig,
     episodes_done = 0
     intervals = 0
     losses: list[float] = []
+    mapped = None       # the last push's next_obs, pushed as the next obs: the same object
+
+    def learn(obs, actions, rewards, next_obs, t):
+        nonlocal intervals, mapped
+        if t == 1:
+            mapped = mapper.map_observation_vector(obs)
+        done = next_obs is None
+        mapped_next = np.zeros_like(mapped) if done else mapper.map_observation_vector(next_obs)
+        buffer.push(mapped, actions, reward_norm.normalize(rewards), mapped_next, done)
+        mapped = mapped_next
+        intervals += len(envs)
+        for _ in range(_crossings(intervals, len(envs), tcfg.train_period_intervals)):
+            if len(buffer) >= tcfg.batch_timesteps:
+                loss = train_step(buffer, net, target, adam, tcfg, sample_rng)
+                if not np.isfinite(loss):
+                    raise NonFiniteLoss(f"train step {adam.step} (epoch "
+                                        f"{len(epoch_log) + 1}) gave loss {loss}")
+                losses.append(loss)
+        if _crossings(intervals, len(envs), tcfg.target_sync_intervals):
+            target.load_params(net.params)
 
     while episodes_done < tcfg.episodes:
-        eps = tcfg.epsilon(episodes_done)
-        obs = mapper.map_observation_vector(np.stack(
-            [env.reset(s) for env, s in zip(envs, harness.fresh_seeds(master, len(envs)))]))
-        done = False
-        while not done:
-            # (B, N, ·) arrays: one row per environment, all agents together
-            actions = select_actions(net, obs.reshape(-1, cfg.obs_dim), eps,
-                                     act_rng).reshape(len(envs), -1)
-            raw, rewards, dones, _ = zip(*(env.step(a) for env, a in zip(envs, actions)))
-            done = dones[-1]    # equal episode lengths: every env ends together
-            next_obs = (np.zeros_like(obs) if done
-                        else mapper.map_observation_vector(np.stack(raw)))
-            buffer.push(obs, actions, reward_norm.normalize(np.stack(rewards)),
-                        next_obs, done)
-            obs = next_obs
-            intervals += tcfg.num_envs
-            for _ in range(_crossings(intervals, tcfg.num_envs,
-                                      tcfg.train_period_intervals)):
-                if len(buffer) >= tcfg.batch_timesteps:
-                    loss = train_step(buffer, net, target, adam, tcfg, sample_rng)
-                    if not np.isfinite(loss):
-                        raise NonFiniteLoss(f"train step {adam.step} (epoch "
-                                            f"{len(epoch_log) + 1}) gave loss {loss}")
-                    losses.append(loss)
-            if _crossings(intervals, tcfg.num_envs, tcfg.target_sync_intervals):
-                target.load_params(net.params)
+        policy = DqnPolicy(net, mapper, tcfg.epsilon(episodes_done), act_rng)
+        harness.run_episode(envs, harness.fresh_seeds(master, len(envs)), policy, learn)
         episodes_done += tcfg.num_envs
 
         if (_crossings(episodes_done, tcfg.num_envs, tcfg.epoch_episodes)

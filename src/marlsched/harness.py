@@ -65,8 +65,8 @@ class BaselinePolicy:
         self.name = name
         self._decide = bl.get_baseline(name)
 
-    def act(self, env: NetworkEnv, obs):
-        return self._decide(env)
+    def act(self, envs, obs):
+        return [self._decide(env) for env in envs]
 
 
 class RandomPolicy:
@@ -77,41 +77,43 @@ class RandomPolicy:
     def __init__(self, seed: int = 0):
         self.rng = np.random.default_rng(seed)
 
-    def act(self, env: NetworkEnv, obs):
-        return self.rng.integers(0, env.config.num_actions,
-                                 size=env.deployment.num_aps)
+    def act(self, envs, obs):
+        return self.rng.integers(0, envs[0].config.num_actions,
+                                 size=(len(envs), envs[0].deployment.num_aps))
 
 
-def run_episode(env: NetworkEnv, seed: int, policy, on_step=None):
-    """Roll one full episode; returns the per-UE time-average rates.
+def run_episode(envs: list[NetworkEnv], seeds, policy, on_step=None) -> np.ndarray:
+    """Reset each env from its seed, step all in lockstep to the (common) end and
+    return the (B, K) per-UE time-average rates. This is the one stepping loop.
 
-    This is the one per-episode stepping loop. on_step(obs, actions, rewards,
-    info), if given, is called once per interval with the observations the
-    policy acted on, its actions (None for a decision policy), the rewards
-    and the step's info (info["t"] is the interval). Decision policies skip
-    observation building for speed unless on_step is given.
-    """
+    policy.act(envs, obs) gets the (B, N, obs_dim) observations and returns
+    (B, N) actions, or for kind "decisions" one decision list per env, which
+    then skip building observations unless on_step is given. on_step(obs,
+    actions, rewards, next_obs, t) sees each interval t = 1..T with the (B, N)
+    rewards; next_obs is None after the last one."""
     build_obs = on_step is not None
-    obs = env.reset(seed)
+    obs = np.stack([env.reset(int(s)) for env, s in zip(envs, seeds)])
     done = False
     while not done:
+        actions = policy.act(envs, obs)
         if policy.kind == "actions":
-            actions = np.asarray(policy.act(env, obs))
-            next_obs, rewards, done, info = env.step(actions)
+            steps = [env.step(a) for env, a in zip(envs, actions)]
         else:
-            actions = None
-            next_obs, rewards, done, info = env.step_decisions(
-                policy.act(env, obs), build_obs=build_obs)
+            steps = [env.step_decisions(d, build_obs=build_obs) for env, d in zip(envs, actions)]
+        raw, rewards, dones, infos = zip(*steps)
+        done = dones[-1]
+        next_obs = None if done or raw[0] is None else np.stack(raw)
         if on_step is not None:
-            on_step(obs, actions, rewards, info)
+            on_step(obs, actions, np.stack(rewards), next_obs, infos[0]["t"])
         obs = next_obs
-    return env.average_rates()
+    return np.stack([env.average_rates() for env in envs])
 
 
 def evaluate_policy(env_config: EnvConfig, policy, seeds) -> dict:
-    """Aggregate metrics of a policy over a set of environment realizations."""
-    env = NetworkEnv(env_config)
-    per_env = [EpisodeMetrics.from_rates(run_episode(env, int(s), policy),
+    """Aggregate metrics of a policy over environment realizations, one run per seed:
+    a forward over B·N rows need not give the bits of B forwards over N."""
+    envs = [NetworkEnv(env_config)]
+    per_env = [EpisodeMetrics.from_rates(run_episode(envs, [s], policy)[0],
                                          env_config.bandwidth_hz)
                for s in seeds]
     sums = np.array([m.sum_rate_mbps for m in per_env])
@@ -222,24 +224,24 @@ def export_decision_log(env_config: EnvConfig, policy, seeds, path) -> int:
             + [f"pf_local_{s + 1}" for s in range(k)]
             + [f"pf_remote_{r + 1}" for r in range(n)]
             + ["action"])
-    env = NetworkEnv(cfg)
+    envs = [NetworkEnv(cfg)]
     rows = 0
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(cols)
 
-        def write_rows(obs, actions, rewards, info):
+        def write_rows(obs, actions, rewards, next_obs, t):
             nonlocal rows
-            w, sinr_db = obs[:, 0::2], obs[:, 1::2]
+            w, sinr_db = obs[0, :, 0::2], obs[0, :, 1::2]     # (1, N, ·): one env per seed
             pf = linklevel.pf_ratio(w, 10.0 ** (sinr_db / 10.0))
             values = np.column_stack((w[:, 0], sinr_db[:, 0], pf[:, :k], pf[:, k::k]))
             for i, (row, a) in enumerate(zip(values.tolist(),
-                                             actions.astype(int, copy=False).tolist())):
-                writer.writerow([info["t"], i] + row + [a])
-            rows += len(obs)
+                                             actions[0].astype(int, copy=False).tolist())):
+                writer.writerow([t, i] + row + [a])
+            rows += len(values)
 
         for s in seeds:
-            run_episode(env, int(s), policy, write_rows)
+            run_episode(envs, [s], policy, write_rows)
     return rows
 
 

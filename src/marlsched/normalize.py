@@ -90,17 +90,17 @@ def collect_offline_dataset(env_config: EnvConfig, baseline_names: list[str],
     policies = [BaselinePolicy(b) for b in baseline_names]
     weights, sinrs, rewards = [], [], []
 
-    def record(obs, actions, rew, info):
+    def record(obs, actions, rew, next_obs, t):
         w, s = obs[..., 0::2], obs[..., 1::2]
         keep = ~((w == env_config.default_weight) & (s == env_config.default_sinr_db))
         weights.append(w[keep])
         sinrs.append(s[keep])
-        rewards.append(rew)
+        rewards.append(rew.ravel())
 
-    env = NetworkEnv(env_config)
+    envs = [NetworkEnv(env_config)]
     for seed, policy in zip(fresh_seeds(rng, num_episodes * len(policies)),
                             policies * num_episodes):
-        run_episode(env, seed, policy, record)
+        run_episode(envs, [seed], policy, record)
     return OfflineDataset(weights=np.concatenate(weights),
                           sinr_db=np.concatenate(sinrs),
                           rewards=np.concatenate(rewards))

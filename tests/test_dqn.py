@@ -9,7 +9,8 @@ from marlsched.dqn import (
     BufferUnderfilled, DqnPolicy, NonFiniteLoss, ReplayBuffer, TrainerConfig,
     compute_double_dqn_targets, run_training, select_actions, train_step,
 )
-from marlsched.env import ConfigError, EnvConfig, read_config
+from marlsched.env import ConfigError, EnvConfig, NetworkEnv, read_config
+from marlsched.harness import run_episode
 from marlsched.nn import PARAM_NAMES, AdamState, Mlp
 from marlsched.normalize import PercentileMapper, RewardNormalizer
 from marlsched.topology import DeploymentConfig
@@ -431,16 +432,21 @@ def test_run_training_seed_changes_outcome():
 def test_dqn_policy_rolls_out():
     cfg, tc, mapper, rnorm = _mini_setup()
     net = Mlp(cfg.obs_dim, cfg.num_actions, 8, rng=np.random.default_rng(40))
-    policy = DqnPolicy(net, mapper)
-    from marlsched.env import NetworkEnv
-    env = NetworkEnv(cfg)
-    obs = env.reset(seed=0)
-    while not env.done:
-        actions = policy.act(env, obs)
-        assert actions.shape == (2,)
-        assert np.all((actions >= 0) & (actions < cfg.num_actions))
-        obs, _, done, _ = env.step(actions)
-    assert env.done
+    envs = [NetworkEnv(cfg) for _ in range(2)]
+    calls = []
+    run_episode(envs, [0, 1], DqnPolicy(net, mapper), lambda *args: calls.append(args))
+    assert len(calls) == cfg.episode_length and all(env.done for env in envs)
+    for obs, actions, *_ in calls:
+        greedy = np.argmax(net.forward(mapper.map_observation_vector(obs).reshape(
+            -1, cfg.obs_dim)), axis=1)
+        assert actions.shape == (2, 2)
+        assert np.array_equal(actions.ravel(), greedy)
+    # at epsilon 1 every action is the rng's draw
+    explore = DqnPolicy(net, mapper, 1.0, np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    rng.random(4)
+    assert np.array_equal(explore.act(envs, calls[0][0]).ravel(),
+                          rng.integers(0, cfg.num_actions, size=4))
 
 
 def test_trainer_config_roundtrip():

@@ -85,11 +85,11 @@ def rollout_digests(config: EnvConfig, policy_name: str, seed: int) -> dict:
     done = False
     while not done:
         if policy.kind == "actions":
-            obs, r, done, _ = env.step(np.asarray(policy.act(env, obs)))
+            obs, r, done, _ = env.step(policy.act([env], obs[None])[0])
             if obs is not None:
                 observations.append(obs)
         else:
-            _, r, done, _ = env.step_decisions(policy.act(env, obs), build_obs=False)
+            _, r, done, _ = env.step_decisions(policy.act([env], None)[0], build_obs=False)
         rewards.append(r)
     out = {"rewards": _digest(rewards), "average_rates": _digest([env.average_rates()])}
     if policy.kind == "actions":

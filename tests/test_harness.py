@@ -4,7 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from marlsched.env import ConfigError, EnvConfig
+from marlsched.env import ConfigError, EnvConfig, NetworkEnv
 from marlsched.harness import (
     BaselinePolicy, EpisodeMetrics, InsufficientCandidates, RandomPolicy,
     ValidationSet, build_validation_set, dominates,
@@ -73,36 +73,51 @@ def test_dominates_cases():
 # --------------------------------------------------------------------- rollout
 
 def test_run_episode_returns_average_rates():
-    from marlsched.env import NetworkEnv
     cfg = tiny_config()
-    env = NetworkEnv(cfg)
-    rates = run_episode(env, 3, BaselinePolicy("full_reuse"))
-    assert rates.shape == (6,)
+    envs = [NetworkEnv(cfg)]
+    rates = run_episode(envs, [3], BaselinePolicy("full_reuse"))
+    assert rates.shape == (1, 6)
     assert np.all(rates >= 0) and rates.sum() > 0
-    assert env.done
+    assert envs[0].done
 
 
 def test_run_episode_on_step():
-    from marlsched.env import NetworkEnv
     cfg = tiny_config(episode_length=10)
-    env = NetworkEnv(cfg)
+    envs = [NetworkEnv(cfg)]
     for policy in (RandomPolicy(seed=1), BaselinePolicy("itlinq")):
         calls = []
-        rates = run_episode(env, 4, policy, lambda *args: calls.append(args))
-        assert [info["t"] for _, _, _, info in calls] == list(range(1, 11))
-        for obs, actions, rewards, info in calls:
-            assert obs.shape == (2, cfg.obs_dim)
-            assert rewards.shape == (2,)
+        rates = run_episode(envs, [4], policy, lambda *args: calls.append(args))
+        assert [t for *_, t in calls] == list(range(1, 11))
+        for (obs, actions, rewards, next_obs, t), later in zip(calls, calls[1:] + [None]):
+            assert obs.shape == (1, 2, cfg.obs_dim)
+            assert rewards.shape == (1, 2)
             if policy.kind == "actions":
-                assert actions.shape == (2,)
+                assert actions.shape == (1, 2)
                 assert np.all((0 <= actions) & (actions < cfg.num_actions))
             else:
-                assert actions is None
-            # served UEs get a rate >= 0; silent APs give nobody a rate
-            served = [dec.ue for dec in info["decisions"] if not dec.off]
-            assert np.all(info["rates"][served] >= 0)
-            assert np.all(np.delete(info["rates"], served) == 0.0)
-        assert np.array_equal(rates, env.average_rates())
+                assert [len(decisions) for decisions in actions] == [2]
+            # each interval starts from the object its predecessor handed on
+            assert next_obs is None if later is None else next_obs is later[0]
+        assert np.array_equal(rates, [envs[0].average_rates()])
+
+
+@pytest.mark.parametrize("name", ["full_reuse", "tdm", "itlinq"])
+def test_lockstep_episode_matches_single_environment_runs(name):
+    cfg, seeds = tiny_config(episode_length=25), [11, 12, 13]
+    policy = BaselinePolicy(name)
+
+    def run(envs, env_seeds):
+        calls = []
+        rates = run_episode(envs, env_seeds, policy, lambda *args: calls.append(args))
+        assert [t for *_, t in calls] == list(range(1, 26))
+        assert [next_obs is None for _, _, _, next_obs, _ in calls] == [False] * 24 + [True]
+        return rates, np.stack([rewards for _, _, rewards, _, _ in calls], axis=1)
+
+    rates, rewards = run([NetworkEnv(cfg) for _ in seeds], seeds)
+    single = [run([NetworkEnv(cfg)], [s]) for s in seeds]
+    assert rates.shape == (3, 6) and rewards.shape == (3, 25, 2)
+    assert np.array_equal(rates, np.concatenate([r for r, _ in single]))
+    assert np.array_equal(rewards, np.concatenate([w for _, w in single]))
 
 
 def test_evaluate_policy_aggregation():
@@ -127,8 +142,7 @@ def test_evaluate_policy_deterministic():
 def test_tdm_service_share():
     # every UE is served once per K intervals, so all average rates are positive
     cfg = tiny_config(episode_length=60)
-    from marlsched.env import NetworkEnv
-    rates = run_episode(NetworkEnv(cfg), 7, BaselinePolicy("tdm"))
+    rates = run_episode([NetworkEnv(cfg)], [7], BaselinePolicy("tdm"))
     assert np.all(rates > 0)
 
 
