@@ -15,9 +15,9 @@ import numpy as np
 from . import dqn, harness, normalize
 from .baselines import BASELINES
 from .dqn import DqnPolicy, TrainerConfig
-from .env import EnvConfig, read_config
+from .env import ConfigError, EnvConfig, read_config
 from .harness import BaselinePolicy, ValidationSet
-from .nn import load_checkpoint
+from .nn import ShapeMismatch, load_checkpoint
 
 DEFAULT_Q_LEVELS = 20
 
@@ -251,7 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    args.func(args, *load_configs(args.config))
+    try:
+        args.func(args, *load_configs(args.config))
+    except (ConfigError, ShapeMismatch, OSError, json.JSONDecodeError) as e:
+        _usage_error(str(e))
     return 0
 
 

@@ -185,10 +185,10 @@ def save_checkpoint(path, net: Mlp, step: int = 0, extra: dict | None = None) ->
 def load_checkpoint(path):
     """Read a save_checkpoint file back into (net, header).
 
-    Raises ShapeMismatch when the header lacks a field, names an activation
-    other than tanh or a param_order other than PARAM_NAMES (the order the
-    bytes are read in), has shapes that disagree with its in_dim/hidden/out_dim,
-    or when the parameter bytes disagree with those shapes.
+    Raises ShapeMismatch when the header lacks a field, has widths that are
+    not positive ints, names an activation other than tanh or a param_order
+    other than PARAM_NAMES (the order the bytes are read in), or shapes other
+    than its widths need, or when the parameter bytes disagree with them.
     """
     with open(path, "rb") as f:
         header = json.loads(f.readline().decode("utf-8"))
@@ -197,24 +197,22 @@ def load_checkpoint(path):
                            "shapes") if k not in header]
     if missing:
         raise ShapeMismatch(f"checkpoint header lacks {', '.join(missing)}")
+    for k in ("in_dim", "out_dim", "hidden"):
+        if type(header[k]) is not int or header[k] < 1:
+            raise ShapeMismatch(f"{k} must be a positive int, got {header[k]!r}")
     if header["activation"] != "tanh":
         raise ShapeMismatch(f"activation {header['activation']!r} is not 'tanh'")
     net = Mlp(header["in_dim"], header["out_dim"], header["hidden"])
     if header["param_order"] != list(PARAM_NAMES):
         raise ShapeMismatch(f"parameters {header['param_order']} are not {list(PARAM_NAMES)}")
-    for k in PARAM_NAMES:
-        shape = header["shapes"].get(k)
-        if shape is None or tuple(shape) != net.params[k].shape:
-            raise ShapeMismatch(f"{k} has shape {shape}; the header's "
-                                f"widths need {list(net.params[k].shape)}")
+    shapes = {k: list(net.params[k].shape) for k in PARAM_NAMES}
+    if header["shapes"] != shapes:
+        raise ShapeMismatch(f"shapes {header['shapes']}; the header's widths need {shapes}")
     if len(blob) != 8 * net.num_params():
         raise ShapeMismatch(f"{len(blob)} parameter bytes; the header's shapes "
                             f"need {8 * net.num_params()}")
-    offset = 0
-    for k in PARAM_NAMES:
-        shape = net.params[k].shape
-        n = int(np.prod(shape))
-        net.params[k] = np.frombuffer(
-            blob, dtype="<f8", count=n, offset=offset).reshape(shape).copy()
-        offset += n * 8
+    flat = np.frombuffer(blob, dtype="<f8")
+    ends = np.cumsum([net.params[k].size for k in PARAM_NAMES])
+    for k, part in zip(PARAM_NAMES, np.split(flat, ends[:-1])):
+        net.params[k] = part.reshape(net.params[k].shape).copy()
     return net, header

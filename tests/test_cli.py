@@ -12,7 +12,7 @@ from marlsched.baselines import BASELINES
 from marlsched.cli import build_parser, load_configs, main
 from marlsched.dqn import EpochRecord, TrainerConfig
 from marlsched.env import ConfigError, EnvConfig, NetworkEnv
-from marlsched.nn import Mlp, load_checkpoint, save_checkpoint
+from marlsched.nn import Mlp, ShapeMismatch, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -443,3 +443,68 @@ def test_evaluate_env_set_warns_when_it_overrides_the_config(
                         r"N2-K6-k3-n3-p1-T20-[0-9a-f]{8}", captured.err)
     assert bool(warning) == warns, captured.err
     assert warns or "warning" not in captured.err
+
+
+# text that parses as JSON (or a checkpoint header) but that the flag's reader refuses
+REFUSED = {
+    "--config": ('{"env": {"p_max_dbm": NaN}}', "ConfigError",
+                 "EnvConfig.p_max_dbm must be finite, got nan"),
+    "--norm-stats": ('{"Q": 2}', "ConfigError", "lacks weight_thresholds"),
+    "--val-set": ('{"seeds": [1]}', "ConfigError", "lacks env_config, reference"),
+    "--env-set": ('{"seeds": [1]}', "ConfigError", "lacks env_config, reference"),
+    "--checkpoint": ('{"in_dim": 24, "out_dim": 4, "hidden": 8.0, "activation": "tanh", '
+                     '"param_order": [], "shapes": {}}\n', "ShapeMismatch",
+                     "hidden must be a positive int, got 8.0"),
+}
+
+
+@pytest.fixture(scope="module")
+def checkpoint_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "net.ckpt"
+    save_checkpoint(path, Mlp(24, 4, 8, rng=np.random.default_rng(0)))
+    return str(path)
+
+
+@pytest.mark.parametrize("error", ["OSError", "JSONDecodeError", "refused"])
+@pytest.mark.parametrize("flag", REFUSED)
+def test_file_errors_exit_2_in_one_line(flag, error, tiny_cfg_path, norm_stats_path,
+                                        val_set_path, checkpoint_path, tmp_path, capsys,
+                                        monkeypatch):
+    """A missing file, a file that is not JSON and a file its reader refuses
+    each give one "marlsched: error:" line and exit 2, for every file flag."""
+    text, refused_as, message = REFUSED[flag]
+    bad = tmp_path / "bad"
+    if error == "JSONDecodeError":
+        bad.write_text("{\n")
+        message = "Expecting property name"
+    elif error == "refused":
+        bad.write_text(text)
+        error = refused_as
+    else:
+        message = f"No such file or directory: '{bad}'"
+    files = {"--config": tiny_cfg_path, "--norm-stats": norm_stats_path,
+             "--val-set": val_set_path, "--env-set": val_set_path,
+             "--checkpoint": checkpoint_path, flag: str(bad)}
+    stats = ["--norm-stats", files["--norm-stats"]]
+    command = {"--config": ["baseline", "--kind", "tdm", "--num-envs", "1"],
+               "--norm-stats": ["train", *stats, "--out", str(tmp_path / "run")],
+               "--val-set": ["train", *stats, "--val-set", files["--val-set"],
+                             "--out", str(tmp_path / "run")],
+               "--env-set": ["evaluate", *stats, "--env-set", files["--env-set"],
+                             "--checkpoint", files["--checkpoint"]],
+               "--checkpoint": ["evaluate", *stats, "--num-envs", "1",
+                                "--checkpoint", files["--checkpoint"]]}[flag]
+    readers = {"OSError": OSError, "JSONDecodeError": json.JSONDecodeError,
+               "ConfigError": ConfigError, "ShapeMismatch": ShapeMismatch}
+
+    def no_rollout(*args, **kwargs):
+        raise AssertionError("rolled out past a bad file")
+
+    monkeypatch.setattr(NetworkEnv, "reset", no_rollout)
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--config", files["--config"]])
+    assert exc.value.code == 2
+    assert isinstance(exc.value.__context__, readers[error])
+    err = capsys.readouterr().err
+    assert err.startswith("marlsched: error: ") and err.count("\n") == 1, err
+    assert message in err, err

@@ -296,8 +296,14 @@ def _rewrite_checkpoint(path, edit_header=None, tail=b"", cut=0):
     ({"edit_header": lambda h: h.pop("shapes")}, "shapes"),             # missing field
     ({"edit_header": lambda h: h.update(param_order=h["param_order"][::-1])},
      "parameters"),                                                     # would scramble
+    ({"edit_header": lambda h: h.update(hidden=8.0)}, "hidden"),
+    ({"edit_header": lambda h: h.update(in_dim=-1)}, "in_dim"),
+    ({"edit_header": lambda h: h.update(in_dim="4")}, "in_dim"),
+    ({"edit_header": lambda h: h.update(hidden=True)}, "hidden"),
+    ({"edit_header": lambda h: h.update(shapes=[])}, "shapes"),
 ], ids=["trailing-bytes", "truncated", "in_dim", "out_dim", "param-order",
-        "activation", "no-shapes", "param-order-reversed"])
+        "activation", "no-shapes", "param-order-reversed", "float-hidden",
+        "negative-in_dim", "string-in_dim", "bool-hidden", "shapes-list"])
 def test_checkpoint_rejects_malformed_files(tmp_path, edit, names):
     path = tmp_path / "net.ckpt"
     save_checkpoint(path, Mlp(4, 3, hidden=8, rng=np.random.default_rng(0)))
