@@ -92,7 +92,7 @@ def run_episode(envs: list[NetworkEnv], seeds, policy, on_step=None) -> np.ndarr
     actions, rewards, next_obs, t) sees each interval t = 1..T with the (B, N)
     rewards; next_obs is None after the last one."""
     build_obs = on_step is not None
-    obs = np.stack([env.reset(int(s)) for env, s in zip(envs, seeds)])
+    obs = np.array([env.reset(int(s)) for env, s in zip(envs, seeds)])
     done = False
     while not done:
         actions = policy.act(envs, obs)
@@ -102,11 +102,11 @@ def run_episode(envs: list[NetworkEnv], seeds, policy, on_step=None) -> np.ndarr
             steps = [env.step_decisions(d, build_obs=build_obs) for env, d in zip(envs, actions)]
         raw, rewards, dones, infos = zip(*steps)
         done = dones[-1]
-        next_obs = None if done or raw[0] is None else np.stack(raw)
+        next_obs = None if done or raw[0] is None else np.array(raw)
         if on_step is not None:
-            on_step(obs, actions, np.stack(rewards), next_obs, infos[0]["t"])
+            on_step(obs, actions, np.array(rewards), next_obs, infos[0]["t"])
         obs = next_obs
-    return np.stack([env.average_rates() for env in envs])
+    return np.array([env.average_rates() for env in envs])
 
 
 def evaluate_policy(env_config: EnvConfig, policy, seeds) -> dict:
