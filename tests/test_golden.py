@@ -11,8 +11,10 @@ every epoch's checkpoint plus the epoch log. At N=4 and N=10 APs (K=100) it
 holds the interference profile's mean SINR per interferer count, written
 exactly with float.hex. At N=10 APs and K=100 UEs, where the fading sums run
 on two threads, it holds the rewards and average rates of full reuse and the
-random policy (2 seeds, 200 intervals). A refactor that is meant to keep
-outputs unchanged must keep every digest.
+random policy (2 seeds, 200 intervals). For each baseline at both configs
+it holds evaluate_policy's per-seed sum_rate_mbps, pct5_mbps and score,
+written exactly with float.hex. A refactor that is meant to keep outputs
+unchanged must keep every digest.
 
 Regenerate the file only after a change that is meant to alter outputs:
 
@@ -37,7 +39,8 @@ import numpy as np
 from marlsched.dqn import TrainerConfig, run_training
 from marlsched.env import EnvConfig, NetworkEnv
 from marlsched.harness import (
-    BaselinePolicy, RandomPolicy, export_decision_log, interference_profile,
+    BaselinePolicy, RandomPolicy, evaluate_policy, export_decision_log,
+    interference_profile,
 )
 from marlsched.nn import PARAM_NAMES
 from marlsched.normalize import collect_offline_dataset, fit
@@ -97,6 +100,13 @@ def rollout_digests(config: EnvConfig, policy_name: str, seed: int) -> dict:
     return out
 
 
+def evaluation_digests(config: EnvConfig, policy_name: str) -> dict:
+    """Exact per-seed metrics of a baseline's evaluate_policy run."""
+    result = evaluate_policy(config, BaselinePolicy(policy_name), SEEDS)
+    return {str(seed): {k: v.hex() for k, v in dataclasses.asdict(m).items()}
+            for seed, m in zip(SEEDS, result["per_env"])}
+
+
 def offline_dataset_digests(config: EnvConfig) -> dict:
     """Digests of the raw normalization data collected under the baselines."""
     ds = collect_offline_dataset(config, list(POLICIES[:3]), 2, np.random.default_rng(0))
@@ -145,6 +155,8 @@ def compute_all() -> dict:
         out[f"{cfg_name}/offline_dataset"] = offline_dataset_digests(cfg)
         out[f"{cfg_name}/decision_log"] = decision_log_digests(cfg)
         out[f"{cfg_name}/training"] = training_digests(cfg)
+        for policy in POLICIES[:3]:
+            out[f"{cfg_name}/{policy}/evaluate"] = evaluation_digests(cfg, policy)
     for num_aps in (4, 10):
         out[f"N{num_aps}-K100/interference_profile"] = interference_digests(num_aps)
     for policy in ("full_reuse", "random"):
