@@ -209,9 +209,12 @@ class NetworkEnv:
 
     # ------------------------------------------------------------------ reset
 
-    def reset(self, seed: int) -> np.ndarray:
-        """Start a new episode: fresh deployment, gains, fading and stats."""
+    def reset(self, seed: int, feedback: bool = True) -> np.ndarray | None:
+        """Start a new episode: fresh deployment, gains, fading and stats.
+        feedback=False, which run_episode decides, makes it rates-only: no reports,
+        observations (None here) or rewards, and report readers raise."""
         cfg = self.config
+        self.feedback = feedback
         rng = np.random.default_rng(seed)
         dep, self._power, self.association = draw_layout(cfg, rng)
         self.deployment = dep
@@ -232,7 +235,7 @@ class NetworkEnv:
         self._done = False
         self.t = 1
         self._refresh_interval_state()
-        return self._build_observations()
+        return self._build_observations() if feedback else None
 
     def _index_layout(self):
         """Per-episode constants of the interval path.
@@ -267,7 +270,7 @@ class NetworkEnv:
         cfg = self.config
         h = self.fading.sample_all(self.t)
         self.g2 = self._power * np.abs(h) ** 2
-        if self.t % cfg.feedback_period == 0:
+        if self.feedback and self.t % cfg.feedback_period == 0:
             report = self._snapshot(self.t, self.stats.weight,
                                     10.0 * np.log10(self._serving_sinr()))
             self._reports[self.t // cfg.feedback_period % len(self._reports)] = report
@@ -296,6 +299,8 @@ class NetworkEnv:
         return FeedbackSnapshot(t_measured, pf, slots, table)
 
     def _latest_visible(self, extra_delay: int) -> FeedbackSnapshot:
+        if not self.feedback:
+            raise RuntimeError("rates-only episode (reset with feedback=False): no reports")
         cfg = self.config
         r = (self.t - cfg.feedback_delay - extra_delay) // cfg.feedback_period
         return self._reports[r % len(self._reports)] if r > 0 else self._defaults
@@ -412,8 +417,9 @@ class NetworkEnv:
                      for j, p in zip(ue.tolist(), power.tolist())]
         return self.step_decisions(decisions, invalid)
 
-    def step_decisions(self, decisions, invalid=None, build_obs: bool = True):
-        """Advance one interval with explicit decisions, one per AP (baseline fast path)."""
+    def step_decisions(self, decisions, invalid=None):
+        """Advance one interval with explicit decisions, one per AP (baseline fast path);
+        obs and rewards are None in a rates-only episode (see reset)."""
         if self._done:
             raise EpisodeFinished("episode is over; call reset()")
         cfg = self.config
@@ -428,7 +434,7 @@ class NetworkEnv:
                              f"got {len(invalid)}")
         rates, interference = linklevel.compute_rates(
             decisions, self.g2, cfg.noise_w, self.association)
-        rewards = self.compute_reward(decisions, rates, invalid)
+        rewards = self.compute_reward(decisions, rates, invalid) if self.feedback else None
         self.rate_sum += rates
         linklevel.update_link_stats(self.stats, rates, interference,
                                     cfg.alpha_rate, cfg.alpha_interference)
@@ -436,11 +442,9 @@ class NetworkEnv:
                 "decisions": decisions, "t": self.t}
         self.t += 1
         self._done = self.t > cfg.episode_length
-        obs = None
         if not self._done:
             self._refresh_interval_state()
-            if build_obs:
-                obs = self._build_observations()
+        obs = self._build_observations() if self.feedback and not self._done else None
         return obs, rewards, self._done, info
 
     @property

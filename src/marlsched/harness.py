@@ -87,22 +87,21 @@ def run_episode(envs: list[NetworkEnv], seeds, policy, on_step=None) -> np.ndarr
     return the (B, K) per-UE time-average rates. This is the one stepping loop.
 
     policy.act(envs, obs) gets the (B, N, obs_dim) observations and returns
-    (B, N) actions, or for kind "decisions" one decision list per env, which
-    then skip building observations unless on_step is given. on_step(obs,
+    (B, N) actions, or for kind "decisions" one decision list per env. on_step(obs,
     actions, rewards, next_obs, t) sees each interval t = 1..T with the (B, N)
-    rewards; next_obs is None after the last one."""
-    build_obs = on_step is not None
-    obs = np.array([env.reset(int(s)) for env, s in zip(envs, seeds)])
+    rewards; next_obs is None after the last one. This loop decides feedback:
+    without on_step, a decisions policy's episodes are rates-only (obs None)."""
+    feedback = policy.kind == "actions" or on_step is not None
+    obs = [env.reset(int(s), feedback) for env, s in zip(envs, seeds)]
+    obs = np.array(obs) if feedback else None
     done = False
     while not done:
         actions = policy.act(envs, obs)
-        if policy.kind == "actions":
-            steps = [env.step(a) for env, a in zip(envs, actions)]
-        else:
-            steps = [env.step_decisions(d, build_obs=build_obs) for env, d in zip(envs, actions)]
+        steps = [env.step(a) if policy.kind == "actions" else env.step_decisions(a)
+                 for env, a in zip(envs, actions)]
         raw, rewards, dones, infos = zip(*steps)
         done = dones[-1]
-        next_obs = None if done or raw[0] is None else np.array(raw)
+        next_obs = None if done or not feedback else np.array(raw)
         if on_step is not None:
             on_step(obs, actions, np.array(rewards), next_obs, infos[0]["t"])
         obs = next_obs

@@ -39,7 +39,7 @@ def test_full_reuse_everyone_transmits_top_pf():
             assert not dec.off
             assert dec.power_w == pytest.approx(env.config.p_max_w)
             assert dec.ue == min(pool(env, i), key=lambda j: (-pf[j], j))
-        env.step_decisions(decs, build_obs=False)
+        env.step_decisions(decs)
 
 
 def test_full_reuse_tie_break_lowest_id():
@@ -67,7 +67,7 @@ def test_tdm_single_transmitter_round_robin():
         # the transmitting AP must be the served UE's own AP
         i_on = next(i for i, d in enumerate(decs) if not d.off)
         assert env.association[on[0].ue] == i_on
-        env.step_decisions(decs, build_obs=False)
+        env.step_decisions(decs)
     # the schedule cycles through all K UEs with period K
     k = env.deployment.num_ues
     assert served[:k] == [(t % k) for t in range(1, k + 1)]
@@ -174,7 +174,7 @@ def test_itlinq_decide_consistent_with_active_set():
                 assert dec.power_w == pytest.approx(env.config.p_max_w)
             else:
                 assert dec.off
-        env.step_decisions(decs, build_obs=False)
+        env.step_decisions(decs)
 
 
 def test_itlinq_never_empty():
@@ -182,4 +182,4 @@ def test_itlinq_never_empty():
     for _ in range(40):
         decs = itlinq_decide(env)
         assert any(not d.off for d in decs)
-        env.step_decisions(decs, build_obs=False)
+        env.step_decisions(decs)

@@ -266,6 +266,24 @@ def test_wrong_length_actions_and_decisions_raise():
         env.step_decisions([ScheduleDecision.silent()] * 2, [False])
     assert env.t == 1                           # nothing was stepped
 
+def test_rates_only_episode_makes_no_feedback():
+    """reset(feedback=False) returns None, steps give no observations or
+    rewards, and reading a report raises instead of reading the defaults."""
+    env = NetworkEnv(small_config(episode_length=30))
+    assert env.reset(seed=79, feedback=False) is None
+    served = [ScheduleDecision.serve(int(np.flatnonzero(env.association == i)[0]),
+                                     env.config.p_max_w) for i in range(2)]
+    for decisions in ([ScheduleDecision.silent()] * 2, served) * 12:
+        assert env.step_decisions(decisions)[:2] == (None, None)
+    readers = (lambda: env.step([1, 1]), env.agent_top_pf, env.visible_link_values,
+               lambda: env.decode_action(0, 1),
+               lambda: env.compute_reward(served, env.rate_sum, [False] * 2))
+    for read in readers:
+        with pytest.raises(RuntimeError, match="rates-only episode"):
+            read()
+    assert env.t == 25                          # the failed step stepped nothing
+
+
 # -------------------------------------------------------------------- rewards
 
 def test_reward_identical_across_agents():
@@ -273,7 +291,7 @@ def test_reward_identical_across_agents():
     env.reset(seed=31)
     _step_until(env, 20, action=1)
     decisions = [env.decode_action(i, 1)[0] for i in range(2)]
-    _, rewards, _, _ = env.step_decisions(decisions, build_obs=False)
+    _, rewards, _, _ = env.step_decisions(decisions)
     assert rewards[0] == rewards[1]
     assert rewards[0] > 0
 

@@ -92,7 +92,7 @@ def rollout_digests(config: EnvConfig, policy_name: str, seed: int) -> dict:
             if obs is not None:
                 observations.append(obs)
         else:
-            _, r, done, _ = env.step_decisions(policy.act([env], None)[0], build_obs=False)
+            _, r, done, _ = env.step_decisions(policy.act([env], None)[0])
         rewards.append(r)
     out = {"rewards": _digest(rewards), "average_rates": _digest([env.average_rates()])}
     if policy.kind == "actions":

@@ -120,6 +120,19 @@ def test_lockstep_episode_matches_single_environment_runs(name):
     assert np.array_equal(rewards, np.concatenate([w for _, w in single]))
 
 
+@pytest.mark.parametrize("name", ["full_reuse", "tdm", "itlinq"])
+def test_rates_only_episode_gives_the_feedback_episode_rates(name):
+    """Without on_step a baseline episode makes no reports, rewards or
+    observations; its average rates keep every bit of a feedback episode's."""
+    envs, policy = [NetworkEnv(tiny_config(episode_length=45))], BaselinePolicy(name)
+    rates_only = run_episode(envs, [14], policy)
+    assert envs[0].feedback is False
+    steps = []
+    feedback = run_episode(envs, [14], policy, lambda *args: steps.append(args[4]))
+    assert envs[0].feedback is True and steps == list(range(1, 46))
+    assert rates_only.tobytes() == feedback.tobytes()
+
+
 def test_evaluate_policy_aggregation():
     cfg = tiny_config()
     out = evaluate_policy(cfg, BaselinePolicy("full_reuse"), seeds=[0, 1, 2])
