@@ -205,7 +205,8 @@ class TrainingResult:
 
 
 class DqnPolicy:
-    """Rollout adapter: percentile-map raw observations, then act epsilon-greedily."""
+    """Rollout adapter: percentile-map raw observations, then act epsilon-greedily.
+    map remembers the last raw array, so training maps each once to act and push."""
 
     kind = "actions"
 
@@ -215,10 +216,15 @@ class DqnPolicy:
         self.mapper = mapper
         self.epsilon = epsilon
         self.rng = np.random.default_rng(0) if rng is None else rng   # drawn even at epsilon 0
+        self._raw = self._mapped = None
+
+    def map(self, obs: np.ndarray) -> np.ndarray:
+        if obs is not self._raw:
+            self._raw, self._mapped = obs, self.mapper.map_observation_vector(obs)
+        return self._mapped
 
     def act(self, envs, obs):
-        return select_actions(self.net, self.mapper.map_observation_vector(obs),
-                              self.epsilon, self.rng)
+        return select_actions(self.net, self.map(obs), self.epsilon, self.rng)
 
 
 def _crossings(total: int, step: int, period: int) -> int:
@@ -253,16 +259,14 @@ def run_training(env_config: EnvConfig, trainer_config: TrainerConfig,
     episodes_done = 0
     intervals = 0
     losses: list[float] = []
-    mapped = None       # the last push's next_obs, pushed as the next obs: the same object
+    policy = DqnPolicy(net, mapper, rng=act_rng)
 
     def learn(obs, actions, rewards, next_obs, t):
-        nonlocal intervals, mapped
-        if t == 1:
-            mapped = mapper.map_observation_vector(obs)
+        nonlocal intervals
+        mapped = policy.map(obs)
         done = next_obs is None
-        mapped_next = np.zeros_like(mapped) if done else mapper.map_observation_vector(next_obs)
+        mapped_next = np.zeros_like(mapped) if done else policy.map(next_obs)
         buffer.push(mapped, actions, reward_norm.normalize(rewards), mapped_next, done)
-        mapped = mapped_next
         intervals += len(envs)
         for _ in range(_crossings(intervals, len(envs), tcfg.train_period_intervals)):
             if len(buffer) >= tcfg.batch_timesteps:
@@ -275,7 +279,7 @@ def run_training(env_config: EnvConfig, trainer_config: TrainerConfig,
             target.load_params(net.params)
 
     while episodes_done < tcfg.episodes:
-        policy = DqnPolicy(net, mapper, tcfg.epsilon(episodes_done), act_rng)
+        policy.epsilon = tcfg.epsilon(episodes_done)
         harness.run_episode(envs, harness.fresh_seeds(master, len(envs)), policy, learn)
         episodes_done += tcfg.num_envs
 

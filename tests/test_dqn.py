@@ -422,6 +422,18 @@ def test_run_training_gives_the_target_network_no_workspace(monkeypatch):
     assert len(copies) == 1 and copies[0]._ws is None
 
 
+def test_run_training_maps_each_observation_once(monkeypatch):
+    """Acting and pushing share one percentile map per lockstep interval: two
+    rounds of 2 environments and two 1-seed validations, 30 intervals each."""
+    cfg, tc, mapper, rnorm = _mini_setup()
+    shapes = []
+    original = PercentileMapper.map_observation_vector
+    monkeypatch.setattr(PercentileMapper, "map_observation_vector",
+                        lambda self, obs: shapes.append(obs.shape) or original(self, obs))
+    run_training(cfg, tc, mapper, rnorm, validation_seeds=[0], seed=5)
+    assert sorted(shapes) == [(1, 2, cfg.obs_dim)] * 60 + [(2, 2, cfg.obs_dim)] * 60
+
+
 def test_run_training_seed_changes_outcome():
     cfg, tc, mapper, rnorm = _mini_setup()
     a = run_training(cfg, tc, mapper, rnorm, validation_seeds=[0], seed=9)
