@@ -33,7 +33,7 @@ def load_configs(path: str | None):
     """(EnvConfig, TrainerConfig) from a config file; the defaults without one."""
     if path is None:
         return EnvConfig(), TrainerConfig()
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         cfg = read_config(ConfigFile, json.load(f))
     cfg.trainer.validate()
     return cfg.env, cfg.trainer
@@ -253,7 +253,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args, *load_configs(args.config))
-    except (ConfigError, ShapeMismatch, OSError, json.JSONDecodeError) as e:
+    except (ConfigError, ShapeMismatch, OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
         _usage_error(str(e))
     return 0
 

@@ -150,7 +150,7 @@ class ValidationSet:
 
     @classmethod
     def load(cls, path) -> "ValidationSet":
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             return cls.from_dict(json.load(f))
 
 

@@ -185,14 +185,17 @@ def save_checkpoint(path, net: Mlp, step: int = 0, extra: dict | None = None) ->
 def load_checkpoint(path):
     """Read a save_checkpoint file back into (net, header).
 
-    Raises ShapeMismatch when the header lacks a field, has widths that are
-    not positive ints, names an activation other than tanh or a param_order
+    Raises ShapeMismatch when the header is not UTF-8, lacks a field, has
+    widths that are not positive ints, names an activation other than tanh or a param_order
     other than PARAM_NAMES (the order the bytes are read in), or shapes other
     than its widths need, or when the parameter bytes disagree with them.
     """
     with open(path, "rb") as f:
-        header = json.loads(f.readline().decode("utf-8"))
-        blob = f.read()
+        line, blob = f.readline(), f.read()
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except UnicodeDecodeError as e:
+        raise ShapeMismatch(f"checkpoint header is not UTF-8: {e}") from None
     missing = [k for k in ("in_dim", "out_dim", "hidden", "activation", "param_order",
                            "shapes") if k not in header]
     if missing:

@@ -153,7 +153,7 @@ def load_stats(path):
     when a threshold array is empty or descending, when the two arrays (and Q)
     disagree in length, or when sigma_rew is not positive.
     """
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         stats = read_config(StatsFile, json.load(f), f"norm stats {path}")
     thresholds = {name: _stats_array(getattr(stats, name), name)
                   for name in ("weight_thresholds", "sinr_db_thresholds")}

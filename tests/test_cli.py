@@ -465,18 +465,26 @@ def checkpoint_path(tmp_path_factory):
     return str(path)
 
 
-@pytest.mark.parametrize("error", ["OSError", "JSONDecodeError", "refused"])
+@pytest.mark.parametrize("error", ["OSError", "JSONDecodeError", "non-UTF-8", "refused"])
 @pytest.mark.parametrize("flag", REFUSED)
 def test_file_errors_exit_2_in_one_line(flag, error, tiny_cfg_path, norm_stats_path,
                                         val_set_path, checkpoint_path, tmp_path, capsys,
                                         monkeypatch):
-    """A missing file, a file that is not JSON and a file its reader refuses
-    each give one "marlsched: error:" line and exit 2, for every file flag."""
+    """A missing file, a file that is not JSON, one that is not UTF-8 and one its
+    reader refuses each give one "marlsched: error:" line and exit 2, for every
+    file flag; a checkpoint's header is refused as its own shape error."""
     text, refused_as, message = REFUSED[flag]
     bad = tmp_path / "bad"
     if error == "JSONDecodeError":
         bad.write_text("{\n")
         message = "Expecting property name"
+    elif error == "non-UTF-8":
+        bad.write_bytes(b"\xff\xfe{}\n")
+        message = "can't decode byte 0xff in position 0"
+        if flag == "--checkpoint":
+            error, message = "ShapeMismatch", "checkpoint header is not UTF-8"
+        else:
+            error = "UnicodeDecodeError"
     elif error == "refused":
         bad.write_text(text)
         error = refused_as
@@ -495,7 +503,8 @@ def test_file_errors_exit_2_in_one_line(flag, error, tiny_cfg_path, norm_stats_p
                "--checkpoint": ["evaluate", *stats, "--num-envs", "1",
                                 "--checkpoint", files["--checkpoint"]]}[flag]
     readers = {"OSError": OSError, "JSONDecodeError": json.JSONDecodeError,
-               "ConfigError": ConfigError, "ShapeMismatch": ShapeMismatch}
+               "UnicodeDecodeError": UnicodeDecodeError, "ConfigError": ConfigError,
+               "ShapeMismatch": ShapeMismatch}
 
     def no_rollout(*args, **kwargs):
         raise AssertionError("rolled out past a bad file")
