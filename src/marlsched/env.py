@@ -48,7 +48,7 @@ def read_config(cls, raw, where: str | None = None):
 def _read_value(hint, value, name: str):
     """value as a hint: exactly that JSON type, but an int stands for a float, a
     float must be finite, a dataclass reads an object through read_config, and
-    list[X] reads each item as an X."""
+    list[X] and dict[str, X] read each item as an X."""
     want = typing.get_origin(hint) or hint
     if is_dataclass(want):
         return read_config(want, value, name)
@@ -61,6 +61,9 @@ def _read_value(hint, value, name: str):
     if want is list:
         (item,) = typing.get_args(hint)
         value = [_read_value(item, v, f"{name}[{i}]") for i, v in enumerate(value)]
+    elif want is dict:
+        _, item = typing.get_args(hint)             # JSON keys are strings
+        value = {k: _read_value(item, v, f"{name}[{k!r}]") for k, v in value.items()}
     return value
 
 

@@ -131,10 +131,19 @@ def evaluate_policy(env_config: EnvConfig, policy, seeds) -> dict:
 # ------------------------------------------------------------- validation set
 
 @dataclass
+class ValidationReference:
+    """Why the seeds were picked: per baseline, then metric, the population means
+    and each accepted seed's metrics, all within tolerance (relative) of them."""
+    population_means: dict[str, dict[str, float]]
+    tolerance: float
+    accepted: list[dict[str, dict[str, float]]]
+
+
+@dataclass
 class ValidationSet:
     env_config: EnvConfig
     seeds: list[int]
-    reference: dict   # per-baseline population means and accepted per-seed metrics
+    reference: ValidationReference
 
     @classmethod
     def from_dict(cls, d: dict) -> "ValidationSet":
@@ -179,8 +188,7 @@ def build_validation_set(env_config: EnvConfig, target_count: int,
         raise InsufficientCandidates(
             f"only {len(picked)}/{target_count} realizations in the "
             f"{tolerance:.0%} band over {population_size} candidates")
-    reference = {"population_means": means, "tolerance": tolerance,
-                 "accepted": [rows[idx] for idx in picked]}
+    reference = ValidationReference(means, tolerance, [rows[idx] for idx in picked])
     return ValidationSet(env_config, [seeds[idx] for idx in picked], reference)
 
 

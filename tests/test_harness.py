@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -179,8 +180,8 @@ def test_build_validation_set_accepts_typical_seeds():
     vs = build_validation_set(cfg, target_count=3, population_size=12,
                               tolerance=0.8, rng=np.random.default_rng(8))
     assert len(vs.seeds) == 3
-    means = vs.reference["population_means"]
-    for row in vs.reference["accepted"]:
+    means = vs.reference.population_means
+    for row in vs.reference.accepted:
         for name in ("full_reuse", "tdm"):
             for key in ("sum_rate_mbps", "pct5_mbps"):
                 mean = means[name][key]
@@ -211,6 +212,10 @@ def test_validation_set_roundtrip(tmp_path):
     assert again.reference == vs.reference
 
 
+REFERENCE = {"population_means": {"tdm": {"sum_rate_mbps": 90.0, "pct5_mbps": 2.0}},
+             "tolerance": 0.05, "accepted": [{"tdm": {"sum_rate_mbps": 91.0, "pct5_mbps": 2.0}}]}
+
+
 @pytest.mark.parametrize("missing", [["env_config"], ["seeds"], ["reference"],
                                      ["env_config", "seeds", "reference"]])
 def test_validation_set_names_missing_fields(missing):
@@ -226,9 +231,24 @@ def test_validation_set_names_missing_fields(missing):
                          ids=["float", "string", "str-list", "bool", "empty", "negative",
                               "null", "int"])
 def test_validation_set_rejects_malformed_seeds(seeds):
-    d = {"env_config": asdict(tiny_config()), "seeds": seeds, "reference": {}}
+    d = {"env_config": asdict(tiny_config()), "seeds": seeds, "reference": REFERENCE}
     with pytest.raises(ConfigError, match="seeds"):
         ValidationSet.from_dict(d)
+
+
+@pytest.mark.parametrize("reference, message", [
+    ({**REFERENCE, "tolerance": float("nan")}, "ValidationReference.tolerance must be finite"),
+    ({**REFERENCE, "population_means": "oops"},
+     "ValidationReference.population_means must be dict, got 'oops'"),
+    ({**REFERENCE, "accepted": [{"tdm": {"sum_rate_mbps": 91.0, "pct5_mbps": float("inf")}}]},
+     "ValidationReference.accepted[0]['tdm']['pct5_mbps'] must be finite, got inf"),
+], ids=["nan-tolerance", "string-means", "infinite-accepted"])
+def test_validation_set_refuses_a_malformed_reference(reference, message, tmp_path):
+    path = tmp_path / "val.json"
+    path.write_text(json.dumps({"env_config": asdict(tiny_config()), "seeds": [1],
+                                "reference": reference}))
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        ValidationSet.load(path)
 
 
 def test_validation_set_refuses_a_non_finite_env_config(tmp_path):

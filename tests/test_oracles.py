@@ -52,6 +52,8 @@ metrics, with values exactly on the band edge and populations with too few
 typical seeds, and must give the same seeds, reference and error message.
 """
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -785,7 +787,7 @@ def selection_outcome(build, metrics, target_count, tolerance, seed, monkeypatch
                      np.random.default_rng(seed))
     except InsufficientCandidates as exc:
         return str(exc)
-    return vset if isinstance(vset, tuple) else (vset.seeds, vset.reference)
+    return vset if isinstance(vset, tuple) else (vset.seeds, asdict(vset.reference))
 
 
 # dyadic values, so that means and band edges are exact: with tolerance 0.5
