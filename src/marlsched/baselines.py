@@ -25,15 +25,14 @@ def _top_pf_per_pool(env: NetworkEnv):
 def full_reuse_decide(env: NetworkEnv) -> list[ScheduleDecision]:
     """Every AP serves its top-PF UE at full power."""
     sel, _ = _top_pf_per_pool(env)
-    p = env.config.p_max_w
-    return [ScheduleDecision(j, p) for j in sel.tolist()]
+    return [ScheduleDecision(j, env.p_max_w) for j in sel.tolist()]
 
 
 def tdm_decide(env: NetworkEnv) -> list[ScheduleDecision]:
     """Round robin: only UE (t mod K)'s AP transmits, at full power."""
     ue = env.t % env.deployment.num_ues
     server = int(env.association[ue])
-    p = env.config.p_max_w
+    p = env.p_max_w
     return [ScheduleDecision(ue, p) if i == server else ScheduleDecision.silent()
             for i in range(env.deployment.num_aps)]
 
@@ -46,19 +45,13 @@ def itlinq_active_set(selected_ues: np.ndarray, order: np.ndarray,
     AP i joins the active set iff, against every already-active AP a, both
     cross interference-to-noise ratios stay below m_itq * SNR_i^eta.
     """
+    gains = power_gains[selected_ues].tolist()     # row i: AP i's selected UE, to every AP
     active: list[int] = []
-    for i in order:
-        j_i = selected_ues[i]
-        snr = p_max * power_gains[j_i, i] / noise
-        ok = True
-        for a in active:
-            j_a = selected_ues[a]
-            inr = max(p_max * power_gains[j_a, i], p_max * power_gains[j_i, a]) / noise
-            if inr >= m_itq * snr ** eta:
-                ok = False
-                break
-        if ok:
-            active.append(int(i))
+    for i in order.tolist():
+        g_i = gains[i]
+        limit = m_itq * (p_max * g_i[i] / noise) ** eta
+        if not any(max(p_max * gains[a][i], p_max * g_i[a]) / noise >= limit for a in active):
+            active.append(i)
     return active
 
 
@@ -66,8 +59,8 @@ def itlinq_decide(env: NetworkEnv) -> list[ScheduleDecision]:
     """Centralized binary power control on instantaneous channel gains."""
     sel, pf = _top_pf_per_pool(env)
     order = np.argsort(-pf[sel], kind="stable")      # ties to the lower AP id
-    p = env.config.p_max_w
-    active = set(itlinq_active_set(sel, order, env.g2, p, env.config.noise_w))
+    p = env.p_max_w
+    active = set(itlinq_active_set(sel, order, env.g2, p, env.noise_w))
     return [ScheduleDecision(j, p) if i in active else ScheduleDecision.silent()
             for i, j in enumerate(sel.tolist())]
 

@@ -265,6 +265,7 @@ class NetworkEnv:
         # action 0 is off (its slot entry is a placeholder)
         self._action_slot = np.r_[0, np.tile(np.arange(cfg.top_k), cfg.power_levels)]
         self._action_power = np.r_[0.0, np.repeat(cfg.power_level_watts(), cfg.top_k)]
+        self.p_max_w, self.noise_w = cfg.p_max_w, cfg.noise_w      # not per interval
 
     # ------------------------------------------------------------- per-interval
 
@@ -280,10 +281,9 @@ class NetworkEnv:
 
     def _serving_sinr(self) -> np.ndarray:
         """Every UE's measured SINR toward its serving AP at full power."""
-        cfg = self.config
         return linklevel.measured_sinr(
             self.g2[self._ue_ids, self.association],
-            cfg.p_max_w, self.stats.avg_interference, cfg.noise_w)
+            self.p_max_w, self.stats.avg_interference, self.noise_w)
 
     def _snapshot(self, t_measured, weight, sinr_db) -> FeedbackSnapshot:
         """A complete report: pf, the slot matrix and the value table."""
@@ -436,7 +436,7 @@ class NetworkEnv:
             raise ValueError(f"expected {n_aps} invalid flags, one per AP; "
                              f"got {len(invalid)}")
         rates, interference = linklevel.compute_rates(
-            decisions, self.g2, cfg.noise_w, self.association)
+            decisions, self.g2, self.noise_w, self.association)
         rewards = self.compute_reward(decisions, rates, invalid) if self.feedback else None
         self.rate_sum += rates
         linklevel.update_link_stats(self.stats, rates, interference,
