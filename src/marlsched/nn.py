@@ -193,9 +193,10 @@ def load_checkpoint(path):
     with open(path, "rb") as f:
         line, blob = f.readline(), f.read()
     try:
-        header = json.loads(line.decode("utf-8"))
+        text = line.decode("utf-8")
     except UnicodeDecodeError as e:
         raise ShapeMismatch(f"checkpoint header is not UTF-8: {e}") from None
+    header = json.loads(text)
     missing = [k for k in ("in_dim", "out_dim", "hidden", "activation", "param_order",
                            "shapes") if k not in header]
     if missing:
