@@ -205,8 +205,7 @@ class TrainingResult:
 
 
 class DqnPolicy:
-    """Rollout adapter: percentile-map raw observations, then act epsilon-greedily.
-    map remembers the last raw array, so training maps each once to act and push."""
+    """Rollout adapter: percentile-map raw observations, then act epsilon-greedily."""
 
     kind = "actions"
 
@@ -219,6 +218,7 @@ class DqnPolicy:
         self._raw = self._mapped = None
 
     def map(self, obs: np.ndarray) -> np.ndarray:
+        """obs mapped; it remembers the last raw array, so training maps each once."""
         if obs is not self._raw:
             self._raw, self._mapped = obs, self.mapper.map_observation_vector(obs)
         return self._mapped

@@ -265,7 +265,7 @@ class NetworkEnv:
         # action 0 is off (its slot entry is a placeholder)
         self._action_slot = np.r_[0, np.tile(np.arange(cfg.top_k), cfg.power_levels)]
         self._action_power = np.r_[0.0, np.repeat(cfg.power_level_watts(), cfg.top_k)]
-        self.p_max_w, self.noise_w = cfg.p_max_w, cfg.noise_w      # not per interval
+        self.p_max_w, self.noise_w = cfg.p_max_w, cfg.noise_w   # each read runs a log/pow
 
     # ------------------------------------------------------------- per-interval
 

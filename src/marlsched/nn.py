@@ -186,9 +186,10 @@ def load_checkpoint(path):
     """Read a save_checkpoint file back into (net, header).
 
     Raises ShapeMismatch when the header is not UTF-8, lacks a field, has
-    widths that are not positive ints, names an activation other than tanh or a param_order
-    other than PARAM_NAMES (the order the bytes are read in), or shapes other
-    than its widths need, or when the parameter bytes disagree with them.
+    widths that are not positive ints, names an activation other than tanh or
+    a param_order other than PARAM_NAMES (the order the bytes are read in), or
+    shapes other than its widths need, or when the parameter bytes disagree
+    with them.
     """
     with open(path, "rb") as f:
         line, blob = f.readline(), f.read()
