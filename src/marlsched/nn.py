@@ -185,11 +185,11 @@ def save_checkpoint(path, net: Mlp, step: int = 0, extra: dict | None = None) ->
 def load_checkpoint(path):
     """Read a save_checkpoint file back into (net, header).
 
-    Raises ShapeMismatch when the header is not UTF-8, lacks a field, has
-    widths that are not positive ints, names an activation other than tanh or
-    a param_order other than PARAM_NAMES (the order the bytes are read in), or
-    shapes other than its widths need, or when the parameter bytes disagree
-    with them.
+    Raises ShapeMismatch when the header is not a UTF-8 JSON object, lacks a
+    field, has widths that are not positive ints, names an activation other
+    than tanh or a param_order other than PARAM_NAMES (the order the bytes are
+    read in), or shapes other than its widths need, or when the parameter
+    bytes disagree with them.
     """
     with open(path, "rb") as f:
         line, blob = f.readline(), f.read()
@@ -198,6 +198,8 @@ def load_checkpoint(path):
     except UnicodeDecodeError as e:
         raise ShapeMismatch(f"checkpoint header is not UTF-8: {e}") from None
     header = json.loads(text)
+    if not isinstance(header, dict):
+        raise ShapeMismatch(f"checkpoint header must be a JSON object, got {header!r}")
     missing = [k for k in ("in_dim", "out_dim", "hidden", "activation", "param_order",
                            "shapes") if k not in header]
     if missing:

@@ -310,3 +310,11 @@ def test_checkpoint_rejects_malformed_files(tmp_path, edit, names):
     _rewrite_checkpoint(path, **edit)
     with pytest.raises(ShapeMismatch, match=names):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("header", [b"5", b"null", b"[1, 2]"])
+def test_checkpoint_header_must_be_an_object(tmp_path, header):
+    path = tmp_path / "net.ckpt"
+    path.write_bytes(header + b"\n")
+    with pytest.raises(ShapeMismatch, match="header must be a JSON object"):
+        load_checkpoint(path)
