@@ -70,8 +70,9 @@ def draw_long_term_gains(deployment: Deployment, params: PathLossParams,
     return LongTermGains(H=np.sqrt(h_power), shadowing_db=sh)
 
 
-# Cosines per component (K*N*M) from which sample_all hands the quadrature
-# sum to the worker thread; below it the hand-off costs more than it saves.
+# Cosines per component (K*N*M, or K*len(aps)*M for a column sample) from which
+# sample_all hands the quadrature sum to the worker thread; below it the hand-off
+# costs more than it saves.
 SPLIT_COSINES = 4096
 
 _worker = None   # the ThreadPoolExecutor, started by the first large sample
@@ -135,12 +136,13 @@ class FadingProcess:
     phases for the in-phase and quadrature components. Sampling is pure in
     (state, t), so concurrent readers are safe.
 
-    From SPLIT_COSINES cosines per component (K*N*M) on, sample_all computes
-    the quadrature sum on one module-level worker thread while the caller
-    computes the in-phase sum; numpy releases the GIL inside both. Each thread
-    evaluates the same expression in the same order as the serial path, so the
-    bits do not depend on which path ran. An exception on the worker is raised
-    in the caller; a forked child starts a worker of its own.
+    From SPLIT_COSINES cosines per component (K*N*M, or K*len(aps)*M for a
+    column sample) on, sample_all computes the quadrature sum on one
+    module-level worker thread while the caller computes the in-phase sum;
+    numpy releases the GIL inside both. Each thread evaluates the same
+    expression in the same order as the serial path, so the bits do not depend
+    on which path ran. An exception on the worker is raised in the caller; a
+    forked child starts a worker of its own.
     """
 
     cos_alpha: np.ndarray      # (K, N, M)
@@ -154,16 +156,19 @@ class FadingProcess:
     def num_sinusoids(self) -> int:
         return self.cos_alpha.shape[-1]
 
-    def sample_all(self, t: int) -> np.ndarray:
-        """Complex unit-power fading gains for every link at interval t."""
+    def sample_all(self, t: int, aps=None) -> np.ndarray:
+        """Complex unit-power fading gains at interval t, (K, N); or only the columns
+        aps, the same bits as sample_all(t)[:, aps], split by their own size."""
         m = self.num_sinusoids
         arg = 2.0 * np.pi * self.doppler_hz * (t * self.interval_duration)
-        if self.cos_alpha.size < SPLIT_COSINES:
-            re = _component_sum(arg, self.cos_alpha, self.phi)
-            im = _component_sum(arg, self.sin_alpha, self.psi)
+        arrays = (self.cos_alpha, self.sin_alpha, self.phi, self.psi)
+        cos_alpha, sin_alpha, phi, psi = arrays if aps is None else (a[:, aps] for a in arrays)
+        if cos_alpha.size < SPLIT_COSINES:
+            re = _component_sum(arg, cos_alpha, phi)
+            im = _component_sum(arg, sin_alpha, psi)
         else:
-            quadrature = _fading_worker().submit(_component_sum, arg, self.sin_alpha, self.psi)
-            re = _component_sum(arg, self.cos_alpha, self.phi)
+            quadrature = _fading_worker().submit(_component_sum, arg, sin_alpha, psi)
+            re = _component_sum(arg, cos_alpha, phi)
             im = quadrature.result()
         return (re + 1j * im) / np.sqrt(m)
 

@@ -270,14 +270,31 @@ class NetworkEnv:
     # ------------------------------------------------------------- per-interval
 
     def _refresh_interval_state(self):
-        """Gains for interval t, plus feedback generation on the report cadence."""
+        """Start interval t: no gains sampled yet (see g2), a report on the cadence."""
         cfg = self.config
-        h = self.fading.sample_all(self.t)
-        self.g2 = self._power * np.abs(h) ** 2
+        self._g2 = None
         if self.feedback and self.t % cfg.feedback_period == 0:
             report = self._snapshot(self.t, self.stats.weight,
                                     10.0 * np.log10(self._serving_sinr()))
             self._reports[self.t // cfg.feedback_period % len(self._reports)] = report
+
+    @property
+    def g2(self) -> np.ndarray:
+        """The (K, N) power gains |h_ji(t)|^2, sampled on the first read in interval t
+        and kept until t moves; never written after it is returned."""
+        if self._g2 is None:
+            self._g2 = self._power * np.abs(self.fading.sample_all(self.t)) ** 2
+        return self._g2
+
+    def _rate_gains(self, on: list[int]) -> np.ndarray:
+        """g2 if it was read or more than half the APs transmit, else zeros but for
+        the columns on: compute_rates weighs every other column by a power of 0."""
+        if self._g2 is not None or 2 * len(on) > len(self._ap_ids):
+            return self.g2
+        gains = np.zeros_like(self._power)
+        if on:
+            gains[:, on] = self._power[:, on] * np.abs(self.fading.sample_all(self.t, on)) ** 2
+        return gains
 
     def _serving_sinr(self) -> np.ndarray:
         """Every UE's measured SINR toward its serving AP at full power."""
@@ -435,8 +452,9 @@ class NetworkEnv:
         elif len(invalid) != n_aps:
             raise ValueError(f"expected {n_aps} invalid flags, one per AP; "
                              f"got {len(invalid)}")
+        on = [i for i, dec in enumerate(decisions) if not dec.off]
         rates, interference = linklevel.compute_rates(
-            decisions, self.g2, self.noise_w, self.association)
+            decisions, self._rate_gains(on), self.noise_w, self.association)
         rewards = self.compute_reward(decisions, rates, invalid) if self.feedback else None
         self.rate_sum += rates
         linklevel.update_link_stats(self.stats, rates, interference,
