@@ -3,10 +3,11 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from marlsched.channel import PathLossParams
+from marlsched.channel import FadingProcess, PathLossParams
 from marlsched.env import (
     ConfigError, EnvConfig, EpisodeFinished, NetworkEnv, OutOfRange, read_config,
 )
+from marlsched.harness import BaselinePolicy, run_episode
 from marlsched.linklevel import ScheduleDecision, compute_rates
 from marlsched.topology import DeploymentConfig
 
@@ -282,6 +283,64 @@ def test_rates_only_episode_makes_no_feedback():
         with pytest.raises(RuntimeError, match="rates-only episode"):
             read()
     assert env.t == 25                          # the failed step stepped nothing
+
+
+# ------------------------------------------------------------- fading samples
+
+@pytest.fixture
+def sampled_columns(monkeypatch):
+    """The aps argument of every FadingProcess.sample_all call, in order."""
+    calls = []
+    sample_all = FadingProcess.sample_all
+
+    def recording(self, t, aps=None):
+        calls.append(None if aps is None else list(aps))
+        return sample_all(self, t, aps)
+
+    monkeypatch.setattr(FadingProcess, "sample_all", recording)
+    return calls
+
+
+@pytest.mark.parametrize("feedback", [False, True])
+def test_all_off_interval_samples_no_fading(sampled_columns, feedback):
+    """From t=1 on, an interval with every AP off needs no gains: it samples
+    nothing and gives zero rates and interference."""
+    env = NetworkEnv(small_config(episode_length=30))
+    env.reset(seed=83, feedback=feedback)
+    for t in range(1, 9):                       # t stays short of the first report, at 10
+        _, _, _, info = env.step_decisions([ScheduleDecision.silent()] * 2)
+        assert info["t"] == t
+        assert not info["rates"].any() and not info["interference"].any()
+    assert sampled_columns == []
+
+
+def test_returned_gains_never_change(sampled_columns):
+    """An array env.g2 returned keeps its bytes through every later step,
+    whether the interval's rates then reuse it or sample columns of their own."""
+    env = NetworkEnv(small_config(episode_length=40, feedback_period=3))
+    env.reset(seed=89)
+    rng = np.random.default_rng(89)
+    kept = []
+    while not env.done:
+        if rng.random() < 0.5:
+            kept.append((env.g2, env.g2.tobytes()))
+        env.step(rng.integers(0, env.config.num_actions, size=2))
+    assert None in sampled_columns and any(c is not None for c in sampled_columns)
+    assert len(kept) > 5
+    assert all(g2.tobytes() == want for g2, want in kept)
+
+
+def test_rates_only_tdm_samples_one_column_per_interval(sampled_columns):
+    env = NetworkEnv(EnvConfig(episode_length=50))
+    run_episode([env], [97], BaselinePolicy("tdm"))
+    k = env.deployment.num_ues
+    assert sampled_columns == [[int(env.association[t % k])] for t in range(1, 51)]
+
+
+def test_full_reuse_samples_every_link_once_per_interval(sampled_columns):
+    env = NetworkEnv(EnvConfig(episode_length=50))
+    run_episode([env], [97], BaselinePolicy("full_reuse"))
+    assert sampled_columns == [None] * 50
 
 
 # -------------------------------------------------------------------- rewards

@@ -20,7 +20,15 @@ positions with distance ties.
 The fading oracle is the serial in-phase and quadrature sums of
 `FadingProcess.sample_all`; it is compared with `sample_all` bit for bit over
 2,000 intervals at the default and the N=10, K=100 shapes and at one shape
-each side of the size where the two sums go to two threads.
+each side of the size where the two sums go to two threads. A column sample,
+`sample_all(t, aps)`, must give the bits of the full sample's columns for
+every column count, on either side of that size.
+
+The eager-gains oracle is the interval path before `NetworkEnv.g2` was
+sampled on first read: a policy wrapper reads every environment's full gains
+before it decides, so no interval samples only the transmitting columns. Its
+per-interval rates and interference and its average rates must equal the
+unwrapped run's bit for bit, for the three baselines and a random policy.
 
 The Q-network oracle is the allocating forward and backward expressions that
 `Mlp` evaluated before it wrote its activations into reused workspaces; it is
@@ -63,8 +71,8 @@ from marlsched.channel import create_fading
 from marlsched.dqn import TrainerConfig, run_training
 from marlsched.env import EnvConfig, NetworkEnv, OutOfRange, draw_layout
 from marlsched.harness import (
-    BaselinePolicy, EpisodeMetrics, InsufficientCandidates, build_validation_set,
-    fresh_seeds, interference_profile,
+    BaselinePolicy, EpisodeMetrics, InsufficientCandidates, RandomPolicy,
+    build_validation_set, fresh_seeds, interference_profile, run_episode,
 )
 from marlsched.linklevel import ScheduleDecision
 from marlsched.nn import PARAM_NAMES, AdamState, Mlp, adam_update
@@ -231,6 +239,18 @@ def oracle_fading(fading, t):
     re = np.cos(arg * fading.cos_alpha + fading.phi).sum(axis=-1)
     im = np.cos(arg * fading.sin_alpha + fading.psi).sum(axis=-1)
     return (re + 1j * im) / np.sqrt(m)
+
+
+class OracleEagerGains:
+    """A policy that reads every environment's full g2 before it decides."""
+
+    def __init__(self, policy):
+        self.policy, self.kind = policy, policy.kind
+
+    def act(self, envs, obs):
+        for env in envs:
+            env.g2
+        return self.policy.act(envs, obs)
 
 
 def oracle_mlp_forward(net, x):
@@ -597,6 +617,56 @@ def test_fading_matches_serial_oracle(num_ues, num_aps):
                            cfg.interval_duration_s, np.random.default_rng(num_ues))
     for t in range(1, 2001):
         assert same_bits(fading.sample_all(t), oracle_fading(fading, t)), t
+
+
+@pytest.mark.parametrize("num_ues, num_aps", [(24, 4), (100, 10)])
+def test_column_samples_match_full_sample(num_ues, num_aps):
+    cfg = EnvConfig()
+    fading = create_fading(num_ues, num_aps, cfg.num_sinusoids, cfg.doppler_hz,
+                           cfg.interval_duration_s, np.random.default_rng(num_aps))
+    rng = np.random.default_rng(num_ues)
+    for t in (1, 2, 10, 777, 2000):
+        full = fading.sample_all(t)
+        for count in range(1, num_aps + 1):
+            aps = sorted(rng.choice(num_aps, count, replace=False).tolist())
+            assert same_bits(fading.sample_all(t, aps), full[:, aps]), (t, aps)
+
+
+def test_column_counts_straddle_the_split():
+    """At N=10, K=100 two columns run serially and three on two threads."""
+    assert 100 * 2 * 16 < channel.SPLIT_COSINES <= 100 * 3 * 16
+
+
+def recorded_run(cfg, policy, seed):
+    """run_episode's per-interval (rates, interference) bytes and average-rate bytes."""
+    env = NetworkEnv(cfg)
+    steps, step_decisions = [], env.step_decisions
+
+    def recording(decisions, invalid=None):
+        out = step_decisions(decisions, invalid)
+        steps.append((out[3]["rates"].tobytes(), out[3]["interference"].tobytes()))
+        return out
+
+    env.step_decisions = recording
+    return steps, run_episode([env], [seed], policy).tobytes()
+
+
+def make_policy(name):
+    return RandomPolicy(5) if name == "random" else BaselinePolicy(name)
+
+
+@pytest.mark.parametrize("cfg, name", [
+    *[(EnvConfig(episode_length=300), name)
+      for name in ("tdm", "full_reuse", "itlinq", "random")],
+    *[(EnvConfig(deployment=DeploymentConfig(num_aps=10, num_ues=100),
+                 episode_length=200), name) for name in ("tdm", "random")],
+], ids=lambda v: v if isinstance(v, str) else f"N{v.deployment.num_aps}")
+def test_sampled_columns_match_eager_gains_oracle(cfg, name):
+    for seed in (0, 1):
+        steps, average = recorded_run(cfg, make_policy(name), seed)
+        want_steps, want_average = recorded_run(cfg, OracleEagerGains(make_policy(name)), seed)
+        assert len(steps) == cfg.episode_length
+        assert steps == want_steps and average == want_average
 
 
 # ------------------------------------------------------------------ Q-network
