@@ -72,8 +72,7 @@ class ReplayBuffer:
         elif len(obs) != len(self._next_obs):
             raise ValueError(f"an interval of {len(obs)} environments after intervals "
                              f"of {len(self._next_obs)}")
-        elif not (self._done[(self._pushed - 1) % self.capacity] or obs is self._next_obs
-                  or np.array_equal(obs, self._next_obs)):
+        elif not (self._done[(self._pushed - 1) % self.capacity] or obs is self._next_obs):
             raise ValueError("obs is not the next_obs of the last interval, which was not done")
         idx = (self._pushed + np.arange(len(obs))) % self.capacity
         self._obs[idx] = obs

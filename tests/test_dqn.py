@@ -105,8 +105,9 @@ def test_buffer_refuses_an_interval_that_breaks_the_chain():
     obs, actions, rewards, next_obs, done = second
     with pytest.raises(ValueError, match="not the next_obs of the last interval"):
         buf.push(obs + 1.0, actions, rewards, next_obs, done)
-    buf.push(obs.copy(), actions, rewards, next_obs, done)     # equal, not the same object
-    assert len(buf) == 2
+    with pytest.raises(ValueError, match="not the next_obs of the last interval"):
+        buf.push(obs.copy(), actions, rewards, next_obs, done)  # equal, not the same object
+    assert len(buf) == 1
 
 
 def test_buffer_takes_any_obs_after_a_done_interval():
