@@ -162,7 +162,9 @@ class FadingProcess:
         m = self.num_sinusoids
         arg = 2.0 * np.pi * self.doppler_hz * (t * self.interval_duration)
         arrays = (self.cos_alpha, self.sin_alpha, self.phi, self.psi)
-        cos_alpha, sin_alpha, phi, psi = arrays if aps is None else (a[:, aps] for a in arrays)
+        if aps is not None:
+            arrays = [np.take(a, aps, axis=1) for a in arrays]     # faster than a[:, aps]
+        cos_alpha, sin_alpha, phi, psi = arrays
         if cos_alpha.size < SPLIT_COSINES:
             re = _component_sum(arg, cos_alpha, phi)
             im = _component_sum(arg, sin_alpha, psi)
