@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import ConfigError, Deployment
+from .topology import ConfigError, Deployment, require
 
 
 class DomainError(ValueError):
@@ -23,12 +23,10 @@ class PathLossParams:
     d_bp: float = 100.0      # break-point distance, meters
 
     def validate(self) -> None:
+        require(self, "> 0", "d_bp")
         if not self.alpha1 <= self.alpha2:
             raise ConfigError(f"PathLossParams.alpha1 {self.alpha1} must not exceed "
-                              f"alpha2 {self.alpha2}")
-        if not self.d_bp > 0:
-            raise ConfigError(f"PathLossParams.d_bp, the break-point distance, must be > 0, "
-                              f"got {self.d_bp}")
+                              f"PathLossParams.alpha2 {self.alpha2}")
 
 
 def path_loss_db(d, params: PathLossParams):

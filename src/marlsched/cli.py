@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
@@ -35,7 +36,6 @@ def load_configs(path: str | None):
         return EnvConfig(), TrainerConfig()
     with open(path, encoding="utf-8") as f:
         cfg = read_config(ConfigFile, json.load(f))
-    cfg.trainer.validate()
     return cfg.env, cfg.trainer
 
 
@@ -174,11 +174,17 @@ def cmd_analyze_decisions(args, env_cfg, trainer_cfg):
 def cmd_analyze_pareto(args, env_cfg, trainer_cfg):
     entries = []
     for path in args.inputs:
-        with open(path) as f:
+        with open(path, encoding="utf-8", newline="") as f:
             rows = list(csv.DictReader(f))
-        entries.append((path, SimpleNamespace(
-            sum_rate_mbps=float(np.mean([float(r["sum_rate_mbps"]) for r in rows])),
-            pct5_mbps=float(np.mean([float(r["pct5_mbps"]) for r in rows])))))
+        try:
+            means = {k: float(np.mean([float(r[k]) for r in rows]))
+                     for k in ("sum_rate_mbps", "pct5_mbps")} if rows else {}
+        except (KeyError, TypeError, ValueError):   # no such column, a short row, text
+            means = {}
+        if not (means and all(map(math.isfinite, means.values()))):
+            _usage_error(f"{path} needs sum_rate_mbps and pct5_mbps columns of finite "
+                         "numbers in one or more rows")
+        entries.append((path, SimpleNamespace(**means)))
     for name_a, a in entries:
         for name_b, b in entries:
             if name_a != name_b and harness.dominates(a, b):

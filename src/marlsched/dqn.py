@@ -8,9 +8,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import harness
-from .env import ConfigError, EnvConfig, NetworkEnv
+from .env import EnvConfig, NetworkEnv
 from .nn import AdamState, Mlp, adam_update, save_checkpoint
 from .normalize import PercentileMapper, RewardNormalizer
+from .topology import ConfigError, require
 
 
 class BufferUnderfilled(RuntimeError):
@@ -124,21 +125,16 @@ class TrainerConfig:
 
     def validate(self) -> None:
         """Raise ConfigError naming a field whose value would hang, crash or never train."""
-        for name in ("num_envs", "episodes", "epoch_episodes", "buffer_capacity",
-                     "batch_timesteps", "target_sync_intervals", "train_period_intervals",
-                     "epsilon_decay_episodes", "hidden_units", "lr_halving_period"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        require(self, ">= 1", "num_envs", "episodes", "epoch_episodes", "buffer_capacity",
+                "batch_timesteps", "target_sync_intervals", "train_period_intervals",
+                "epsilon_decay_episodes", "hidden_units", "lr_halving_period")
+        require(self, "in [0, 1]", "gamma", "epsilon_start", "epsilon_end")
+        require(self, "> 0", "learning_rate")
+        require(self, ">= 0", "l2_coeff")
         if self.buffer_capacity < max(self.num_envs, self.batch_timesteps):
-            raise ConfigError(f"buffer_capacity {self.buffer_capacity} must hold num_envs "
-                              f"{self.num_envs} and batch_timesteps {self.batch_timesteps}")
-        for name in ("gamma", "epsilon_start", "epsilon_end"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
-        if not self.learning_rate > 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not self.l2_coeff >= 0:
-            raise ConfigError(f"l2_coeff must be >= 0, got {self.l2_coeff}")
+            raise ConfigError(f"TrainerConfig.buffer_capacity {self.buffer_capacity} must "
+                              f"hold num_envs {self.num_envs} and batch_timesteps "
+                              f"{self.batch_timesteps}")
 
 
 def select_actions(net: Mlp, mapped_obs: np.ndarray, epsilon: float,

@@ -12,7 +12,7 @@ import numpy as np
 from . import channel, linklevel, topology
 from .channel import PathLossParams
 from .linklevel import LinkStats, ScheduleDecision
-from .topology import ConfigError, DeploymentConfig
+from .topology import ConfigError, DeploymentConfig, require
 
 
 class OutOfRange(ValueError):
@@ -27,8 +27,9 @@ def read_config(cls, raw, where: str | None = None):
     """A cls from a JSON object, the one reader of every JSON object read back.
 
     A field without a default is required, and each value is read as its
-    field's annotated type by _read_value. ConfigError names unknown or
-    missing keys, or the Class.field.
+    field's annotated type by _read_value. An object whose class has a
+    validate() is returned only once that passed, so nested objects are in
+    range too. ConfigError names unknown or missing keys, or the Class.field.
     """
     where = where or cls.__name__
     if not isinstance(raw, dict):
@@ -41,8 +42,11 @@ def read_config(cls, raw, where: str | None = None):
     if missing:
         raise ConfigError(f"{where} lacks {', '.join(missing)}")
     hints = typing.get_type_hints(cls)
-    return cls(**{name: _read_value(hints[name], value, f"{cls.__name__}.{name}")
-                  for name, value in raw.items()})
+    obj = cls(**{name: _read_value(hints[name], value, f"{cls.__name__}.{name}")
+                 for name, value in raw.items()})
+    if hasattr(obj, "validate"):
+        obj.validate()
+    return obj
 
 
 def _read_value(hint, value, name: str):
@@ -127,28 +131,17 @@ class EnvConfig:
     def validate(self) -> None:
         self.deployment.validate()
         self.path_loss.validate()
-        if self.episode_length < 1:
-            raise ConfigError("episode_length must be >= 1")
-        if self.top_k < 1 or self.power_levels < 1 or self.num_remote < 0:
-            raise ConfigError("top_k, power_levels >= 1 and num_remote >= 0 required")
-        if self.feedback_period < 1 or self.feedback_delay < 0 or self.backhaul_delay < 0:
-            raise ConfigError("feedback period must be >= 1 and delays >= 0")
-        if not 0.0 <= self.reward_exponent <= 1.0:
-            raise ConfigError("reward_exponent must lie in [0, 1]")
-        if self.num_sinusoids < 1:
-            raise ConfigError("num_sinusoids must be >= 1")
-        for name in ("bandwidth_hz", "rate_floor", "interval_duration_s"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be > 0")
-        for name in ("alpha_rate", "alpha_interference"):
-            if not 0.0 < getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} must lie in (0, 1)")
-        if not self.shadow_std_db >= 0:
-            raise ConfigError("shadow_std_db must be >= 0")
-        if not self.sort_by_pf:
-            if self.deployment.num_ues != self.deployment.num_aps * self.top_k:
-                raise ConfigError(
-                    "unsorted observations require num_ues == num_aps * top_k")
+        require(self, ">= 1", "episode_length", "top_k", "power_levels", "feedback_period",
+                "num_sinusoids")
+        require(self, ">= 0", "num_remote", "feedback_delay", "backhaul_delay",
+                "shadow_std_db")
+        require(self, "> 0", "bandwidth_hz", "rate_floor", "interval_duration_s")
+        require(self, "in (0, 1)", "alpha_rate", "alpha_interference")
+        require(self, "in [0, 1]", "reward_exponent")
+        dep = self.deployment
+        if not self.sort_by_pf and dep.num_ues != dep.num_aps * self.top_k:
+            raise ConfigError(f"EnvConfig.top_k {self.top_k}: unsorted observations need "
+                              f"num_ues {dep.num_ues} == num_aps {dep.num_aps} * top_k")
 
     def fingerprint(self) -> str:
         """Readable sizes, then 8 hex digits of SHA-256 over every field."""

@@ -145,13 +145,10 @@ class ValidationSet:
     seeds: list[int]
     reference: ValidationReference
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ValidationSet":
-        vset = read_config(cls, d)
-        if not (vset.seeds and min(vset.seeds) >= 0):
-            raise ConfigError("seeds must be a non-empty list of non-negative ints, "
-                              f"got {vset.seeds!r}")
-        return vset
+    def validate(self) -> None:
+        if not (self.seeds and min(self.seeds) >= 0):
+            raise ConfigError("ValidationSet.seeds must be a non-empty list of non-negative "
+                              f"ints, got {self.seeds!r}")
 
     def save(self, path) -> None:
         with open(path, "w") as f:
@@ -160,7 +157,7 @@ class ValidationSet:
     @classmethod
     def load(cls, path) -> "ValidationSet":
         with open(path, encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
+            return read_config(cls, json.load(f))
 
 
 def build_validation_set(env_config: EnvConfig, target_count: int,
@@ -203,6 +200,7 @@ def interference_profile(env_config: EnvConfig, n_values, num_realizations: int,
     physically closest to its serving AP.
     """
     cfg = env_config
+    cfg.validate()
     sinr_db = {n: [] for n in n_values}
     for _ in range(num_realizations):
         dep, g2, assoc = draw_layout(cfg, rng)

@@ -13,6 +13,7 @@ import numpy as np
 
 from .env import ConfigError, EnvConfig, NetworkEnv, read_config
 from .harness import BaselinePolicy, fresh_seeds, run_episode
+from .topology import require
 
 
 class DegenerateDataset(ValueError):
@@ -135,6 +136,17 @@ class StatsFile:
     sigma_rew: float
     config_fingerprint: str
 
+    def validate(self) -> None:
+        """Raise ConfigError unless both threshold lists hold Q ascending numbers and
+        sigma_rew is positive."""
+        require(self, ">= 1", "Q")
+        for name in ("weight_thresholds", "sinr_db_thresholds"):
+            values = getattr(self, name)
+            if len(values) != self.Q or np.any(np.diff(values) < 0):
+                raise ConfigError(f"StatsFile.{name} must be Q = {self.Q} ascending "
+                                  f"numbers, got {values}")
+        require(self, "> 0", "sigma_rew")
+
 
 def save_stats(path, mapper: PercentileMapper, normalizer: RewardNormalizer,
                config_fingerprint: str) -> None:
@@ -148,30 +160,12 @@ def save_stats(path, mapper: PercentileMapper, normalizer: RewardNormalizer,
 def load_stats(path):
     """Read save_stats output back into (mapper, normalizer, config_fingerprint).
 
-    Raises ConfigError naming the field when read_config refuses the file
-    (a field missing or wrongly typed, a number non-finite, thresholds included),
-    when a threshold array is empty or descending, when the two arrays (and Q)
-    disagree in length, or when sigma_rew is not positive.
+    Raises ConfigError naming the field when read_config refuses the file: a
+    field missing or wrongly typed, a number non-finite, thresholds included,
+    or a value StatsFile.validate refuses.
     """
     with open(path, encoding="utf-8") as f:
         stats = read_config(StatsFile, json.load(f), f"norm stats {path}")
-    thresholds = {name: _stats_array(getattr(stats, name), name)
-                  for name in ("weight_thresholds", "sinr_db_thresholds")}
-    q, q_sinr = (len(a) for a in thresholds.values())
-    if q_sinr != q or stats.Q != q:
-        raise ConfigError(f"Q: weight_thresholds has {q} levels, sinr_db_thresholds "
-                          f"{q_sinr}, Q is {stats.Q}")
-    if not stats.sigma_rew > 0:
-        raise ConfigError(f"sigma_rew must be positive, got {stats.sigma_rew}")
-    return (PercentileMapper(**thresholds), RewardNormalizer(stats.mu_rew, stats.sigma_rew),
-            stats.config_fingerprint)
-
-
-def _stats_array(values: list[float], name):
-    """A non-empty, ascending threshold array from a list read_config has checked."""
-    a = np.asarray(values)
-    if a.size == 0:
-        raise ConfigError(f"{name} must be a non-empty list of numbers")
-    if np.any(np.diff(a) < 0):
-        raise ConfigError(f"{name} must be ascending")
-    return a
+    mapper = PercentileMapper(np.asarray(stats.weight_thresholds),
+                              np.asarray(stats.sinr_db_thresholds))
+    return mapper, RewardNormalizer(stats.mu_rew, stats.sigma_rew), stats.config_fingerprint

@@ -13,6 +13,24 @@ class ConfigError(ValueError):
     """A config or file read back holds a value the program cannot use; names the field."""
 
 
+# The range rules of every config field, each written so that NaN fails it.
+RULES = {
+    ">= 1": lambda v: v >= 1,
+    ">= 0": lambda v: v >= 0,
+    "> 0": lambda v: v > 0,
+    "in (0, 1)": lambda v: 0 < v < 1,
+    "in [0, 1]": lambda v: 0 <= v <= 1,
+}
+
+
+def require(config, rule: str, *names: str) -> None:
+    """Raise ConfigError for the first of config's fields names whose value breaks rule."""
+    for name in names:
+        value = getattr(config, name)
+        if not RULES[rule](value):
+            raise ConfigError(f"{type(config).__name__}.{name} must be {rule}, got {value}")
+
+
 class PlacementInfeasible(RuntimeError):
     """Rejection sampling could not satisfy the minimum-distance constraints."""
 
@@ -26,17 +44,12 @@ class DeploymentConfig:
     min_ap_ue_dist: float = 10.0
 
     def validate(self) -> None:
-        if not self.num_aps >= 1:
-            raise ConfigError(f"DeploymentConfig.num_aps must be >= 1, got {self.num_aps}")
+        require(self, ">= 1", "num_aps")
+        require(self, "> 0", "area_side")
+        require(self, ">= 0", "min_ap_ap_dist", "min_ap_ue_dist")
         if not self.num_ues >= self.num_aps:
             raise ConfigError(f"DeploymentConfig.num_ues {self.num_ues} must give "
                               f"each of the {self.num_aps} APs a UE")
-        if not self.area_side > 0:
-            raise ConfigError(f"DeploymentConfig.area_side must be > 0, got {self.area_side}")
-        for name in ("min_ap_ap_dist", "min_ap_ue_dist"):
-            if not getattr(self, name) >= 0:
-                raise ConfigError(f"DeploymentConfig.{name} must be >= 0, "
-                                  f"got {getattr(self, name)}")
 
 
 @dataclass

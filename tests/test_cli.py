@@ -194,6 +194,38 @@ def test_analyze_pareto(tmp_path, capsys):
     assert f"{a} dominates {b}" in out
 
 
+@pytest.mark.parametrize("text", [
+    "sum_rate_mbps\n10\n", "env,score\n0,1\n", "sum_rate_mbps,pct5_mbps\n",
+    "sum_rate_mbps,pct5_mbps\n10,x\n", "sum_rate_mbps,pct5_mbps\n10,2\nnan,1\n",
+    "sum_rate_mbps,pct5_mbps\n10,2\n9\n",
+], ids=["no-pct5", "no-columns", "header-only", "text-cell", "nan-cell", "short-row"])
+def test_analyze_pareto_refuses_a_malformed_csv(tmp_path, capsys, text):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text("sum_rate_mbps,pct5_mbps\n10,2\n")
+    bad.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "pareto", "--inputs", str(good), str(bad)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == (f"marlsched: error: {bad} needs sum_rate_mbps and pct5_mbps columns of "
+                   "finite numbers in one or more rows\n")
+
+
+@pytest.mark.parametrize("env, message", [
+    ({"shadow_std_db": -3.0}, "EnvConfig.shadow_std_db must be >= 0, got -3.0"),
+    ({"sort_by_pf": False, "top_k": 5}, "EnvConfig.top_k 5: unsorted observations need"),
+], ids=["negative-shadowing", "unequal-pools"])
+def test_analyze_interferers_refuses_an_out_of_range_env(tmp_path, capsys, env, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"env": env}))
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "interferers", "--config", str(config), "--realizations", "1",
+              "--out", str(tmp_path / "p.csv")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"marlsched: error: {message}") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("argv, flags", [
     (["analyze", "decisions", "--out", "dec.csv"], ["--checkpoint", "--norm-stats"]),
     (["analyze", "decisions", "--checkpoint", "c.ckpt", "--out", "dec.csv"],

@@ -489,6 +489,7 @@ def test_trainer_config_rejects_values_that_hang_or_never_train(field, value):
     ("epsilon_start", 1.5), ("epsilon_start", float("nan")),
     ("epsilon_end", -0.01), ("epsilon_end", float("nan")),
     ("l2_coeff", -0.001), ("l2_coeff", float("nan")),
+    ("num_envs", float("nan")), ("episodes", float("nan")),        # NaN in counts
 ])
 def test_trainer_config_rejects_hyperparameters_out_of_range(field, value):
     with pytest.raises(ConfigError, match=field):

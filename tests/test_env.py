@@ -1,9 +1,12 @@
-from dataclasses import asdict
+import contextlib
+import typing
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
 from marlsched.channel import FadingProcess, PathLossParams
+from marlsched.dqn import TrainerConfig
 from marlsched.env import (
     ConfigError, EnvConfig, EpisodeFinished, NetworkEnv, OutOfRange, read_config,
 )
@@ -71,7 +74,7 @@ def test_validate_rejects_bad_values():
     ("alpha_interference", 1.0, ConfigError, "alpha_interference"),
     ("alpha_rate", float("nan"), ConfigError, "alpha_rate"),
     ("shadow_std_db", -1.0, ConfigError, "shadow_std_db"),      # else reset
-    ("path_loss", PathLossParams(d_bp=0.0), ValueError, "break-point"),
+    ("path_loss", PathLossParams(d_bp=0.0), ValueError, "PathLossParams.d_bp"),
     ("path_loss", PathLossParams(alpha1=5.0), ValueError, "alpha1"),
     ("path_loss", PathLossParams(d_bp=float("nan")), ConfigError, "PathLossParams.d_bp"),
     ("path_loss", PathLossParams(alpha2=float("nan")), ConfigError, "PathLossParams.alpha1"),
@@ -82,10 +85,48 @@ def test_validate_rejects_bad_values():
      "DeploymentConfig.area_side"),
     ("deployment", DeploymentConfig(min_ap_ue_dist=-1.0), ConfigError,
      "DeploymentConfig.min_ap_ue_dist"),
+    ("deployment", DeploymentConfig(min_ap_ap_dist=-1.0), ConfigError,
+     "DeploymentConfig.min_ap_ap_dist must be >= 0, got -1.0"),
+    ("top_k", 0, ConfigError, "EnvConfig.top_k must be >= 1, got 0"),
+    ("power_levels", 0, ConfigError, "EnvConfig.power_levels must be >= 1, got 0"),
+    ("num_remote", -1, ConfigError, "EnvConfig.num_remote must be >= 0, got -1"),
+    ("feedback_delay", -1, ConfigError, "EnvConfig.feedback_delay must be >= 0, got -1"),
+    ("backhaul_delay", -1, ConfigError, "EnvConfig.backhaul_delay must be >= 0, got -1"),
+    ("episode_length", float("nan"), ConfigError,
+     "EnvConfig.episode_length must be >= 1, got nan"),
+    ("num_remote", 0, None, None),                              # edges that must pass
+    ("feedback_delay", 0, None, None),
+    ("backhaul_delay", 0, None, None),
+    ("reward_exponent", 0.0, None, None),
+    ("reward_exponent", 1.0, None, None),
+    ("shadow_std_db", 0.0, None, None),
 ])
 def test_validate_rejects_broken_physics(field, value, error, match):
-    with pytest.raises(error, match=match):
+    """Each range error names Class.field; a row without an error is an edge that passes."""
+    with pytest.raises(error, match=match) if error else contextlib.nullcontext():
         NetworkEnv(small_config(**{field: value}))
+
+
+# Numeric fields whose every finite value is usable; read_config refuses non-finite ones.
+UNCONSTRAINED = {"EnvConfig.p_max_dbm", "EnvConfig.noise_psd_dbm_hz", "EnvConfig.doppler_hz",
+                 "EnvConfig.default_weight", "EnvConfig.default_sinr_db",
+                 "PathLossParams.k0_db"}
+NUMERIC_FIELDS = [(cls, f.name) for cls in (PathLossParams, DeploymentConfig, EnvConfig,
+                                            TrainerConfig)
+                  for f in fields(cls) if typing.get_type_hints(cls)[f.name] in (int, float)]
+
+
+@pytest.mark.parametrize("cls, name", NUMERIC_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in NUMERIC_FIELDS])
+def test_validate_refuses_nan_in_every_constrained_field(cls, name):
+    """A new numeric field fails here until its range is decided: a rule, or a place
+    in UNCONSTRAINED."""
+    config = cls(**{name: float("nan")})
+    if f"{cls.__name__}.{name}" in UNCONSTRAINED:
+        config.validate()
+    else:
+        with pytest.raises(ConfigError, match=rf"\b{cls.__name__}\.{name}\b"):
+            config.validate()
 
 
 def test_config_roundtrip():

@@ -5,7 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from marlsched.env import ConfigError, EnvConfig, NetworkEnv
+from marlsched.env import ConfigError, EnvConfig, NetworkEnv, read_config
 from marlsched.harness import (
     BaselinePolicy, EpisodeMetrics, InsufficientCandidates, RandomPolicy,
     ValidationSet, build_validation_set, dominates,
@@ -223,7 +223,7 @@ def test_validation_set_names_missing_fields(missing):
     for key in missing:
         del d[key]
     with pytest.raises(ConfigError) as exc:
-        ValidationSet.from_dict(d)
+        read_config(ValidationSet, d)
     assert all(key in str(exc.value) for key in missing)
 
 
@@ -233,7 +233,7 @@ def test_validation_set_names_missing_fields(missing):
 def test_validation_set_rejects_malformed_seeds(seeds):
     d = {"env_config": asdict(tiny_config()), "seeds": seeds, "reference": REFERENCE}
     with pytest.raises(ConfigError, match="seeds"):
-        ValidationSet.from_dict(d)
+        read_config(ValidationSet, d)
 
 
 @pytest.mark.parametrize("reference, message", [
@@ -268,6 +268,12 @@ def test_interference_profile_shape_and_zero_case():
     assert set(prof) == {0, 1}
     # with no interferers the SINR is an SNR, strictly larger on average
     assert prof[0] > prof[1]
+
+
+def test_interference_profile_validates_its_config():
+    with pytest.raises(ConfigError, match="EnvConfig.shadow_std_db must be >= 0"):
+        interference_profile(EnvConfig(shadow_std_db=-3.0), n_values=[0],
+                             num_realizations=1, rng=np.random.default_rng(12))
 
 
 def test_interference_profile_non_increasing():
