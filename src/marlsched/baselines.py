@@ -16,15 +16,9 @@ ITLINQ_M = 1.0
 ITLINQ_ETA = 0.4
 
 
-def _top_pf_per_pool(env: NetworkEnv):
-    """Each AP's highest true-PF UE; ties broken by lowest UE id."""
-    pf = env.true_pf()
-    return env.pool_argmax(pf), pf
-
-
 def full_reuse_decide(env: NetworkEnv) -> list[ScheduleDecision]:
     """Every AP serves its top-PF UE at full power."""
-    sel, _ = _top_pf_per_pool(env)
+    sel = env.pool_argmax(env.true_pf())
     return [ScheduleDecision(j, env.p_max_w) for j in sel.tolist()]
 
 
@@ -57,7 +51,8 @@ def itlinq_active_set(selected_ues: np.ndarray, order: np.ndarray,
 
 def itlinq_decide(env: NetworkEnv) -> list[ScheduleDecision]:
     """Centralized binary power control on instantaneous channel gains."""
-    sel, pf = _top_pf_per_pool(env)
+    pf = env.true_pf()
+    sel = env.pool_argmax(pf)
     order = np.argsort(-pf[sel], kind="stable")      # ties to the lower AP id
     p = env.p_max_w
     active = set(itlinq_active_set(sel, order, env.g2, p, env.noise_w))

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import dqn, harness, normalize
+from . import dqn, harness, normalize, topology
 from .baselines import BASELINES
 from .dqn import DqnPolicy, TrainerConfig
 from .env import ConfigError, EnvConfig, read_config
@@ -259,7 +259,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args, *load_configs(args.config))
-    except (ConfigError, ShapeMismatch, OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
+    except (ConfigError, ShapeMismatch, OSError, json.JSONDecodeError, UnicodeDecodeError,
+            harness.InsufficientCandidates, normalize.DegenerateDataset,
+            topology.PlacementInfeasible) as e:
         _usage_error(str(e))
     return 0
 

@@ -93,7 +93,7 @@ class EnvConfig:
     bandwidth_hz: float = 10e6
     alpha_rate: float = 0.01
     alpha_interference: float = 0.05
-    rate_floor: float = 1e-3
+    rate_floor: float = 1e-3            # bps/Hz; keeps weights = 1/avg_rate bounded at 1e3
 
     path_loss: PathLossParams = field(default_factory=PathLossParams)
     shadow_std_db: float = 7.0
@@ -396,7 +396,7 @@ class NetworkEnv:
         ue, power, invalid = self._decode(np.array([agent]), np.array([action]))
         if ue[0] < 0:
             return ScheduleDecision.silent(), bool(invalid[0])
-        return ScheduleDecision.serve(int(ue[0]), float(power[0])), False
+        return ScheduleDecision(int(ue[0]), float(power[0])), False
 
     def compute_reward(self, decisions, rates, invalid) -> np.ndarray:
         """Weighted sum-rate reward with the all-off and invalid exceptions."""
@@ -425,7 +425,6 @@ class NetworkEnv:
             raise ValueError(f"expected {n_aps} actions, one per AP; "
                              f"got shape {actions.shape}")
         ue, power, invalid = self._decode(self._ap_ids, actions.astype(int, copy=False))
-        # decoded UEs and powers are valid, so skip serve()'s checks
         decisions = [ScheduleDecision(j, p) if j >= 0 else ScheduleDecision.silent()
                      for j, p in zip(ue.tolist(), power.tolist())]
         return self.step_decisions(decisions, invalid)

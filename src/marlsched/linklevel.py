@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-RATE_FLOOR = 1e-3  # bps/Hz; keeps weights = 1/avg_rate bounded at 1e3
-
 
 @dataclass(frozen=True)
 class ScheduleDecision:
@@ -24,12 +22,6 @@ class ScheduleDecision:
     def silent() -> "ScheduleDecision":
         return ScheduleDecision()
 
-    @staticmethod
-    def serve(ue: int, power_w: float) -> "ScheduleDecision":
-        if ue < 0 or power_w <= 0:
-            raise ValueError("serving requires a UE id and positive power")
-        return ScheduleDecision(ue=ue, power_w=power_w)
-
 
 @dataclass
 class LinkStats:
@@ -37,13 +29,11 @@ class LinkStats:
 
     avg_rate: np.ndarray       # (K,) bps/Hz, floored at rate_floor
     avg_interference: np.ndarray  # (K,) watts
-    rate_floor: float = RATE_FLOOR
+    rate_floor: float
 
     @classmethod
-    def initial(cls, num_ues: int, rate_floor: float = RATE_FLOOR) -> "LinkStats":
-        return cls(avg_rate=np.full(num_ues, rate_floor),
-                   avg_interference=np.zeros(num_ues),
-                   rate_floor=rate_floor)
+    def initial(cls, num_ues: int, rate_floor: float) -> "LinkStats":
+        return cls(np.full(num_ues, rate_floor), np.zeros(num_ues), rate_floor)
 
     @property
     def weight(self) -> np.ndarray:
@@ -72,15 +62,12 @@ def compute_rates(decisions: list[ScheduleDecision], power_gains: np.ndarray,
 
 
 def update_link_stats(stats: LinkStats, rates: np.ndarray, interference: np.ndarray,
-                      alpha_r: float, alpha_i: float) -> LinkStats:
-    """One exponential-moving-average step; unserved UEs contribute rate 0."""
-    if not (0 < alpha_r < 1 and 0 < alpha_i < 1):
-        raise ValueError("averaging parameters must lie in (0, 1)")
+                      alpha_r: float, alpha_i: float) -> None:
+    """One exponential-moving-average step, in place; unserved UEs contribute rate 0."""
     stats.avg_rate = np.maximum(
         (1.0 - alpha_r) * stats.avg_rate + alpha_r * rates, stats.rate_floor)
     stats.avg_interference = (
         (1.0 - alpha_i) * stats.avg_interference + alpha_i * interference)
-    return stats
 
 
 def measured_sinr(gain_to_server, p_max: float, avg_interference, noise_power: float):

@@ -25,10 +25,6 @@ class PercentileMapper:
     weight_thresholds: np.ndarray   # (Q,) ascending empirical quantiles
     sinr_db_thresholds: np.ndarray  # (Q,)
 
-    @property
-    def num_levels(self) -> int:
-        return len(self.weight_thresholds)
-
     def map_weights(self, values):
         return map_observation(values, self.weight_thresholds)
 
@@ -150,7 +146,7 @@ class StatsFile:
 
 def save_stats(path, mapper: PercentileMapper, normalizer: RewardNormalizer,
                config_fingerprint: str) -> None:
-    stats = StatsFile(mapper.num_levels, mapper.weight_thresholds.tolist(),
+    stats = StatsFile(len(mapper.weight_thresholds), mapper.weight_thresholds.tolist(),
                       mapper.sinr_db_thresholds.tolist(), normalizer.mu,
                       normalizer.sigma, config_fingerprint)
     with open(path, "w") as f:

@@ -13,6 +13,8 @@ from marlsched.cli import build_parser, load_configs, main
 from marlsched.dqn import EpochRecord, TrainerConfig
 from marlsched.env import ConfigError, EnvConfig, NetworkEnv
 from marlsched.nn import Mlp, ShapeMismatch, load_checkpoint, save_checkpoint
+from marlsched.normalize import DegenerateDataset
+from marlsched.topology import PlacementInfeasible
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +224,30 @@ def test_analyze_interferers_refuses_an_out_of_range_env(tmp_path, capsys, env, 
         main(["analyze", "interferers", "--config", str(config), "--realizations", "1",
               "--out", str(tmp_path / "p.csv")])
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"marlsched: error: {message}") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("env, argv, error, message", [
+    ({"episode_length": 50},
+     ["build-val-set", "--count", "5", "--population", "5", "--tolerance", "0",
+      "--out", "v.json"],
+     harness.InsufficientCandidates, "only 0/5 realizations in the 0% band"),
+    ({"episode_length": 3}, ["collect-norm-stats", "--episodes", "1", "--out", "s.json"],
+     DegenerateDataset, "empty dataset"),
+    ({"deployment": {"min_ap_ap_dist": 600.0}},
+     ["baseline", "--kind", "tdm", "--num-envs", "1"],
+     PlacementInfeasible, "AP placement failed after 10000 attempts"),
+], ids=["insufficient-candidates", "degenerate-dataset", "placement-infeasible"])
+def test_expected_run_failures_exit_2_in_one_line(tmp_path, capsys, monkeypatch, env, argv,
+                                                  error, message):
+    """A config the run cannot satisfy gives one "marlsched: error:" line and exit 2."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps({"env": env}))
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", "config.json"])
+    assert exc.value.code == 2
+    assert isinstance(exc.value.__context__, error)
     err = capsys.readouterr().err
     assert err.startswith(f"marlsched: error: {message}") and err.count("\n") == 1, err
 

@@ -52,19 +52,6 @@ def test_power_levels_ascending_top_is_pmax():
     assert 10 * np.log10(p[0] / p[-1]) == pytest.approx(-20.0)
 
 
-def test_validate_rejects_bad_values():
-    with pytest.raises(ConfigError):
-        small_config(episode_length=0).validate()
-    with pytest.raises(ConfigError):
-        small_config(reward_exponent=1.5).validate()
-    with pytest.raises(ConfigError):
-        small_config(feedback_period=0).validate()
-    with pytest.raises(ConfigError):
-        # unsorted slots need exactly top_k UEs per AP
-        small_config(sort_by_pf=False,
-                     deployment=DeploymentConfig(num_aps=2, num_ues=7)).validate()
-
-
 @pytest.mark.parametrize("field, value, error, match", [
     ("num_sinusoids", 0, ConfigError, "num_sinusoids"),         # NaN sum-rate
     ("bandwidth_hz", 0.0, ConfigError, "bandwidth_hz"),         # all-zero rates
@@ -94,6 +81,10 @@ def test_validate_rejects_bad_values():
     ("backhaul_delay", -1, ConfigError, "EnvConfig.backhaul_delay must be >= 0, got -1"),
     ("episode_length", float("nan"), ConfigError,
      "EnvConfig.episode_length must be >= 1, got nan"),
+    ("episode_length", 0, ConfigError, "EnvConfig.episode_length must be >= 1, got 0"),
+    ("reward_exponent", 1.5, ConfigError,
+     r"EnvConfig.reward_exponent must be in \[0, 1\], got 1.5"),
+    ("feedback_period", 0, ConfigError, "EnvConfig.feedback_period must be >= 1, got 0"),
     ("num_remote", 0, None, None),                              # edges that must pass
     ("feedback_delay", 0, None, None),
     ("backhaul_delay", 0, None, None),
@@ -313,8 +304,8 @@ def test_rates_only_episode_makes_no_feedback():
     rewards, and reading a report raises instead of reading the defaults."""
     env = NetworkEnv(small_config(episode_length=30))
     assert env.reset(seed=79, feedback=False) is None
-    served = [ScheduleDecision.serve(int(np.flatnonzero(env.association == i)[0]),
-                                     env.config.p_max_w) for i in range(2)]
+    served = [ScheduleDecision(int(np.flatnonzero(env.association == i)[0]),
+                               env.config.p_max_w) for i in range(2)]
     for decisions in ([ScheduleDecision.silent()] * 2, served) * 12:
         assert env.step_decisions(decisions)[:2] == (None, None)
     readers = (lambda: env.step([1, 1]), env.agent_top_pf, env.visible_link_values,
@@ -471,6 +462,8 @@ def test_episode_terminates_and_refuses_extra_steps():
     assert done and env.done
     with pytest.raises(EpisodeFinished):
         env.step([0, 0])
+    with pytest.raises(EpisodeFinished):
+        env.step_decisions([ScheduleDecision.silent()] * 2)
 
 
 def test_average_rates_accumulate():
@@ -528,3 +521,7 @@ def test_unsorted_variant_fixed_slots():
     for _ in range(40):
         env.step([1, 1])
     assert np.array_equal(slots_a, local_slots(env))   # slots never reshuffle
+    with pytest.raises(ConfigError, match="EnvConfig.top_k"):
+        # unsorted slots need exactly top_k UEs per AP
+        small_config(sort_by_pf=False,
+                     deployment=DeploymentConfig(num_aps=2, num_ues=7)).validate()

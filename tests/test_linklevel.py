@@ -26,7 +26,7 @@ def _naive_rates(decisions, g2, noise, association):
 
 def test_single_ap_unit_snr():
     g2 = np.array([[1.0]])
-    rates, interf = compute_rates([ScheduleDecision.serve(0, 2.0)], g2,
+    rates, interf = compute_rates([ScheduleDecision(0, 2.0)], g2,
                                   noise_power=2.0, association=np.array([0]))
     assert rates[0] == pytest.approx(1.0)
     assert interf[0] == 0.0
@@ -44,7 +44,7 @@ def test_off_decision_power_adds_no_interference():
     rng = np.random.default_rng(7)
     g2 = rng.uniform(1e-12, 1e-8, size=(4, 2))
     assoc = np.array([0, 0, 1, 1])
-    served = ScheduleDecision.serve(0, 0.01)
+    served = ScheduleDecision(0, 0.01)
     rates, interf = compute_rates([served, ScheduleDecision(ue=-1, power_w=5.0)], g2,
                                   3.98e-14, assoc)
     want_r, want_i = compute_rates([served, ScheduleDecision.silent()], g2, 3.98e-14, assoc)
@@ -65,7 +65,7 @@ def test_rates_match_naive_oracle():
                 decisions.append(ScheduleDecision.silent())
             else:
                 pool = np.flatnonzero(assoc == i)
-                decisions.append(ScheduleDecision.serve(
+                decisions.append(ScheduleDecision(
                     int(rng.choice(pool)), float(rng.uniform(0.001, 0.01))))
         rates, interf = compute_rates(decisions, g2, 3.98e-14, assoc)
         exp_r, exp_i = _naive_rates(decisions, g2, 3.98e-14, assoc)
@@ -79,7 +79,7 @@ def test_rate_monotone_in_powers():
     assoc = np.array([0, 1])
 
     def rate0(p_own, p_other):
-        decs = [ScheduleDecision.serve(0, p_own), ScheduleDecision.serve(1, p_other)]
+        decs = [ScheduleDecision(0, p_own), ScheduleDecision(1, p_other)]
         return compute_rates(decs, g2, 3.98e-14, assoc)[0][0]
 
     assert rate0(0.02, 0.01) > rate0(0.01, 0.01)      # own power up
@@ -87,13 +87,14 @@ def test_rate_monotone_in_powers():
 
 
 def test_update_fixed_point():
-    stats = LinkStats(avg_rate=np.array([1.0]), avg_interference=np.array([0.0]))
+    stats = LinkStats(avg_rate=np.array([1.0]), avg_interference=np.array([0.0]),
+                      rate_floor=1e-3)
     update_link_stats(stats, np.array([1.0]), np.array([0.0]), 0.01, 0.05)
     assert stats.avg_rate[0] == pytest.approx(1.0)
 
 
 def test_update_floor_clamp():
-    stats = LinkStats.initial(1)
+    stats = LinkStats.initial(1, 1e-3)
     update_link_stats(stats, np.array([0.0]), np.array([0.0]), 0.01, 0.05)
     assert stats.avg_rate[0] == stats.rate_floor
     assert stats.weight[0] == pytest.approx(1.0 / stats.rate_floor)
@@ -127,9 +128,9 @@ def test_interference_average_converges():
     rng = np.random.default_rng(3)
     g2 = rng.uniform(1e-12, 1e-9, size=(4, 2))
     assoc = np.array([0, 0, 1, 1])
-    decisions = [ScheduleDecision.serve(0, 0.01), ScheduleDecision.serve(2, 0.01)]
+    decisions = [ScheduleDecision(0, 0.01), ScheduleDecision(2, 0.01)]
     _, true_interf = compute_rates(decisions, g2, 3.98e-14, assoc)
-    stats = LinkStats.initial(4)
+    stats = LinkStats.initial(4, 1e-3)
     errs = []
     for t in range(300):
         update_link_stats(stats, np.zeros(4), true_interf, 0.01, 0.05)
@@ -159,10 +160,3 @@ def test_pf_sorting_matches_bruteforce():
     order = np.argsort(-pf, kind="stable")
     brute = sorted(range(24), key=lambda j: (-w[j] * np.log2(1 + sinr[j]), j))
     assert order.tolist() == brute
-
-
-def test_serve_requires_positive_power():
-    with pytest.raises(ValueError):
-        ScheduleDecision.serve(0, 0.0)
-    with pytest.raises(ValueError):
-        ScheduleDecision.serve(-1, 0.1)

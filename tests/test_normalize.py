@@ -113,6 +113,8 @@ def test_fit_rejects_degenerate_data():
                            rewards=np.empty(0))
     with pytest.raises(DegenerateDataset):
         fit(empty, 20)
+    with pytest.raises(ValueError, match="need at least two percentile levels"):
+        fit(const_rew, 1)
 
 
 def test_fit_is_deterministic():

@@ -66,7 +66,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from marlsched import baselines, channel, dqn, harness, linklevel
+from marlsched import channel, dqn, harness, linklevel
 from marlsched.channel import create_fading
 from marlsched.dqn import TrainerConfig, run_training
 from marlsched.env import EnvConfig, NetworkEnv, OutOfRange, draw_layout
@@ -154,7 +154,7 @@ def oracle_decode(env, slot_map, agent, action):
     if ue < 0:
         return ScheduleDecision.silent(), True
     power = cfg.power_level_watts()[level]
-    return ScheduleDecision.serve(int(ue), float(power)), False
+    return ScheduleDecision(int(ue), float(power)), False
 
 
 def oracle_agent_top_pf(env):
@@ -470,9 +470,8 @@ def test_interval_path_matches_loop_oracles(cfg, seed):
             assert t_measured == oracle_visible_time(env, remote=remote)
         top_pf = env.agent_top_pf()
         assert same_bits(top_pf, oracle_agent_top_pf(env))
-        sel, pf_true = baselines._top_pf_per_pool(env)
-        want_sel, want_pf = oracle_top_pf_per_pool(env)
-        assert same_bits(sel, want_sel) and same_bits(pf_true, want_pf)
+        want_sel, _ = oracle_top_pf_per_pool(env)
+        assert same_bits(env.pool_argmax(env.true_pf()), want_sel)
 
         actions = rng.integers(0, cfg.num_actions, size=n_aps)
         decoded = [oracle_decode(env, want_slots, i, int(a))

@@ -48,6 +48,9 @@ def test_associate_dominant_column():
     g = np.array([[1.0, 10.0], [5.0, 1.0], [2.0, 9.0]])
     assoc = associate_max_rsrp(g)
     assert assoc.tolist() == [1, 0, 1]
+    for bad in (0.0, np.nan):
+        with pytest.raises(ValueError, match="gains must be strictly positive and finite"):
+            associate_max_rsrp(np.where(g == 5.0, bad, g))
 
 
 def test_associate_tie_goes_to_lowest_index():
