@@ -218,16 +218,12 @@ class NetworkEnv:
             dep.num_ues, dep.num_aps, cfg.num_sinusoids, cfg.doppler_hz,
             cfg.interval_duration_s, rng)
         self._index_layout()
-        self.stats = LinkStats.initial(dep.num_ues, cfg.rate_floor)
-        self.rate_sum = np.zeros(dep.num_ues)
-        self._defaults = self._snapshot(
-            None, np.full(dep.num_ues, cfg.default_weight),
-            np.full(dep.num_ues, cfg.default_sinr_db))
-        # ring of reports: report r = t / P lives in slot r % len. The newest
-        # report and the oldest one still readable (through the backhaul) are
-        # at most (fd + bd) // P + 1 apart, so no readable report is overwritten.
-        fd_bd = cfg.feedback_delay + cfg.backhaul_delay
-        self._reports = [self._defaults] * (fd_bd // cfg.feedback_period + 2)
+        k = dep.num_ues
+        self.stats = LinkStats(np.full(k, cfg.rate_floor), np.zeros(k), cfg.rate_floor)
+        self.rate_sum = np.zeros(k)
+        # report r is made at t = r * P, so it is element r; element 0 holds the defaults
+        self._reports = [self._snapshot(None, np.full(k, cfg.default_weight),
+                                        np.full(k, cfg.default_sinr_db))]
         self._done = False
         self.t = 1
         self._refresh_interval_state()
@@ -267,9 +263,8 @@ class NetworkEnv:
         cfg = self.config
         self._g2 = None
         if self.feedback and self.t % cfg.feedback_period == 0:
-            report = self._snapshot(self.t, self.stats.weight,
-                                    10.0 * np.log10(self._serving_sinr()))
-            self._reports[self.t // cfg.feedback_period % len(self._reports)] = report
+            self._reports.append(self._snapshot(self.t, self.stats.weight,
+                                                10.0 * np.log10(self._serving_sinr())))
 
     @property
     def g2(self) -> np.ndarray:
@@ -316,7 +311,7 @@ class NetworkEnv:
             raise RuntimeError("rates-only episode (reset with feedback=False): no reports")
         cfg = self.config
         r = (self.t - cfg.feedback_delay - extra_delay) // cfg.feedback_period
-        return self._reports[r % len(self._reports)] if r > 0 else self._defaults
+        return self._reports[max(r, 0)]
 
     def visible_link_values(self, remote: bool = False):
         """Delayed per-UE (weight, sinr_db, pf, t_measured) as seen by the APs.
@@ -466,5 +461,4 @@ class NetworkEnv:
 
     def average_rates(self) -> np.ndarray:
         """Per-UE time-average rates R_sum/T over the intervals stepped so far."""
-        steps = min(self.t - 1, self.config.episode_length)
-        return self.rate_sum / max(steps, 1)
+        return self.rate_sum / max(self.t - 1, 1)

@@ -31,10 +31,6 @@ class LinkStats:
     avg_interference: np.ndarray  # (K,) watts
     rate_floor: float
 
-    @classmethod
-    def initial(cls, num_ues: int, rate_floor: float) -> "LinkStats":
-        return cls(np.full(num_ues, rate_floor), np.zeros(num_ues), rate_floor)
-
     @property
     def weight(self) -> np.ndarray:
         return 1.0 / np.maximum(self.avg_rate, self.rate_floor)

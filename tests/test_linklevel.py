@@ -94,7 +94,7 @@ def test_update_fixed_point():
 
 
 def test_update_floor_clamp():
-    stats = LinkStats.initial(1, 1e-3)
+    stats = LinkStats(np.full(1, 1e-3), np.zeros(1), 1e-3)
     update_link_stats(stats, np.array([0.0]), np.array([0.0]), 0.01, 0.05)
     assert stats.avg_rate[0] == stats.rate_floor
     assert stats.weight[0] == pytest.approx(1.0 / stats.rate_floor)
@@ -130,7 +130,7 @@ def test_interference_average_converges():
     assoc = np.array([0, 0, 1, 1])
     decisions = [ScheduleDecision(0, 0.01), ScheduleDecision(2, 0.01)]
     _, true_interf = compute_rates(decisions, g2, 3.98e-14, assoc)
-    stats = LinkStats.initial(4, 1e-3)
+    stats = LinkStats(np.full(4, 1e-3), np.zeros(4), 1e-3)
     errs = []
     for t in range(300):
         update_link_stats(stats, np.zeros(4), true_interf, 0.01, 0.05)
