@@ -372,6 +372,8 @@ class NetworkEnv:
         agent i's local block. Returns (ue, power_w, invalid) arrays; ue is -1
         where the agent stays off, and invalid marks an empty selected slot.
         """
+        if actions.dtype.kind not in "iu":
+            raise OutOfRange(f"actions must be integers, got dtype {actions.dtype}")
         top = len(self._action_slot) - 1
         listed = actions.tolist()
         if min(listed) < 0 or max(listed) > top:
@@ -419,7 +421,7 @@ class NetworkEnv:
         if actions.shape != (n_aps,):
             raise ValueError(f"expected {n_aps} actions, one per AP; "
                              f"got shape {actions.shape}")
-        ue, power, invalid = self._decode(self._ap_ids, actions.astype(int, copy=False))
+        ue, power, invalid = self._decode(self._ap_ids, actions)
         decisions = [ScheduleDecision(j, p) if j >= 0 else ScheduleDecision.silent()
                      for j, p in zip(ue.tolist(), power.tolist())]
         return self.step_decisions(decisions, invalid)

@@ -111,6 +111,8 @@ def run_episode(envs: list[NetworkEnv], seeds, policy, on_step=None) -> np.ndarr
 def evaluate_policy(env_config: EnvConfig, policy, seeds) -> dict:
     """Aggregate metrics of a policy over environment realizations, one run per seed:
     a forward over B·N rows need not give the bits of B forwards over N."""
+    if len(seeds) == 0:
+        raise ValueError("evaluate_policy needs at least one seed, got an empty seed list")
     envs = [NetworkEnv(env_config)]
     per_env = [EpisodeMetrics.from_rates(run_episode(envs, [s], policy)[0],
                                          env_config.bandwidth_hz)

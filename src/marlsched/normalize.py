@@ -133,14 +133,15 @@ class StatsFile:
     config_fingerprint: str
 
     def validate(self) -> None:
-        """Raise ConfigError unless both threshold lists hold Q ascending numbers and
-        sigma_rew is positive."""
+        """Raise ConfigError unless both threshold lists hold Q ascending numbers whose
+        first is below their last, as fit makes them, and sigma_rew is positive."""
         require(self, ">= 1", "Q")
         for name in ("weight_thresholds", "sinr_db_thresholds"):
             values = getattr(self, name)
-            if len(values) != self.Q or np.any(np.diff(values) < 0):
+            if (len(values) != self.Q or np.any(np.diff(values) < 0)
+                    or values[0] == values[-1]):
                 raise ConfigError(f"StatsFile.{name} must be Q = {self.Q} ascending "
-                                  f"numbers, got {values}")
+                                  f"numbers, first below last, got {values}")
         require(self, "> 0", "sigma_rew")
 
 

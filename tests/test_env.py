@@ -276,6 +276,20 @@ def test_decode_action_out_of_range():
         env.decode_action(0, env.config.num_actions)
 
 
+@pytest.mark.parametrize("actions, dtype", [
+    ([1.7, 0], "float64"), ([True, False], "bool"), ([float("nan"), 0], "float64"),
+], ids=["float", "bool", "nan"])
+def test_step_refuses_actions_that_are_not_integers(actions, dtype):
+    # a float was truncated to an action and True read as action 1
+    env = NetworkEnv(small_config())
+    env.reset(seed=23)
+    with pytest.raises(OutOfRange, match=f"dtype {dtype}"):
+        env.step(actions)
+    assert env.t == 1
+    env.step(np.array([1, 0], dtype=np.uint8))
+    assert env.t == 2
+
+
 def test_invalid_slot_maps_to_off_with_flag():
     cfg = EnvConfig(deployment=DeploymentConfig(num_aps=1, num_ues=2),
                     episode_length=10, num_remote=0, top_k=3)

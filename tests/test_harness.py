@@ -145,6 +145,11 @@ def test_evaluate_policy_aggregation():
     assert out["sum_rate_mbps_std"] == pytest.approx(np.std(sums))
 
 
+def test_evaluate_policy_refuses_an_empty_seed_list():
+    with pytest.raises(ValueError, match="empty seed list"):
+        evaluate_policy(tiny_config(), BaselinePolicy("tdm"), [])
+
+
 def test_evaluate_policy_deterministic():
     cfg = tiny_config()
     a = evaluate_policy(cfg, BaselinePolicy("tdm"), seeds=[5, 6])

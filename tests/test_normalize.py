@@ -217,10 +217,11 @@ def _break(payload, key, value):
     ("sigma_rew", float("inf"), "sigma_rew"),
     ("config_fingerprint", None, "config_fingerprint"),
     ("weight_thresholds", lambda a: [str(x) for x in a], r"weight_thresholds\[0\]"),
+    ("sinr_db_thresholds", lambda a: [a[0]] * len(a), "sinr_db_thresholds"),
 ], ids=["weights-missing", "sinr-missing", "weights-empty", "sinr-nan", "weights-inf",
         "weights-descending", "sinr-descending", "lengths-differ", "q-differs",
         "mu-missing", "mu-nan", "sigma-missing", "sigma-inf", "fingerprint-missing",
-        "weights-strings"])
+        "weights-strings", "sinr-constant"])
 def test_load_stats_names_the_broken_field(tmp_path, key, value, field):
     mapper, rnorm = fit(_synthetic(np.random.default_rng(11), n=2000), 20)
     path = tmp_path / "norm.json"
@@ -229,4 +230,16 @@ def test_load_stats_names_the_broken_field(tmp_path, key, value, field):
     _break(payload, key, value)
     path.write_text(json.dumps(payload))
     with pytest.raises(ConfigError, match=field):
+        load_stats(path)
+
+
+def test_load_stats_refuses_a_single_level(tmp_path):
+    # fit refuses Q < 2; a Q = 1 file would map every observation to -1/2 or +1/2
+    mapper, rnorm = fit(_synthetic(np.random.default_rng(11), n=2000), 20)
+    path = tmp_path / "norm.json"
+    save_stats(path, mapper, rnorm, "N2-K6")
+    payload = json.loads(path.read_text())
+    payload.update(Q=1, weight_thresholds=[0.5], sinr_db_thresholds=[3.0])
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError, match="weight_thresholds"):
         load_stats(path)

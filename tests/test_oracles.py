@@ -3,9 +3,11 @@
 The oracles below are the per-agent, per-slot loops that `NetworkEnv` and
 `baselines` used before observations, action decoding and the top-PF
 selections were built from the padded pool matrix and the feedback reports
-were kept in a ring. A Hypothesis test steps random small environments and
-requires every fast-path output to equal its oracle bit for bit, and the
-environment invariants to hold at every interval.
+were kept in a list indexed by report number. A Hypothesis test steps random
+small environments and requires every fast-path output to equal its oracle
+bit for bit, and the environment invariants to hold at every interval. One
+whole default-config episode checks, at every interval, which report the
+local and the remote view read.
 
 The interferer-profile oracle is the per-UE, per-n loop that
 `harness.interference_profile` ran before it gathered the neighbours' powers
@@ -428,11 +430,11 @@ def small_configs(draw):
 @settings(max_examples=80, deadline=None)
 @given(cfg=small_configs(), seed=st.integers(0, 2 ** 32 - 1))
 # pinned edge cases: N = K = 1 with top_k and num_remote beyond the network;
-# the unsorted variant with p > 1 and a report every interval; the report ring
-# wrapping many times, when it is long (a report every interval, delays of 3),
-# when it has its minimum two slots (no delays), and when the delays are no
-# multiple of the period, so that the newest and the oldest readable report
-# are (fd + bd) // P + 1 apart and every slot is needed
+# the unsorted variant with p > 1 and a report every interval; report lists
+# read far behind their newest report (a report every interval, delays of 3),
+# read at their newest report (no delays), and read with delays that are no
+# multiple of the period, so that the newest and the oldest visible report
+# are (fd + bd) // P + 1 apart
 @example(cfg=EnvConfig(deployment=DeploymentConfig(num_aps=1, num_ues=1),
                        episode_length=25, top_k=3, num_remote=2, power_levels=2),
          seed=0)
@@ -497,6 +499,22 @@ def test_interval_path_matches_loop_oracles(cfg, seed):
                 assert penalized[0] == np.argmax(top_pf)
         if done:
             return
+
+
+def test_visible_report_times_over_a_default_episode():
+    """A whole default episode, T = 2,000 with a report every 10 intervals (about
+    200 reports), far longer than the Hypothesis episodes: at every interval the
+    local and the remote view read the report the oracle names."""
+    cfg = EnvConfig()
+    env = NetworkEnv(cfg)
+    env.reset(seed=0)
+    rng = np.random.default_rng(0)
+    done = False
+    while not done:
+        for remote in (False, True):
+            assert env.visible_link_values(remote)[3] == oracle_visible_time(env, remote)
+        _, _, done, _ = env.step(rng.integers(0, cfg.num_actions, cfg.deployment.num_aps))
+    assert env.t == cfg.episode_length + 1
 
 
 # ------------------------------------------------------------------- topology
