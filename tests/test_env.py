@@ -280,7 +280,6 @@ def test_decode_action_out_of_range():
     ([1.7, 0], "float64"), ([True, False], "bool"), ([float("nan"), 0], "float64"),
 ], ids=["float", "bool", "nan"])
 def test_step_refuses_actions_that_are_not_integers(actions, dtype):
-    # a float was truncated to an action and True read as action 1
     env = NetworkEnv(small_config())
     env.reset(seed=23)
     with pytest.raises(OutOfRange, match=f"dtype {dtype}"):
