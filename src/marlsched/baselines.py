@@ -32,18 +32,17 @@ def tdm_decide(env: NetworkEnv) -> list[ScheduleDecision]:
 
 
 def itlinq_active_set(selected_ues: np.ndarray, order: np.ndarray,
-                      power_gains: np.ndarray, p_max: float, noise: float,
-                      m_itq: float = ITLINQ_M, eta: float = ITLINQ_ETA) -> list[int]:
+                      power_gains: np.ndarray, p_max: float, noise: float) -> list[int]:
     """Greedy walk over PF-ordered APs, admitting those with weak cross-INRs.
 
     AP i joins the active set iff, against every already-active AP a, both
-    cross interference-to-noise ratios stay below m_itq * SNR_i^eta.
+    cross interference-to-noise ratios stay below ITLINQ_M * SNR_i^ITLINQ_ETA.
     """
     gains = power_gains[selected_ues].tolist()     # row i: AP i's selected UE, to every AP
     active: list[int] = []
     for i in order.tolist():
         g_i = gains[i]
-        limit = m_itq * (p_max * g_i[i] / noise) ** eta
+        limit = ITLINQ_M * (p_max * g_i[i] / noise) ** ITLINQ_ETA
         if not any(max(p_max * gains[a][i], p_max * g_i[a]) / noise >= limit for a in active):
             active.append(i)
     return active
@@ -65,10 +64,3 @@ BASELINES = {
     "tdm": tdm_decide,
     "itlinq": itlinq_decide,
 }
-
-
-def get_baseline(name: str):
-    try:
-        return BASELINES[name]
-    except KeyError:
-        raise ValueError(f"unknown baseline {name!r}; choose from {sorted(BASELINES)}")

@@ -196,7 +196,6 @@ class TrainingResult:
     epoch_log: list[EpochRecord]
     checkpoints: list[dict]     # parameter copies per epoch
     best_epoch: int             # 1-based, highest validation score
-    best_params: dict
 
 
 class DqnPolicy:
@@ -297,7 +296,5 @@ def run_training(env_config: EnvConfig, trainer_config: TrainerConfig,
                                 net, step=adam.step,
                                 extra={"epoch": epoch, "score": rec.score})
 
-    best_idx = int(np.argmax([r.score for r in epoch_log]))
-    return TrainingResult(epoch_log=epoch_log, checkpoints=checkpoints,
-                          best_epoch=best_idx + 1,
-                          best_params=checkpoints[best_idx])
+    best_epoch = int(np.argmax([r.score for r in epoch_log])) + 1
+    return TrainingResult(epoch_log=epoch_log, checkpoints=checkpoints, best_epoch=best_epoch)

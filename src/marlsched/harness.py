@@ -63,7 +63,9 @@ class BaselinePolicy:
 
     def __init__(self, name: str):
         self.name = name
-        self._decide = bl.get_baseline(name)
+        if name not in bl.BASELINES:
+            raise ValueError(f"unknown baseline {name!r}; choose from {sorted(bl.BASELINES)}")
+        self._decide = bl.BASELINES[name]
 
     def act(self, envs, obs):
         return [self._decide(env) for env in envs]

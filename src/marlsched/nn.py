@@ -29,7 +29,7 @@ class Mlp:
     copies the parameters only.
     """
 
-    def __init__(self, in_dim: int, out_dim: int, hidden: int = 128,
+    def __init__(self, in_dim: int, out_dim: int, hidden: int,
                  rng: np.random.Generator | None = None):
         self.in_dim, self.out_dim, self.hidden = in_dim, out_dim, hidden
         rng = rng or np.random.default_rng()
@@ -117,15 +117,15 @@ class Mlp:
             np.copyto(self.params[k], v)
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8   # Kingma & Ba's defaults
+
+
 @dataclass
 class AdamState:
     """Adam moments plus the halving learning-rate schedule."""
 
     base_lr: float = 0.01
     halving_period: int = 5000
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -147,18 +147,18 @@ def adam_update(net: Mlp, grads: dict, state: AdamState, l2_coeff: float = 0.0) 
         # with the operations in that order, so the bits are the allocating form's
         g = l2_coeff * p
         np.add(grads[name], g, out=g)
-        u = np.multiply(g, 1 - state.beta1)
-        m *= state.beta1
+        u = np.multiply(g, 1 - ADAM_BETA1)
+        m *= ADAM_BETA1
         m += u
         np.square(g, out=g)
-        g *= 1 - state.beta2
-        v *= state.beta2
+        g *= 1 - ADAM_BETA2
+        v *= ADAM_BETA2
         v += g
-        np.divide(m, 1 - state.beta1 ** t, out=u)
+        np.divide(m, 1 - ADAM_BETA1 ** t, out=u)
         u *= lr
-        np.divide(v, 1 - state.beta2 ** t, out=g)
+        np.divide(v, 1 - ADAM_BETA2 ** t, out=g)
         np.sqrt(g, out=g)
-        g += state.eps
+        g += ADAM_EPS
         u /= g
         p -= u
     state.step = t

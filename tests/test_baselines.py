@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from marlsched.baselines import (
-    ITLINQ_ETA, ITLINQ_M, full_reuse_decide, get_baseline, itlinq_active_set,
-    itlinq_decide, tdm_decide,
+    BASELINES, ITLINQ_ETA, ITLINQ_M, full_reuse_decide, itlinq_active_set, itlinq_decide,
+    tdm_decide,
 )
 from marlsched.env import EnvConfig, NetworkEnv
+from marlsched.harness import BaselinePolicy
 from marlsched.topology import DeploymentConfig
 
 
@@ -21,10 +22,15 @@ def make_env(n_aps=2, k_ues=6, seed=0, episode_length=60):
     return env
 
 
-def test_get_baseline_lookup():
-    assert get_baseline("tdm") is tdm_decide
-    with pytest.raises(ValueError):
-        get_baseline("nope")
+def test_baseline_policy_lookup(monkeypatch):
+    """BaselinePolicy reads BASELINES when it is built, so a swapped entry is the one it calls."""
+    env = make_env(seed=1)
+    assert BaselinePolicy("tdm").act([env], None) == [tdm_decide(env)]
+    monkeypatch.setitem(BASELINES, "tdm", lambda env: "swapped")
+    assert BaselinePolicy("tdm").act([env], None) == ["swapped"]
+    with pytest.raises(ValueError, match=r"unknown baseline 'nope'; choose from "
+                                         r"\['full_reuse', 'itlinq', 'tdm'\]"):
+        BaselinePolicy("nope")
 
 
 # ------------------------------------------------------------------ full reuse
@@ -143,20 +149,6 @@ def test_itlinq_huge_cross_gains_admit_only_first():
     order = np.array([2, 0, 1, 3])
     active = itlinq_active_set(selected, order, g2, 0.01, 3.98e-14)
     assert active == [2]
-
-
-def test_itlinq_m_limit_cases():
-    # the greedy walk is not monotone in m, but its limits are pinned:
-    # m -> inf admits everyone, m -> 0 admits only the first in order
-    rng = np.random.default_rng(6)
-    for _ in range(50):
-        selected, order, g2 = _random_instance(rng)
-        everyone = itlinq_active_set(selected, order, g2, 0.01, 3.98e-14,
-                                     m_itq=1e30)
-        assert sorted(everyone) == sorted(int(i) for i in order)
-        lone = itlinq_active_set(selected, order, g2, 0.01, 3.98e-14,
-                                 m_itq=1e-30)
-        assert lone == [int(order[0])]
 
 
 def test_itlinq_decide_consistent_with_active_set():

@@ -77,7 +77,9 @@ from marlsched.harness import (
     build_validation_set, fresh_seeds, interference_profile, run_episode,
 )
 from marlsched.linklevel import ScheduleDecision
-from marlsched.nn import PARAM_NAMES, AdamState, Mlp, adam_update
+from marlsched.nn import (
+    ADAM_BETA1, ADAM_BETA2, ADAM_EPS, PARAM_NAMES, AdamState, Mlp, adam_update,
+)
 from marlsched.normalize import PercentileMapper, RewardNormalizer
 from marlsched.topology import (
     DeploymentConfig, associate_max_rsrp, balance_pools, nearest_remote_agents,
@@ -287,11 +289,11 @@ def oracle_adam_update(net, grads, state, l2_coeff=0.0):
         if name not in state.m:
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
-        state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * g ** 2
-        m_hat = state.m[name] / (1 - state.beta1 ** t)
-        v_hat = state.v[name] / (1 - state.beta2 ** t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        state.m[name] = ADAM_BETA1 * state.m[name] + (1 - ADAM_BETA1) * g
+        state.v[name] = ADAM_BETA2 * state.v[name] + (1 - ADAM_BETA2) * g ** 2
+        m_hat = state.m[name] / (1 - ADAM_BETA1 ** t)
+        v_hat = state.v[name] / (1 - ADAM_BETA2 ** t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     state.step = t
 
 
