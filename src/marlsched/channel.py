@@ -27,6 +27,7 @@ class PathLossParams:
         if not self.alpha1 <= self.alpha2:
             raise ConfigError(f"PathLossParams.alpha1 {self.alpha1} must not exceed "
                               f"PathLossParams.alpha2 {self.alpha2}")
+        require(self, "finite", "k0_db", "alpha1", "alpha2")
 
 
 def path_loss_db(d, params: PathLossParams):

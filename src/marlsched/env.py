@@ -24,7 +24,8 @@ class EpisodeFinished(RuntimeError):
 
 
 def read_config(cls, raw, where: str | None = None):
-    """A cls from a JSON object, the one reader of every JSON object read back.
+    """A cls from a JSON object: the reader of every JSON file read back but the
+    checkpoint header, which load_checkpoint reads.
 
     A field without a default is required, and each value is read as its
     field's annotated type by _read_value. An object whose class has a
@@ -138,6 +139,8 @@ class EnvConfig:
         require(self, "> 0", "bandwidth_hz", "rate_floor", "interval_duration_s")
         require(self, "in (0, 1)", "alpha_rate", "alpha_interference")
         require(self, "in [0, 1]", "reward_exponent")
+        require(self, "finite", "default_weight", "default_sinr_db", "p_max_dbm",
+                "noise_psd_dbm_hz", "doppler_hz")
         dep = self.deployment
         if not self.sort_by_pf and dep.num_ues != dep.num_aps * self.top_k:
             raise ConfigError(f"EnvConfig.top_k {self.top_k}: unsorted observations need "

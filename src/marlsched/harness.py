@@ -93,6 +93,8 @@ def run_episode(envs: list[NetworkEnv], seeds, policy, on_step=None) -> np.ndarr
     actions, rewards, next_obs, t) sees each interval t = 1..T with the (B, N)
     rewards; next_obs is None after the last one. This loop decides feedback:
     without on_step, a decisions policy's episodes are rates-only (obs None)."""
+    if len(seeds) != len(envs):
+        raise ValueError(f"one seed per env: {len(seeds)} seeds, {len(envs)} envs")
     feedback = policy.kind == "actions" or on_step is not None
     obs = [env.reset(int(s), feedback) for env, s in zip(envs, seeds)]
     obs = np.array(obs) if feedback else None

@@ -186,10 +186,11 @@ def load_checkpoint(path):
     """Read a save_checkpoint file back into (net, header).
 
     Raises ShapeMismatch when the header is not a UTF-8 JSON object, lacks a
-    field, has widths that are not positive ints, names an activation other
-    than tanh or a param_order other than PARAM_NAMES (the order the bytes are
-    read in), or shapes other than its widths need, or when the parameter
-    bytes disagree with them.
+    field or has one save_checkpoint never writes, has widths that are not
+    positive ints or a step that is not a non-negative int, names an activation
+    other than tanh or a param_order other than PARAM_NAMES (the order the
+    bytes are read in), or shapes other than its widths need, or when the
+    parameter bytes disagree with them.
     """
     with open(path, "rb") as f:
         line, blob = f.readline(), f.read()
@@ -200,13 +201,18 @@ def load_checkpoint(path):
     header = json.loads(text)
     if not isinstance(header, dict):
         raise ShapeMismatch(f"checkpoint header must be a JSON object, got {header!r}")
-    missing = [k for k in ("in_dim", "out_dim", "hidden", "activation", "param_order",
-                           "shapes") if k not in header]
+    fields = ("in_dim", "out_dim", "hidden", "activation", "step", "param_order", "shapes")
+    missing = [k for k in fields if k not in header]
     if missing:
         raise ShapeMismatch(f"checkpoint header lacks {', '.join(missing)}")
+    unknown = sorted(set(header) - {*fields, "extra"})
+    if unknown:
+        raise ShapeMismatch(f"checkpoint header has unknown {', '.join(unknown)}")
     for k in ("in_dim", "out_dim", "hidden"):
         if type(header[k]) is not int or header[k] < 1:
             raise ShapeMismatch(f"{k} must be a positive int, got {header[k]!r}")
+    if type(header["step"]) is not int or header["step"] < 0:
+        raise ShapeMismatch(f"step must be a non-negative int, got {header['step']!r}")
     if header["activation"] != "tanh":
         raise ShapeMismatch(f"activation {header['activation']!r} is not 'tanh'")
     net = Mlp(header["in_dim"], header["out_dim"], header["hidden"])

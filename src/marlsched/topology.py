@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,7 @@ class ConfigError(ValueError):
 
 # The range rules of every config field, each written so that NaN fails it.
 RULES = {
+    "finite": lambda v: isinstance(v, int) or math.isfinite(v),
     ">= 1": lambda v: v >= 1,
     ">= 0": lambda v: v >= 0,
     "> 0": lambda v: v > 0,
@@ -24,11 +26,14 @@ RULES = {
 
 
 def require(config, rule: str, *names: str) -> None:
-    """Raise ConfigError for the first of config's fields names whose value breaks rule."""
+    """Raise ConfigError for the first of config's fields names whose value breaks
+    rule or, whatever the rule, is not finite."""
     for name in names:
         value = getattr(config, name)
-        if not RULES[rule](value):
-            raise ConfigError(f"{type(config).__name__}.{name} must be {rule}, got {value}")
+        for broken in (rule, "finite"):
+            if not RULES[broken](value):
+                raise ConfigError(f"{type(config).__name__}.{name} must be {broken}, "
+                                  f"got {value}")
 
 
 class PlacementInfeasible(RuntimeError):
@@ -50,6 +55,7 @@ class DeploymentConfig:
         if not self.num_ues >= self.num_aps:
             raise ConfigError(f"DeploymentConfig.num_ues {self.num_ues} must give "
                               f"each of the {self.num_aps} APs a UE")
+        require(self, "finite", "num_ues")
 
 
 @dataclass

@@ -511,7 +511,7 @@ REFUSED = {
     "--val-set": ('{"seeds": [1]}', "ConfigError", "lacks env_config, reference"),
     "--env-set": ('{"seeds": [1]}', "ConfigError", "lacks env_config, reference"),
     "--checkpoint": ('{"in_dim": 24, "out_dim": 4, "hidden": 8.0, "activation": "tanh", '
-                     '"param_order": [], "shapes": {}}\n', "ShapeMismatch",
+                     '"step": 0, "param_order": [], "shapes": {}}\n', "ShapeMismatch",
                      "hidden must be a positive int, got 8.0"),
 }
 

@@ -85,6 +85,9 @@ def test_power_levels_ascending_top_is_pmax():
     ("reward_exponent", 1.5, ConfigError,
      r"EnvConfig.reward_exponent must be in \[0, 1\], got 1.5"),
     ("feedback_period", 0, ConfigError, "EnvConfig.feedback_period must be >= 1, got 0"),
+    ("doppler_hz", float("nan"), ConfigError, "EnvConfig.doppler_hz must be finite, got nan"),
+    ("bandwidth_hz", float("inf"), ConfigError,
+     "EnvConfig.bandwidth_hz must be finite, got inf"),
     ("num_remote", 0, None, None),                              # edges that must pass
     ("feedback_delay", 0, None, None),
     ("backhaul_delay", 0, None, None),
@@ -98,10 +101,6 @@ def test_validate_rejects_broken_physics(field, value, error, match):
         NetworkEnv(small_config(**{field: value}))
 
 
-# Numeric fields whose every finite value is usable; read_config refuses non-finite ones.
-UNCONSTRAINED = {"EnvConfig.p_max_dbm", "EnvConfig.noise_psd_dbm_hz", "EnvConfig.doppler_hz",
-                 "EnvConfig.default_weight", "EnvConfig.default_sinr_db",
-                 "PathLossParams.k0_db"}
 NUMERIC_FIELDS = [(cls, f.name) for cls in (PathLossParams, DeploymentConfig, EnvConfig,
                                             TrainerConfig)
                   for f in fields(cls) if typing.get_type_hints(cls)[f.name] in (int, float)]
@@ -110,14 +109,11 @@ NUMERIC_FIELDS = [(cls, f.name) for cls in (PathLossParams, DeploymentConfig, En
 @pytest.mark.parametrize("cls, name", NUMERIC_FIELDS,
                          ids=[f"{cls.__name__}.{name}" for cls, name in NUMERIC_FIELDS])
 def test_validate_refuses_nan_in_every_constrained_field(cls, name):
-    """A new numeric field fails here until its range is decided: a rule, or a place
-    in UNCONSTRAINED."""
-    config = cls(**{name: float("nan")})
-    if f"{cls.__name__}.{name}" in UNCONSTRAINED:
-        config.validate()
-    else:
+    """Every numeric field refuses NaN and +-inf as read_config does, so a config built in
+    code fails as early as one read from a file. A new field fails here until it has a rule."""
+    for value in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ConfigError, match=rf"\b{cls.__name__}\.{name}\b"):
-            config.validate()
+            cls(**{name: value}).validate()
 
 
 def test_config_roundtrip():

@@ -82,6 +82,14 @@ def test_run_episode_returns_average_rates():
     assert envs[0].done
 
 
+@pytest.mark.parametrize("num_envs, seeds", [(1, [1, 2, 3]), (2, [1])])
+def test_run_episode_refuses_a_seed_count_other_than_the_env_count(num_envs, seeds):
+    envs = [NetworkEnv(tiny_config()) for _ in range(num_envs)]
+    with pytest.raises(ValueError, match=rf"{len(seeds)} seeds, {num_envs} envs"):
+        run_episode(envs, seeds, BaselinePolicy("tdm"))
+    assert all(not hasattr(env, "deployment") for env in envs)      # before any reset
+
+
 def test_run_episode_on_step():
     cfg = tiny_config(episode_length=10)
     envs = [NetworkEnv(cfg)]

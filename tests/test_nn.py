@@ -301,9 +301,14 @@ def _rewrite_checkpoint(path, edit_header=None, tail=b"", cut=0):
     ({"edit_header": lambda h: h.update(in_dim="4")}, "in_dim"),
     ({"edit_header": lambda h: h.update(hidden=True)}, "hidden"),
     ({"edit_header": lambda h: h.update(shapes=[])}, "shapes"),
+    ({"edit_header": lambda h: h.pop("step")}, "lacks step"),
+    ({"edit_header": lambda h: h.update(step="five")}, "step must be a non-negative int"),
+    ({"edit_header": lambda h: h.update(step=-1)}, "step must be a non-negative int"),
+    ({"edit_header": lambda h: h.update(step_typo=5)}, "unknown step_typo"),
 ], ids=["trailing-bytes", "truncated", "in_dim", "out_dim", "param-order",
         "activation", "no-shapes", "param-order-reversed", "float-hidden",
-        "negative-in_dim", "string-in_dim", "bool-hidden", "shapes-list"])
+        "negative-in_dim", "string-in_dim", "bool-hidden", "shapes-list",
+        "no-step", "string-step", "negative-step", "unknown-key"])
 def test_checkpoint_rejects_malformed_files(tmp_path, edit, names):
     path = tmp_path / "net.ckpt"
     save_checkpoint(path, Mlp(4, 3, hidden=8, rng=np.random.default_rng(0)))
