@@ -15,6 +15,15 @@ from .linklevel import LinkStats, ScheduleDecision
 from .topology import ConfigError, DeploymentConfig, require
 
 
+# The reference setup's fixed system constants; no config field sets them.
+DEFAULT_WEIGHT, DEFAULT_SINR_DB = 0.0, -60.0    # an observation slot without a report
+NOISE_PSD_DBM_HZ, BANDWIDTH_HZ = -174.0, 10e6   # noise_w: -104 dBm
+ALPHA_RATE, ALPHA_INTERFERENCE = 0.01, 0.05     # the link stats' averaging constants
+RATE_FLOOR = 1e-3                               # bps/Hz; keeps weights = 1/avg_rate <= 1e3
+INTERVAL_DURATION_S = 1e-3
+NUM_SINUSOIDS = 16                              # per fading sum
+
+
 class OutOfRange(ValueError):
     pass
 
@@ -86,21 +95,11 @@ class EnvConfig:
     backhaul_delay: int = 5             # extra delay toward remote APs
     reward_exponent: float = 0.8        # lambda on the served UE's weight
     sort_by_pf: bool = True             # False = unsorted fixed-slot variant
-    default_weight: float = 0.0
-    default_sinr_db: float = -60.0
 
     p_max_dbm: float = 10.0
-    noise_psd_dbm_hz: float = -174.0
-    bandwidth_hz: float = 10e6
-    alpha_rate: float = 0.01
-    alpha_interference: float = 0.05
-    rate_floor: float = 1e-3            # bps/Hz; keeps weights = 1/avg_rate bounded at 1e3
-
     path_loss: PathLossParams = field(default_factory=PathLossParams)
     shadow_std_db: float = 7.0
     doppler_hz: float = 8.0             # 1 m/s pedestrian at 2.4 GHz
-    interval_duration_s: float = 1e-3
-    num_sinusoids: int = 16
 
     @property
     def obs_dim(self) -> int:
@@ -116,7 +115,7 @@ class EnvConfig:
 
     @property
     def noise_w(self) -> float:
-        noise_dbm = self.noise_psd_dbm_hz + 10.0 * np.log10(self.bandwidth_hz)
+        noise_dbm = NOISE_PSD_DBM_HZ + 10.0 * np.log10(BANDWIDTH_HZ)
         return 10.0 ** ((noise_dbm - 30.0) / 10.0)
 
     def power_level_watts(self) -> np.ndarray:
@@ -132,15 +131,11 @@ class EnvConfig:
     def validate(self) -> None:
         self.deployment.validate()
         self.path_loss.validate()
-        require(self, ">= 1", "episode_length", "top_k", "power_levels", "feedback_period",
-                "num_sinusoids")
+        require(self, ">= 1", "episode_length", "top_k", "power_levels", "feedback_period")
         require(self, ">= 0", "num_remote", "feedback_delay", "backhaul_delay",
                 "shadow_std_db")
-        require(self, "> 0", "bandwidth_hz", "rate_floor", "interval_duration_s")
-        require(self, "in (0, 1)", "alpha_rate", "alpha_interference")
         require(self, "in [0, 1]", "reward_exponent")
-        require(self, "finite", "default_weight", "default_sinr_db", "p_max_dbm",
-                "noise_psd_dbm_hz", "doppler_hz")
+        require(self, "finite", "p_max_dbm", "doppler_hz")
         dep = self.deployment
         if not self.sort_by_pf and dep.num_ues != dep.num_aps * self.top_k:
             raise ConfigError(f"EnvConfig.top_k {self.top_k}: unsorted observations need "
@@ -218,15 +213,14 @@ class NetworkEnv:
         dep, self._power, self.association = draw_layout(cfg, rng)
         self.deployment = dep
         self.fading = channel.create_fading(
-            dep.num_ues, dep.num_aps, cfg.num_sinusoids, cfg.doppler_hz,
-            cfg.interval_duration_s, rng)
+            dep.num_ues, dep.num_aps, NUM_SINUSOIDS, cfg.doppler_hz, INTERVAL_DURATION_S, rng)
         self._index_layout()
         k = dep.num_ues
-        self.stats = LinkStats(np.full(k, cfg.rate_floor), np.zeros(k), cfg.rate_floor)
+        self.stats = LinkStats(np.full(k, RATE_FLOOR), np.zeros(k), RATE_FLOOR)
         self.rate_sum = np.zeros(k)
         # report r is made at t = r * P, so it is element r; element 0 holds the defaults
-        self._reports = [self._snapshot(None, np.full(k, cfg.default_weight),
-                                        np.full(k, cfg.default_sinr_db))]
+        self._reports = [self._snapshot(None, np.full(k, DEFAULT_WEIGHT),
+                                        np.full(k, DEFAULT_SINR_DB))]
         self._done = False
         self.t = 1
         self._refresh_interval_state()
@@ -306,7 +300,7 @@ class NetworkEnv:
         slots[:-1] = order[:, :cfg.top_k]
         table = np.empty((len(weight) + 1, 2))
         table[:-1, 0], table[:-1, 1] = weight, sinr_db
-        table[-1] = cfg.default_weight, cfg.default_sinr_db
+        table[-1] = DEFAULT_WEIGHT, DEFAULT_SINR_DB
         return FeedbackSnapshot(t_measured, pf, slots, table)
 
     def _latest_visible(self, extra_delay: int) -> FeedbackSnapshot:
@@ -450,7 +444,7 @@ class NetworkEnv:
         rewards = self.compute_reward(decisions, rates, invalid) if self.feedback else None
         self.rate_sum += rates
         linklevel.update_link_stats(self.stats, rates, interference,
-                                    cfg.alpha_rate, cfg.alpha_interference)
+                                    ALPHA_RATE, ALPHA_INTERFERENCE)
         info = {"rates": rates, "interference": interference,
                 "decisions": decisions, "t": self.t}
         self.t += 1

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import baselines as bl
 from . import linklevel, topology
-from .env import ConfigError, EnvConfig, NetworkEnv, draw_layout, read_config
+from .env import BANDWIDTH_HZ, ConfigError, EnvConfig, NetworkEnv, draw_layout, read_config
 
 
 class InsufficientCandidates(RuntimeError):
@@ -33,10 +33,10 @@ class EpisodeMetrics:
     score: float     # sum_rate_mbps / K + 3 * pct5_mbps
 
     @classmethod
-    def from_rates(cls, avg_rates: np.ndarray, bandwidth_hz: float) -> "EpisodeMetrics":
+    def from_rates(cls, avg_rates: np.ndarray) -> "EpisodeMetrics":
         s = float(np.sum(avg_rates))
         p5 = pct5_rate(avg_rates)
-        mbps = bandwidth_hz / 1e6
+        mbps = BANDWIDTH_HZ / 1e6
         return cls(sum_rate_mbps=s * mbps, pct5_mbps=p5 * mbps,
                    score=s * mbps / len(avg_rates) + 3.0 * p5 * mbps)
 
@@ -118,9 +118,7 @@ def evaluate_policy(env_config: EnvConfig, policy, seeds) -> dict:
     if len(seeds) == 0:
         raise ValueError("evaluate_policy needs at least one seed, got an empty seed list")
     envs = [NetworkEnv(env_config)]
-    per_env = [EpisodeMetrics.from_rates(run_episode(envs, [s], policy)[0],
-                                         env_config.bandwidth_hz)
-               for s in seeds]
+    per_env = [EpisodeMetrics.from_rates(run_episode(envs, [s], policy)[0]) for s in seeds]
     sums = np.array([m.sum_rate_mbps for m in per_env])
     p5s = np.array([m.pct5_mbps for m in per_env])
     k = env_config.deployment.num_ues

@@ -11,9 +11,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .env import ConfigError, EnvConfig, NetworkEnv, read_config
+from .env import DEFAULT_SINR_DB, DEFAULT_WEIGHT, EnvConfig, NetworkEnv, read_config
 from .harness import BaselinePolicy, fresh_seeds, run_episode
-from .topology import require
+from .topology import ConfigError, require
 
 
 class DegenerateDataset(ValueError):
@@ -89,7 +89,7 @@ def collect_offline_dataset(env_config: EnvConfig, baseline_names: list[str],
 
     def record(obs, actions, rew, next_obs, t):
         w, s = obs[..., 0::2], obs[..., 1::2]
-        keep = ~((w == env_config.default_weight) & (s == env_config.default_sinr_db))
+        keep = ~((w == DEFAULT_WEIGHT) & (s == DEFAULT_SINR_DB))
         weights.append(w[keep])
         sinrs.append(s[keep])
         rewards.append(rew.ravel())

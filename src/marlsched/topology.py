@@ -20,7 +20,6 @@ RULES = {
     ">= 1": lambda v: v >= 1,
     ">= 0": lambda v: v >= 0,
     "> 0": lambda v: v > 0,
-    "in (0, 1)": lambda v: 0 < v < 1,
     "in [0, 1]": lambda v: 0 <= v <= 1,
 }
 

@@ -503,16 +503,21 @@ def test_evaluate_env_set_warns_when_it_overrides_the_config(
     assert warns or "warning" not in captured.err
 
 
-# text that parses as JSON (or a checkpoint header) but that the flag's reader refuses
+# text that parses as JSON (or a checkpoint header) but that the flag's reader refuses;
+# the second texts name keys of env fields that are module constants now
 REFUSED = {
-    "--config": ('{"env": {"p_max_dbm": NaN}}', "ConfigError",
-                 "EnvConfig.p_max_dbm must be finite, got nan"),
-    "--norm-stats": ('{"Q": 2}', "ConfigError", "lacks weight_thresholds"),
-    "--val-set": ('{"seeds": [1]}', "ConfigError", "lacks env_config, reference"),
-    "--env-set": ('{"seeds": [1]}', "ConfigError", "lacks env_config, reference"),
-    "--checkpoint": ('{"in_dim": 24, "out_dim": 4, "hidden": 8.0, "activation": "tanh", '
-                     '"step": 0, "param_order": [], "shapes": {}}\n', "ShapeMismatch",
-                     "hidden must be a positive int, got 8.0"),
+    "--config": [('{"env": {"p_max_dbm": NaN}}', "ConfigError",
+                  "EnvConfig.p_max_dbm must be finite, got nan"),
+                 ('{"env": {"bandwidth_hz": 1e7}}', "ConfigError",
+                  "unknown ConfigFile.env keys: bandwidth_hz")],
+    "--norm-stats": [('{"Q": 2}', "ConfigError", "lacks weight_thresholds")],
+    "--val-set": [('{"seeds": [1]}', "ConfigError", "lacks env_config, reference"),
+                  ('{"env_config": {"default_weight": 0.0}, "seeds": [1], "reference": {}}',
+                   "ConfigError", "unknown ValidationSet.env_config keys: default_weight")],
+    "--env-set": [('{"seeds": [1]}', "ConfigError", "lacks env_config, reference")],
+    "--checkpoint": [('{"in_dim": 24, "out_dim": 4, "hidden": 8.0, "activation": "tanh", '
+                      '"step": 0, "param_order": [], "shapes": {}}\n', "ShapeMismatch",
+                      "hidden must be a positive int, got 8.0")],
 }
 
 
@@ -531,7 +536,8 @@ def test_file_errors_exit_2_in_one_line(flag, error, tiny_cfg_path, norm_stats_p
     """A missing file, a file that is not JSON, one that is not UTF-8 and one its
     reader refuses each give one "marlsched: error:" line and exit 2, for every
     file flag; a checkpoint's header is refused as its own shape error."""
-    text, refused_as, message = REFUSED[flag]
+    (text, refused_as, message), *more_refused = REFUSED[flag]
+    more_refused = more_refused if error == "refused" else []
     bad = tmp_path / "bad"
     if error == "JSONDecodeError":
         bad.write_text("{\n")
@@ -567,11 +573,17 @@ def test_file_errors_exit_2_in_one_line(flag, error, tiny_cfg_path, norm_stats_p
     def no_rollout(*args, **kwargs):
         raise AssertionError("rolled out past a bad file")
 
+    def exits_2_in_one_line(error, message):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--config", files["--config"]])
+        assert exc.value.code == 2
+        assert isinstance(exc.value.__context__, readers[error])
+        err = capsys.readouterr().err
+        assert err.startswith("marlsched: error: ") and err.count("\n") == 1, err
+        assert message in err, err
+
     monkeypatch.setattr(NetworkEnv, "reset", no_rollout)
-    with pytest.raises(SystemExit) as exc:
-        main(command + ["--config", files["--config"]])
-    assert exc.value.code == 2
-    assert isinstance(exc.value.__context__, readers[error])
-    err = capsys.readouterr().err
-    assert err.startswith("marlsched: error: ") and err.count("\n") == 1, err
-    assert message in err, err
+    exits_2_in_one_line(error, message)
+    for text, refused_as, message in more_refused:
+        bad.write_text(text)
+        exits_2_in_one_line(refused_as, message)

@@ -8,7 +8,8 @@ import pytest
 from marlsched.channel import FadingProcess, PathLossParams
 from marlsched.dqn import TrainerConfig
 from marlsched.env import (
-    ConfigError, EnvConfig, EpisodeFinished, NetworkEnv, OutOfRange, read_config,
+    DEFAULT_SINR_DB, DEFAULT_WEIGHT, RATE_FLOOR, ConfigError, EnvConfig, EpisodeFinished,
+    NetworkEnv, OutOfRange, read_config,
 )
 from marlsched.harness import BaselinePolicy, run_episode
 from marlsched.linklevel import ScheduleDecision, compute_rates
@@ -53,13 +54,14 @@ def test_power_levels_ascending_top_is_pmax():
 
 
 @pytest.mark.parametrize("field, value, error, match", [
-    ("num_sinusoids", 0, ConfigError, "num_sinusoids"),         # NaN sum-rate
-    ("bandwidth_hz", 0.0, ConfigError, "bandwidth_hz"),         # all-zero rates
-    ("rate_floor", 0.0, ConfigError, "rate_floor"),
-    ("interval_duration_s", -1e-3, ConfigError, "interval_duration_s"),
-    ("alpha_rate", 0.0, ConfigError, "alpha_rate"),             # else first step
-    ("alpha_interference", 1.0, ConfigError, "alpha_interference"),
-    ("alpha_rate", float("nan"), ConfigError, "alpha_rate"),
+    ("top_k", 0, ConfigError, "EnvConfig.top_k must be >= 1, got 0"),
+    ("power_levels", 0, ConfigError, "EnvConfig.power_levels must be >= 1, got 0"),
+    ("num_remote", -1, ConfigError, "EnvConfig.num_remote must be >= 0, got -1"),
+    ("feedback_delay", -1, ConfigError, "EnvConfig.feedback_delay must be >= 0, got -1"),
+    ("backhaul_delay", -1, ConfigError, "EnvConfig.backhaul_delay must be >= 0, got -1"),
+    ("episode_length", float("nan"), ConfigError,
+     "EnvConfig.episode_length must be >= 1, got nan"),
+    ("episode_length", 0, ConfigError, "EnvConfig.episode_length must be >= 1, got 0"),
     ("shadow_std_db", -1.0, ConfigError, "shadow_std_db"),      # else reset
     ("path_loss", PathLossParams(d_bp=0.0), ValueError, "PathLossParams.d_bp"),
     ("path_loss", PathLossParams(alpha1=5.0), ValueError, "alpha1"),
@@ -74,20 +76,10 @@ def test_power_levels_ascending_top_is_pmax():
      "DeploymentConfig.min_ap_ue_dist"),
     ("deployment", DeploymentConfig(min_ap_ap_dist=-1.0), ConfigError,
      "DeploymentConfig.min_ap_ap_dist must be >= 0, got -1.0"),
-    ("top_k", 0, ConfigError, "EnvConfig.top_k must be >= 1, got 0"),
-    ("power_levels", 0, ConfigError, "EnvConfig.power_levels must be >= 1, got 0"),
-    ("num_remote", -1, ConfigError, "EnvConfig.num_remote must be >= 0, got -1"),
-    ("feedback_delay", -1, ConfigError, "EnvConfig.feedback_delay must be >= 0, got -1"),
-    ("backhaul_delay", -1, ConfigError, "EnvConfig.backhaul_delay must be >= 0, got -1"),
-    ("episode_length", float("nan"), ConfigError,
-     "EnvConfig.episode_length must be >= 1, got nan"),
-    ("episode_length", 0, ConfigError, "EnvConfig.episode_length must be >= 1, got 0"),
     ("reward_exponent", 1.5, ConfigError,
      r"EnvConfig.reward_exponent must be in \[0, 1\], got 1.5"),
     ("feedback_period", 0, ConfigError, "EnvConfig.feedback_period must be >= 1, got 0"),
     ("doppler_hz", float("nan"), ConfigError, "EnvConfig.doppler_hz must be finite, got nan"),
-    ("bandwidth_hz", float("inf"), ConfigError,
-     "EnvConfig.bandwidth_hz must be finite, got inf"),
     ("num_remote", 0, None, None),                              # edges that must pass
     ("feedback_delay", 0, None, None),
     ("backhaul_delay", 0, None, None),
@@ -151,8 +143,8 @@ def test_reset_observation_shape_and_defaults():
     obs = env.reset(seed=0)
     assert obs.shape == (2, env.config.obs_dim)
     # before the first report arrives every entry is a default
-    assert np.all(obs[:, 0::2] == env.config.default_weight)
-    assert np.all(obs[:, 1::2] == env.config.default_sinr_db)
+    assert np.all(obs[:, 0::2] == DEFAULT_WEIGHT)
+    assert np.all(obs[:, 1::2] == DEFAULT_SINR_DB)
 
 
 def test_obs_dim_independent_of_network_size():
@@ -177,10 +169,10 @@ def test_padding_slots_use_defaults():
     for _ in range(25):
         obs, _, _, _ = env.step([1])
     assert local_slots(env)[0, 2] == -1         # third slot is padding
-    assert obs[0, 4] == cfg.default_weight
-    assert obs[0, 5] == cfg.default_sinr_db
+    assert obs[0, 4] == DEFAULT_WEIGHT
+    assert obs[0, 5] == DEFAULT_SINR_DB
     # real slots have moved off the defaults by now
-    assert obs[0, 0] != cfg.default_weight
+    assert obs[0, 0] != DEFAULT_WEIGHT
 
 
 # ------------------------------------------------------------ feedback timing
@@ -516,7 +508,7 @@ def test_starved_ue_weight_grows():
         served |= {d.ue for d in info["decisions"] if not d.off}
     never = [j for j in range(6) if j not in served]
     if never:
-        cap = 1.0 / env.config.rate_floor
+        cap = 1.0 / RATE_FLOOR
         assert np.all(env.stats.weight[never] == pytest.approx(cap))
 
 

@@ -5,7 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from marlsched.env import ConfigError, EnvConfig, NetworkEnv, read_config
+from marlsched.env import BANDWIDTH_HZ, ConfigError, EnvConfig, NetworkEnv, read_config
 from marlsched.harness import (
     BaselinePolicy, EpisodeMetrics, InsufficientCandidates, RandomPolicy,
     ValidationSet, build_validation_set, dominates,
@@ -52,8 +52,9 @@ def test_pct5_matches_bruteforce_definition():
 
 
 def test_episode_metrics_arithmetic():
-    rates = np.array([1.0, 2.0, 3.0, 4.0])     # bps/Hz, 10 MHz band
-    m = EpisodeMetrics.from_rates(rates, 10e6)
+    rates = np.array([1.0, 2.0, 3.0, 4.0])     # bps/Hz, BANDWIDTH_HZ = 10 MHz
+    assert BANDWIDTH_HZ == 10e6
+    m = EpisodeMetrics.from_rates(rates)
     assert m.sum_rate_mbps == pytest.approx(100.0)
     assert m.pct5_mbps == pytest.approx(10.0)
     assert m.score == pytest.approx(100.0 / 4 + 3 * 10.0)

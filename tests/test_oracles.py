@@ -71,7 +71,10 @@ from hypothesis import example, given, settings, strategies as st
 from marlsched import channel, dqn, harness, linklevel
 from marlsched.channel import create_fading
 from marlsched.dqn import TrainerConfig, run_training
-from marlsched.env import EnvConfig, NetworkEnv, OutOfRange, draw_layout
+from marlsched.env import (
+    DEFAULT_SINR_DB, DEFAULT_WEIGHT, INTERVAL_DURATION_S, NUM_SINUSOIDS, RATE_FLOOR, EnvConfig,
+    NetworkEnv, OutOfRange, draw_layout,
+)
 from marlsched.harness import (
     BaselinePolicy, EpisodeMetrics, InsufficientCandidates, RandomPolicy,
     build_validation_set, fresh_seeds, interference_profile, run_episode,
@@ -139,8 +142,8 @@ def oracle_observations(env):
                     if b == 0:
                         slot_map[i, slot] = j
                 else:
-                    obs[i, pos] = cfg.default_weight
-                    obs[i, pos + 1] = cfg.default_sinr_db
+                    obs[i, pos] = DEFAULT_WEIGHT
+                    obs[i, pos + 1] = DEFAULT_SINR_DB
                 pos += 2
     return obs, slot_map
 
@@ -491,7 +494,7 @@ def test_interval_path_matches_loop_oracles(cfg, seed):
             assert dec.off or env.association[dec.ue] == i
         assert all(rewards[i] == 0.0 for i, (_, bad) in enumerate(decoded) if bad)
         assert np.all(info["rates"] >= 0.0) and np.all(info["interference"] >= 0.0)
-        assert np.all(env.stats.avg_rate >= cfg.rate_floor)
+        assert np.all(env.stats.avg_rate >= RATE_FLOOR)
         if all(dec.off for dec in info["decisions"]):
             # the all-off penalty: at most one agent, the one with the top pf
             penalized = np.flatnonzero(rewards)
@@ -631,18 +634,16 @@ def test_fading_shapes_straddle_the_split():
 
 @pytest.mark.parametrize("num_ues, num_aps", FADING_SHAPES)
 def test_fading_matches_serial_oracle(num_ues, num_aps):
-    cfg = EnvConfig()
-    fading = create_fading(num_ues, num_aps, cfg.num_sinusoids, cfg.doppler_hz,
-                           cfg.interval_duration_s, np.random.default_rng(num_ues))
+    fading = create_fading(num_ues, num_aps, NUM_SINUSOIDS, EnvConfig().doppler_hz,
+                           INTERVAL_DURATION_S, np.random.default_rng(num_ues))
     for t in range(1, 2001):
         assert same_bits(fading.sample_all(t), oracle_fading(fading, t)), t
 
 
 @pytest.mark.parametrize("num_ues, num_aps", [(24, 4), (100, 10)])
 def test_column_samples_match_full_sample(num_ues, num_aps):
-    cfg = EnvConfig()
-    fading = create_fading(num_ues, num_aps, cfg.num_sinusoids, cfg.doppler_hz,
-                           cfg.interval_duration_s, np.random.default_rng(num_aps))
+    fading = create_fading(num_ues, num_aps, NUM_SINUSOIDS, EnvConfig().doppler_hz,
+                           INTERVAL_DURATION_S, np.random.default_rng(num_aps))
     rng = np.random.default_rng(num_ues)
     for t in (1, 2, 10, 777, 2000):
         full = fading.sample_all(t)
