@@ -115,7 +115,6 @@ class TrainerConfig:
     epsilon_decay_episodes: int = 25
     hidden_units: int = 128
     learning_rate: float = 0.01
-    lr_halving_period: int = 5000
     l2_coeff: float = 0.001
 
     def epsilon(self, episode: int) -> float:
@@ -127,7 +126,7 @@ class TrainerConfig:
         """Raise ConfigError naming a field whose value would hang, crash or never train."""
         require(self, ">= 1", "num_envs", "episodes", "epoch_episodes", "buffer_capacity",
                 "batch_timesteps", "target_sync_intervals", "train_period_intervals",
-                "epsilon_decay_episodes", "hidden_units", "lr_halving_period")
+                "epsilon_decay_episodes", "hidden_units")
         require(self, "in [0, 1]", "gamma", "epsilon_start", "epsilon_end")
         require(self, "> 0", "learning_rate")
         require(self, ">= 0", "l2_coeff")
@@ -243,7 +242,7 @@ def run_training(env_config: EnvConfig, trainer_config: TrainerConfig,
     master = np.random.default_rng(seed)
     net = Mlp(cfg.obs_dim, cfg.num_actions, tcfg.hidden_units, rng=master)
     target = net.copy()
-    adam = AdamState(base_lr=tcfg.learning_rate, halving_period=tcfg.lr_halving_period)
+    adam = AdamState(base_lr=tcfg.learning_rate)
     buffer = ReplayBuffer(tcfg.buffer_capacity)
     act_rng, sample_rng = map(np.random.default_rng, harness.fresh_seeds(master, 2))
     envs = [NetworkEnv(cfg) for _ in range(tcfg.num_envs)]

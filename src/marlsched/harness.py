@@ -113,8 +113,8 @@ def run_episode(envs: list[NetworkEnv], seeds, policy, on_step=None) -> np.ndarr
 
 
 def evaluate_policy(env_config: EnvConfig, policy, seeds) -> dict:
-    """Aggregate metrics of a policy over environment realizations, one run per seed:
-    a forward over B·N rows need not give the bits of B forwards over N."""
+    """Aggregate metrics of a policy over realizations, one run per seed: in lockstep a
+    random policy's draws interleave across seeds, and at N=1 B rows go to gemm, 1 to gemv."""
     if len(seeds) == 0:
         raise ValueError("evaluate_policy needs at least one seed, got an empty seed list")
     envs = [NetworkEnv(env_config)]

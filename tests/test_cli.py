@@ -504,7 +504,7 @@ def test_evaluate_env_set_warns_when_it_overrides_the_config(
 
 
 # text that parses as JSON (or a checkpoint header) but that the flag's reader refuses;
-# the second texts name keys of env fields that are module constants now
+# a second text names a key of a fixed env value, which is a module constant, not a field
 REFUSED = {
     "--config": [('{"env": {"p_max_dbm": NaN}}', "ConfigError",
                   "EnvConfig.p_max_dbm must be finite, got nan"),
