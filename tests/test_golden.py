@@ -11,8 +11,8 @@ every epoch's checkpoint plus the epoch log. At N=4 and N=10 APs (K=100) it
 holds the interference profile's mean SINR per interferer count, written
 exactly with float.hex. At N=10 APs and K=100 UEs, where the full fading
 sums run on two threads, it holds the rewards and average rates of full
-reuse, TDM and the random policy (2 seeds, 200 intervals); TDM's one-column
-samples there are small enough to run serially. For each baseline at both
+reuse, TDM, ITLinQ and the random policy (2 seeds, 200 intervals); TDM's
+one-column samples there are small enough to run serially. For each baseline at both
 configs, and for TDM at N=10, K=100, it holds evaluate_policy's per-seed
 sum_rate_mbps, pct5_mbps and score, written exactly with float.hex. A refactor that is meant to keep outputs
 unchanged must keep every digest.
@@ -160,7 +160,7 @@ def compute_all() -> dict:
             out[f"{cfg_name}/{policy}/evaluate"] = evaluation_digests(cfg, policy)
     for num_aps in (4, 10):
         out[f"N{num_aps}-K100/interference_profile"] = interference_digests(num_aps)
-    for policy in ("full_reuse", "tdm", "random"):
+    for policy in ("full_reuse", "tdm", "itlinq", "random"):
         for seed in SEEDS[:2]:
             out[f"N10-K100/{policy}/{seed}"] = rollout_digests(LARGE, policy, seed)
     out["N10-K100/tdm/evaluate"] = evaluation_digests(LARGE, "tdm")
