@@ -69,10 +69,13 @@ def draw_long_term_gains(deployment: Deployment, params: PathLossParams,
     return LongTermGains(H=np.sqrt(h_power), shadowing_db=sh)
 
 
-# Cosines per component (K*N*M, or K*len(aps)*M for a column sample) from which
-# sample_all hands the quadrature sum to the worker thread; below it the hand-off
-# costs more than it saves.
+# Cosines per component (K*N*M, or K*len(aps)*M for a column sample, times the
+# intervals of a block) from which sample_all hands the quadrature sum to the
+# worker thread; below it the hand-off costs more than it saves.
 SPLIT_COSINES = 4096
+# Cosines per component that NetworkEnv asks for in one block of intervals:
+# enough to put even the default network (1,536 per interval) over SPLIT_COSINES.
+BLOCK_COSINES = 2 ** 15
 
 _worker = None   # the ThreadPoolExecutor, started by the first large sample
 _worker_lock = threading.Lock()
@@ -110,7 +113,8 @@ def _fading_worker():
     global _worker
     with _worker_lock:
         if _worker is None:
-            # imported here: it adds ~6 ms to every start, and small networks never use it
+            # imported here: it adds ~6 ms to every start, and a run that samples
+            # only single intervals of a small network never uses it
             from concurrent.futures import ThreadPoolExecutor
             _worker = ThreadPoolExecutor(1, "fading", _start_apart, (_current_cpu(),))
         return _worker
@@ -135,13 +139,17 @@ class FadingProcess:
     phases for the in-phase and quadrature components. Sampling is pure in
     (state, t), so concurrent readers are safe.
 
+    sample_all takes one interval t or a 1-D int array of them, a block. Each
+    interval of a block gets the same arg * trig + phase, cos and last-axis
+    sum as its own call, so a block's slice t has the bits of sample_all(t).
+
     From SPLIT_COSINES cosines per component (K*N*M, or K*len(aps)*M for a
-    column sample) on, sample_all computes the quadrature sum on one
-    module-level worker thread while the caller computes the in-phase sum;
-    numpy releases the GIL inside both. Each thread evaluates the same
-    expression in the same order as the serial path, so the bits do not depend
-    on which path ran. An exception on the worker is raised in the caller; a
-    forked child starts a worker of its own.
+    column sample, times the block's length) on, sample_all computes the
+    quadrature sum on one module-level worker thread while the caller computes
+    the in-phase sum; numpy releases the GIL inside both. Each thread evaluates
+    the same expression in the same order as the serial path, so the bits do
+    not depend on which path ran. An exception on the worker is raised in the
+    caller; a forked child starts a worker of its own.
     """
 
     cos_alpha: np.ndarray      # (K, N, M)
@@ -155,16 +163,21 @@ class FadingProcess:
     def num_sinusoids(self) -> int:
         return self.cos_alpha.shape[-1]
 
-    def sample_all(self, t: int, aps=None) -> np.ndarray:
+    def sample_all(self, t, aps=None) -> np.ndarray:
         """Complex unit-power fading gains at interval t, (K, N); or only the columns
-        aps, the same bits as sample_all(t)[:, aps], split by their own size."""
+        aps, the same bits as sample_all(t)[:, aps], split by their own size. For a
+        1-D int array t, (len(t), K, N) or (len(t), K, len(aps)): one slice per t."""
         m = self.num_sinusoids
         arg = 2.0 * np.pi * self.doppler_hz * (t * self.interval_duration)
         arrays = (self.cos_alpha, self.sin_alpha, self.phi, self.psi)
         if aps is not None:
             arrays = [np.take(a, aps, axis=1) for a in arrays]     # faster than a[:, aps]
         cos_alpha, sin_alpha, phi, psi = arrays
-        if cos_alpha.size < SPLIT_COSINES:
+        cosines = cos_alpha.size
+        if isinstance(arg, np.ndarray):       # a block: (L, 1, 1, 1) against (K, N, M)
+            arg = arg.reshape(-1, 1, 1, 1)
+            cosines *= len(arg)
+        if cosines < SPLIT_COSINES:
             re = _component_sum(arg, cos_alpha, phi)
             im = _component_sum(arg, sin_alpha, psi)
         else:

@@ -215,6 +215,7 @@ class NetworkEnv:
         self.fading = channel.create_fading(
             dep.num_ues, dep.num_aps, NUM_SINUSOIDS, cfg.doppler_hz, INTERVAL_DURATION_S, rng)
         self._index_layout()
+        self._block, self._block_start = None, 1
         k = dep.num_ues
         self.stats = LinkStats(np.full(k, RATE_FLOOR), np.zeros(k), RATE_FLOOR)
         self.rate_sum = np.zeros(k)
@@ -252,28 +253,37 @@ class NetworkEnv:
         self._action_slot = np.r_[0, np.tile(np.arange(cfg.top_k), cfg.power_levels)]
         self._action_power = np.r_[0.0, np.repeat(cfg.power_level_watts(), cfg.top_k)]
         self.p_max_w, self.noise_w = cfg.p_max_w, cfg.noise_w   # each read runs a log/pow
+        self._block_len = max(1, channel.BLOCK_COSINES // self.fading.cos_alpha.size)
 
     # ------------------------------------------------------------- per-interval
 
     def _refresh_interval_state(self):
-        """Start interval t: no gains sampled yet (see g2), a report on the cadence."""
+        """Start interval t: its gains from the fading block if that covers t, else
+        none sampled yet (see g2); a report on the cadence."""
         cfg = self.config
-        self._g2 = None
+        block, i = self._block, self.t - self._block_start
+        self._g2 = block[i] if block is not None and i < len(block) else None
         if self.feedback and self.t % cfg.feedback_period == 0:
             self._reports.append(self._snapshot(self.t, self.stats.weight,
                                                 10.0 * np.log10(self._serving_sinr())))
 
     @property
     def g2(self) -> np.ndarray:
-        """The (K, N) power gains |h_ji(t)|^2, sampled on the first read in interval t
-        and kept until t moves; never written after it is returned."""
+        """The (K, N) power gains |h_ji(t)|^2 of interval t; never written after it is
+        returned. The first read in an interval that no block covers samples the block
+        [t, min(t + L, T + 1)) in one sample_all call, L = BLOCK_COSINES // (K*N*M) or
+        1, and keeps it as (L, K, N); each later interval of it takes its slice."""
         if self._g2 is None:
-            self._g2 = self._power * np.abs(self.fading.sample_all(self.t)) ** 2
+            stop = min(self.t + self._block_len, self.config.episode_length + 1)
+            fading = self.fading.sample_all(np.arange(self.t, stop))
+            self._block, self._block_start = self._power * np.abs(fading) ** 2, self.t
+            self._g2 = self._block[0]
         return self._g2
 
     def _rate_gains(self, on: list[int]) -> np.ndarray:
-        """g2 if it was read or more than half the APs transmit, else zeros but for
-        the columns on: compute_rates weighs every other column by a power of 0."""
+        """g2 if it is at hand (read, or from a block) or more than half the APs
+        transmit, else zeros but for the columns on: compute_rates weighs every other
+        column by a power of 0."""
         if self._g2 is not None or 2 * len(on) > len(self._ap_ids):
             return self.g2
         gains = np.zeros_like(self._power)

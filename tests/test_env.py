@@ -5,6 +5,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
+from marlsched import channel
 from marlsched.channel import FadingProcess, PathLossParams
 from marlsched.dqn import TrainerConfig
 from marlsched.env import (
@@ -63,19 +64,33 @@ def test_power_levels_ascending_top_is_pmax():
      "EnvConfig.episode_length must be >= 1, got nan"),
     ("episode_length", 0, ConfigError, "EnvConfig.episode_length must be >= 1, got 0"),
     ("shadow_std_db", -1.0, ConfigError, "shadow_std_db"),      # else reset
-    ("path_loss", PathLossParams(d_bp=0.0), ValueError, "PathLossParams.d_bp"),
-    ("path_loss", PathLossParams(alpha1=5.0), ValueError, "alpha1"),
-    ("path_loss", PathLossParams(d_bp=float("nan")), ConfigError, "PathLossParams.d_bp"),
-    ("path_loss", PathLossParams(alpha2=float("nan")), ConfigError, "PathLossParams.alpha1"),
-    ("deployment", DeploymentConfig(num_aps=0), ConfigError, "DeploymentConfig.num_aps"),
-    ("deployment", DeploymentConfig(num_aps=4, num_ues=3), ConfigError,
-     "DeploymentConfig.num_ues"),
-    ("deployment", DeploymentConfig(area_side=float("nan")), ConfigError,
-     "DeploymentConfig.area_side"),
-    ("deployment", DeploymentConfig(min_ap_ue_dist=-1.0), ConfigError,
-     "DeploymentConfig.min_ap_ue_dist"),
-    ("deployment", DeploymentConfig(min_ap_ap_dist=-1.0), ConfigError,
-     "DeploymentConfig.min_ap_ap_dist must be >= 0, got -1.0"),
+    # a config-object row names itself: pytest would number it by its position, so
+    # adding or deleting a row above it would rename it (these are the names it had)
+    pytest.param("path_loss", PathLossParams(d_bp=0.0), ValueError, "PathLossParams.d_bp",
+                 id="path_loss-value8-ValueError-PathLossParams.d_bp"),
+    pytest.param("path_loss", PathLossParams(alpha1=5.0), ValueError, "alpha1",
+                 id="path_loss-value9-ValueError-alpha1"),
+    pytest.param("path_loss", PathLossParams(d_bp=float("nan")), ConfigError,
+                 "PathLossParams.d_bp", id="path_loss-value10-ConfigError-PathLossParams.d_bp"),
+    pytest.param("path_loss", PathLossParams(alpha2=float("nan")), ConfigError,
+                 "PathLossParams.alpha1",
+                 id="path_loss-value11-ConfigError-PathLossParams.alpha1"),
+    pytest.param("deployment", DeploymentConfig(num_aps=0), ConfigError,
+                 "DeploymentConfig.num_aps",
+                 id="deployment-value12-ConfigError-DeploymentConfig.num_aps"),
+    pytest.param("deployment", DeploymentConfig(num_aps=4, num_ues=3), ConfigError,
+                 "DeploymentConfig.num_ues",
+                 id="deployment-value13-ConfigError-DeploymentConfig.num_ues"),
+    pytest.param("deployment", DeploymentConfig(area_side=float("nan")), ConfigError,
+                 "DeploymentConfig.area_side",
+                 id="deployment-value14-ConfigError-DeploymentConfig.area_side"),
+    pytest.param("deployment", DeploymentConfig(min_ap_ue_dist=-1.0), ConfigError,
+                 "DeploymentConfig.min_ap_ue_dist",
+                 id="deployment-value15-ConfigError-DeploymentConfig.min_ap_ue_dist"),
+    pytest.param("deployment", DeploymentConfig(min_ap_ap_dist=-1.0), ConfigError,
+                 "DeploymentConfig.min_ap_ap_dist must be >= 0, got -1.0",
+                 id="deployment-value16-ConfigError-DeploymentConfig.min_ap_ap_dist must be "
+                    ">= 0, got -1.0"),
     ("reward_exponent", 1.5, ConfigError,
      r"EnvConfig.reward_exponent must be in \[0, 1\], got 1.5"),
     ("feedback_period", 0, ConfigError, "EnvConfig.feedback_period must be >= 1, got 0"),
@@ -320,18 +335,30 @@ def test_rates_only_episode_makes_no_feedback():
 
 # ------------------------------------------------------------- fading samples
 
-@pytest.fixture
-def sampled_columns(monkeypatch):
-    """The aps argument of every FadingProcess.sample_all call, in order."""
+def record_samples(monkeypatch, entry):
+    """entry(t, aps) of every FadingProcess.sample_all call, in order."""
     calls = []
     sample_all = FadingProcess.sample_all
 
     def recording(self, t, aps=None):
-        calls.append(None if aps is None else list(aps))
+        calls.append(entry(t, None if aps is None else list(aps)))
         return sample_all(self, t, aps)
 
     monkeypatch.setattr(FadingProcess, "sample_all", recording)
     return calls
+
+
+@pytest.fixture
+def sampled_columns(monkeypatch):
+    """The aps argument of every FadingProcess.sample_all call, in order."""
+    return record_samples(monkeypatch, lambda t, aps: aps)
+
+
+@pytest.fixture
+def sampled_intervals(monkeypatch):
+    """(intervals, aps) of every FadingProcess.sample_all call, in order: a block's
+    intervals as a list, a single interval t as [t]."""
+    return record_samples(monkeypatch, lambda t, aps: (np.atleast_1d(t).tolist(), aps))
 
 
 @pytest.mark.parametrize("feedback", [False, True])
@@ -347,19 +374,34 @@ def test_all_off_interval_samples_no_fading(sampled_columns, feedback):
     assert sampled_columns == []
 
 
-def test_returned_gains_never_change(sampled_columns):
-    """An array env.g2 returned keeps its bytes through every later step,
-    whether the interval's rates then reuse it or sample columns of their own."""
-    env = NetworkEnv(small_config(episode_length=40, feedback_period=3))
-    env.reset(seed=89)
+def test_returned_gains_never_change(sampled_intervals):
+    """Over two episodes of random actions, with a reset mid-block: each interval's
+    gains come from one sample_all call at most, no block reaches past T, the reset
+    drops the block, and an array env.g2 returned keeps its bytes through every
+    later step and reset, whether it came from a block or columns were sampled."""
+    cfg = EnvConfig(episode_length=50, feedback_period=20)
+    env, fresh = NetworkEnv(cfg), NetworkEnv(cfg)
     rng = np.random.default_rng(89)
-    kept = []
-    while not env.done:
-        if rng.random() < 0.5:
-            kept.append((env.g2, env.g2.tobytes()))
-        env.step(rng.integers(0, env.config.num_actions, size=2))
-    assert None in sampled_columns and any(c is not None for c in sampled_columns)
-    assert len(kept) > 5
+    kept, episodes = [], []
+    for seed, stop in ((89, 30), (90, None)):
+        env.reset(seed)
+        first = len(sampled_intervals)
+        while not env.done and env.t != stop:
+            if rng.random() < 0.2:
+                kept.append((env.g2, env.g2.tobytes()))
+            env.step(rng.integers(0, cfg.num_actions, size=4) * (rng.random(4) < 0.5))
+        episodes.append(sampled_intervals[first:])
+    assert env.t == 51 and episodes[0][-1][0][-1] > 30       # the reset came mid-block
+    fresh.reset(90)
+    assert env._block is not None and fresh._block is None
+    env.reset(90)
+    assert env._block is None and env.g2.tobytes() == fresh.g2.tobytes()
+    for calls in episodes:
+        intervals = [t for ts, _ in calls for t in ts]
+        assert len(intervals) == len(set(intervals)) and max(intervals) <= 50
+        assert any(aps is None and len(ts) > 1 for ts, aps in calls)
+        assert any(aps is not None for _, aps in calls)
+    assert len(kept) > 10
     assert all(g2.tobytes() == want for g2, want in kept)
 
 
@@ -370,10 +412,15 @@ def test_rates_only_tdm_samples_one_column_per_interval(sampled_columns):
     assert sampled_columns == [[int(env.association[t % k])] for t in range(1, 51)]
 
 
-def test_full_reuse_samples_every_link_once_per_interval(sampled_columns):
+def test_full_reuse_samples_every_link_once_per_interval(sampled_intervals):
+    """Full reuse reads g2 in every interval: back-to-back blocks of
+    L = BLOCK_COSINES // (K*N*M) intervals, the last one cut at T, and nothing else."""
     env = NetworkEnv(EnvConfig(episode_length=50))
     run_episode([env], [97], BaselinePolicy("full_reuse"))
-    assert sampled_columns == [None] * 50
+    block = channel.BLOCK_COSINES // env.fading.cos_alpha.size
+    assert block == 21
+    assert sampled_intervals == [(list(range(t, min(t + block, 51))), None)
+                                 for t in range(1, 51, block)]
 
 
 # -------------------------------------------------------------------- rewards

@@ -20,17 +20,21 @@ are compared with `topology` on random, tied and lopsided gains and on
 positions with distance ties.
 
 The fading oracle is the serial in-phase and quadrature sums of
-`FadingProcess.sample_all`; it is compared with `sample_all` bit for bit over
-2,000 intervals at the default and the N=10, K=100 shapes and at one shape
-each side of the size where the two sums go to two threads. A column sample,
-`sample_all(t, aps)`, must give the bits of the full sample's columns for
-every column count, on either side of that size.
+`FadingProcess.sample_all` at one interval; it is compared with `sample_all`
+bit for bit over 2,000 intervals at the default and the N=10, K=100 shapes and
+at one shape each side of the size where the two sums go to two threads. A
+column sample, `sample_all(t, aps)`, must give the bits of the full sample's
+columns for every column count, on either side of that size. A block,
+`sample_all` over an array of intervals, must give the oracle's bits in every
+slice, for blocks on either side of that size and for its columns.
 
 The eager-gains oracle is the interval path before `NetworkEnv.g2` was
-sampled on first read: a policy wrapper reads every environment's full gains
-before it decides, so no interval samples only the transmitting columns. Its
-per-interval rates and interference and its average rates must equal the
-unwrapped run's bit for bit, for the three baselines and a random policy.
+sampled on first read or in blocks of intervals: a policy wrapper hands every
+environment the full gains of its interval, computed from the fading oracle,
+before it decides, so no interval samples only the transmitting columns or
+takes its gains from a block. Its per-interval rates and interference and its
+average rates must equal the unwrapped run's bit for bit, for the three
+baselines and a random policy, at the default and the N=10, K=100 shapes.
 
 The Q-network oracle is the allocating forward and backward expressions that
 `Mlp` evaluated before it wrote its activations into reused workspaces; it is
@@ -249,14 +253,18 @@ def oracle_fading(fading, t):
 
 
 class OracleEagerGains:
-    """A policy that reads every environment's full g2 before it decides."""
+    """A policy that hands every environment its interval's full gains from
+    oracle_fading before it decides; the rates then use those gains. The reports
+    still read the environment's own g2, but no output that recorded_run records
+    depends on them: the baselines run rates-only, and a random policy ignores its
+    observations."""
 
     def __init__(self, policy):
         self.policy, self.kind = policy, policy.kind
 
     def act(self, envs, obs):
         for env in envs:
-            env.g2
+            env._g2 = env._power * np.abs(oracle_fading(env.fading, env.t)) ** 2
         return self.policy.act(envs, obs)
 
 
@@ -657,6 +665,31 @@ def test_column_counts_straddle_the_split():
     assert 100 * 2 * 16 < channel.SPLIT_COSINES <= 100 * 3 * 16
 
 
+# intervals per block: at the default shape 2 run serially and 3 on two threads;
+# 21 is the block that NetworkEnv samples there
+BLOCK_LENGTHS = (1, 2, 3, 21)
+
+
+def test_block_lengths_straddle_the_split():
+    assert 2 * 24 * 4 * 16 < channel.SPLIT_COSINES <= 3 * 24 * 4 * 16
+    assert channel.BLOCK_COSINES // (24 * 4 * 16) == 21
+
+
+@pytest.mark.parametrize("num_ues, num_aps", FADING_SHAPES)
+def test_block_samples_match_serial_oracle(num_ues, num_aps):
+    fading = create_fading(num_ues, num_aps, NUM_SINUSOIDS, EnvConfig().doppler_hz,
+                           INTERVAL_DURATION_S, np.random.default_rng(num_ues))
+    aps = [0, num_aps - 1]
+    for length in BLOCK_LENGTHS:
+        for start in (1, 777, 2001 - length):
+            ts = np.arange(start, start + length)
+            block = fading.sample_all(ts)
+            assert block.shape == (length, num_ues, num_aps)
+            for i, t in enumerate(ts.tolist()):
+                assert same_bits(block[i], oracle_fading(fading, t)), (length, t)
+            assert same_bits(fading.sample_all(ts, aps), block[:, :, aps]), (length, start)
+
+
 def recorded_run(cfg, policy, seed):
     """run_episode's per-interval (rates, interference) bytes and average-rate bytes."""
     env = NetworkEnv(cfg)
@@ -679,7 +712,8 @@ def make_policy(name):
     *[(EnvConfig(episode_length=300), name)
       for name in ("tdm", "full_reuse", "itlinq", "random")],
     *[(EnvConfig(deployment=DeploymentConfig(num_aps=10, num_ues=100),
-                 episode_length=200), name) for name in ("tdm", "random")],
+                 episode_length=200), name)
+      for name in ("tdm", "full_reuse", "itlinq", "random")],
 ], ids=lambda v: v if isinstance(v, str) else f"N{v.deployment.num_aps}")
 def test_sampled_columns_match_eager_gains_oracle(cfg, name):
     for seed in (0, 1):
