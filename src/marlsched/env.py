@@ -275,8 +275,8 @@ class NetworkEnv:
         1, and keeps it as (L, K, N); each later interval of it takes its slice."""
         if self._g2 is None:
             stop = min(self.t + self._block_len, self.config.episode_length + 1)
-            fading = self.fading.sample_all(np.arange(self.t, stop))
-            self._block, self._block_start = self._power * np.abs(fading) ** 2, self.t
+            h = self.fading.sample_all(np.arange(self.t, stop))
+            self._block, self._block_start = self._power * np.abs(h) ** 2, self.t
             self._g2 = self._block[0]
         return self._g2
 

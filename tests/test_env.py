@@ -64,8 +64,8 @@ def test_power_levels_ascending_top_is_pmax():
      "EnvConfig.episode_length must be >= 1, got nan"),
     ("episode_length", 0, ConfigError, "EnvConfig.episode_length must be >= 1, got 0"),
     ("shadow_std_db", -1.0, ConfigError, "shadow_std_db"),      # else reset
-    # a config-object row names itself: pytest would number it by its position, so
-    # adding or deleting a row above it would rename it (these are the names it had)
+    # a config-object row names itself: pytest would number it by its position, so a
+    # row added or deleted above would rename it; the ids keep the numbered names
     pytest.param("path_loss", PathLossParams(d_bp=0.0), ValueError, "PathLossParams.d_bp",
                  id="path_loss-value8-ValueError-PathLossParams.d_bp"),
     pytest.param("path_loss", PathLossParams(alpha1=5.0), ValueError, "alpha1",
