@@ -73,9 +73,10 @@ def draw_long_term_gains(deployment: Deployment, params: PathLossParams,
 # intervals of a block) from which sample_all hands the quadrature sum to the
 # worker thread; below it the hand-off costs more than it saves.
 SPLIT_COSINES = 4096
-# Cosines per component that NetworkEnv asks for in one block of intervals:
-# enough to put even the default network (1,536 per interval) over SPLIT_COSINES.
-BLOCK_COSINES = 2 ** 15
+# Intervals per NetworkEnv block, and cosines per component that _block_sum
+# evaluates at once, so that its temporaries do not grow with the block.
+BLOCK_INTERVALS = 64
+CHUNK_COSINES = 2 ** 15
 
 _worker = None   # the ThreadPoolExecutor, started by the first large sample
 _worker_lock = threading.Lock()
@@ -83,6 +84,19 @@ _worker_lock = threading.Lock()
 
 def _component_sum(arg, alpha_trig, phase):
     return np.cos(arg * alpha_trig + phase).sum(axis=-1)
+
+
+def _block_sum(arg, alpha_trig, phase):
+    """_component_sum over a 1-D block arg, (len(arg), K, N); see FadingProcess."""
+    k, n, m = alpha_trig.shape
+    out = np.empty((len(arg), k, n))
+    rows = max(1, CHUNK_COSINES // (n * m * len(arg)))
+    for r in range(0, k, rows):
+        x = alpha_trig[r:r + rows, ..., None] * arg + phase[r:r + rows, ..., None]
+        np.cos(x, out=x)
+        # a C-contiguous copy: numpy may sum the moved-axis view sequentially
+        out[:, r:r + rows] = np.ascontiguousarray(np.moveaxis(x, -1, 0)).sum(axis=-1)
+    return out
 
 
 def _current_cpu():
@@ -139,9 +153,12 @@ class FadingProcess:
     phases for the in-phase and quadrature components. Sampling is pure in
     (state, t), so concurrent readers are safe.
 
-    sample_all takes one interval t or a 1-D int array of them, a block. Each
-    interval of a block gets the same arg * trig + phase, cos and last-axis
-    sum as its own call, so a block's slice t has the bits of sample_all(t).
+    sample_all takes one interval t or a 1-D int array of them, a block. libm's cos
+    branches on its argument's range and quadrant, so a block is evaluated with
+    time innermost, a chunk of K rows at a time: a link's successive arguments
+    then take the same branches. Each element is still fl(fl(arg * trig) + phase)
+    and its cos, and each link the same pairwise 16-term sum, so a block's slice t
+    has the bits of sample_all(t).
 
     From SPLIT_COSINES cosines per component (K*N*M, or K*len(aps)*M for a
     column sample, times the block's length) on, sample_all computes the
@@ -173,16 +190,15 @@ class FadingProcess:
         if aps is not None:
             arrays = [np.take(a, aps, axis=1) for a in arrays]     # faster than a[:, aps]
         cos_alpha, sin_alpha, phi, psi = arrays
-        cosines = cos_alpha.size
-        if isinstance(arg, np.ndarray):       # a block: (L, 1, 1, 1) against (K, N, M)
-            arg = arg.reshape(-1, 1, 1, 1)
-            cosines *= len(arg)
+        cosines, component = cos_alpha.size, _component_sum
+        if isinstance(arg, np.ndarray):       # a block
+            cosines, component = cosines * len(arg), _block_sum
         if cosines < SPLIT_COSINES:
-            re = _component_sum(arg, cos_alpha, phi)
-            im = _component_sum(arg, sin_alpha, psi)
+            re = component(arg, cos_alpha, phi)
+            im = component(arg, sin_alpha, psi)
         else:
-            quadrature = _fading_worker().submit(_component_sum, arg, sin_alpha, psi)
-            re = _component_sum(arg, cos_alpha, phi)
+            quadrature = _fading_worker().submit(component, arg, sin_alpha, psi)
+            re = component(arg, cos_alpha, phi)
             im = quadrature.result()
         return (re + 1j * im) / np.sqrt(m)
 

@@ -253,7 +253,6 @@ class NetworkEnv:
         self._action_slot = np.r_[0, np.tile(np.arange(cfg.top_k), cfg.power_levels)]
         self._action_power = np.r_[0.0, np.repeat(cfg.power_level_watts(), cfg.top_k)]
         self.p_max_w, self.noise_w = cfg.p_max_w, cfg.noise_w   # each read runs a log/pow
-        self._block_len = max(1, channel.BLOCK_COSINES // self.fading.cos_alpha.size)
 
     # ------------------------------------------------------------- per-interval
 
@@ -271,10 +270,10 @@ class NetworkEnv:
     def g2(self) -> np.ndarray:
         """The (K, N) power gains |h_ji(t)|^2 of interval t; never written after it is
         returned. The first read in an interval that no block covers samples the block
-        [t, min(t + L, T + 1)) in one sample_all call, L = BLOCK_COSINES // (K*N*M) or
-        1, and keeps it as (L, K, N); each later interval of it takes its slice."""
+        [t, min(t + L, T + 1)) in one sample_all call, L = channel.BLOCK_INTERVALS,
+        and keeps it as (L, K, N); each later interval of it takes its slice."""
         if self._g2 is None:
-            stop = min(self.t + self._block_len, self.config.episode_length + 1)
+            stop = min(self.t + channel.BLOCK_INTERVALS, self.config.episode_length + 1)
             h = self.fading.sample_all(np.arange(self.t, stop))
             self._block, self._block_start = self._power * np.abs(h) ** 2, self.t
             self._g2 = self._block[0]

@@ -3,6 +3,7 @@ import os
 import signal
 import sys
 import threading
+import tracemalloc
 from concurrent import futures
 
 import numpy as np
@@ -139,6 +140,22 @@ def _large_fading():
     proc = create_fading(100, 10, 16, 8.0, 1e-3, np.random.default_rng(4))
     assert proc.cos_alpha.size >= channel.SPLIT_COSINES
     return proc
+
+
+def test_fading_block_peak_memory_is_bounded():
+    """One NetworkEnv block at N=10, K=100 (BLOCK_INTERVALS intervals, 1 MB of
+    complex output at 64) peaks under 4x its output: the cosines are evaluated a
+    chunk of rows at a time. The whole block at once peaked at 32x."""
+    proc = _large_fading()
+    ts = np.arange(1, channel.BLOCK_INTERVALS + 1)
+    proc.sample_all(ts)   # the worker thread exists before tracing starts
+    tracemalloc.start()
+    try:
+        h = proc.sample_all(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * h.nbytes, (peak, h.nbytes)
 
 
 def test_fading_below_the_split_starts_no_worker(monkeypatch):

@@ -414,13 +414,12 @@ def test_rates_only_tdm_samples_one_column_per_interval(sampled_columns):
 
 def test_full_reuse_samples_every_link_once_per_interval(sampled_intervals):
     """Full reuse reads g2 in every interval: back-to-back blocks of
-    L = BLOCK_COSINES // (K*N*M) intervals, the last one cut at T, and nothing else."""
-    env = NetworkEnv(EnvConfig(episode_length=50))
+    BLOCK_INTERVALS intervals, the last one cut at T, and nothing else."""
+    env = NetworkEnv(EnvConfig(episode_length=150))
     run_episode([env], [97], BaselinePolicy("full_reuse"))
-    block = channel.BLOCK_COSINES // env.fading.cos_alpha.size
-    assert block == 21
-    assert sampled_intervals == [(list(range(t, min(t + block, 51))), None)
-                                 for t in range(1, 51, block)]
+    assert channel.BLOCK_INTERVALS == 64
+    assert sampled_intervals == [(list(range(1, 65)), None), (list(range(65, 129)), None),
+                                 (list(range(129, 151)), None)]
 
 
 # -------------------------------------------------------------------- rewards

@@ -666,21 +666,24 @@ def test_column_counts_straddle_the_split():
 
 
 # intervals per block: at the default shape 2 run serially and 3 on two threads;
-# 21 is the block that NetworkEnv samples there
-BLOCK_LENGTHS = (1, 2, 3, 21)
+# 64 is NetworkEnv's block (BLOCK_INTERVALS) and 21 a shorter one
+BLOCK_LENGTHS = (1, 2, 3, 21, 64)
 
 
 def test_block_lengths_straddle_the_split():
     assert 2 * 24 * 4 * 16 < channel.SPLIT_COSINES <= 3 * 24 * 4 * 16
-    assert channel.BLOCK_COSINES // (24 * 4 * 16) == 21
+    assert channel.BLOCK_INTERVALS in BLOCK_LENGTHS
 
 
-@pytest.mark.parametrize("num_ues, num_aps", FADING_SHAPES)
+# (37, 10): K is prime, so a block's last chunk of rows is short (one row at 16,
+# 21 and 64 intervals)
+@pytest.mark.parametrize("num_ues, num_aps", FADING_SHAPES + [(37, 10)])
 def test_block_samples_match_serial_oracle(num_ues, num_aps):
     fading = create_fading(num_ues, num_aps, NUM_SINUSOIDS, EnvConfig().doppler_hz,
                            INTERVAL_DURATION_S, np.random.default_rng(num_ues))
     aps = [0, num_aps - 1]
-    for length in BLOCK_LENGTHS:
+    cut = (2000 - 1) % channel.BLOCK_INTERVALS + 1   # NetworkEnv's last block at T=2000
+    for length in BLOCK_LENGTHS + (cut,):
         for start in (1, 777, 2001 - length):
             ts = np.arange(start, start + length)
             block = fading.sample_all(ts)
