@@ -74,9 +74,9 @@ def draw_long_term_gains(deployment: Deployment, params: PathLossParams,
 # worker thread; below it the hand-off costs more than it saves.
 SPLIT_COSINES = 4096
 # Intervals per NetworkEnv block, and cosines per component that _block_sum
-# evaluates at once, so that its temporaries do not grow with the block.
+# evaluates at once, so that its workspace does not grow with the block.
 BLOCK_INTERVALS = 64
-CHUNK_COSINES = 2 ** 15
+CHUNK_COSINES = 2 ** 16
 
 _worker = None   # the ThreadPoolExecutor, started by the first large sample
 _worker_lock = threading.Lock()
@@ -90,13 +90,50 @@ def _block_sum(arg, alpha_trig, phase):
     """_component_sum over a 1-D block arg, (len(arg), K, N); see FadingProcess."""
     k, n, m = alpha_trig.shape
     out = np.empty((len(arg), k, n))
-    rows = max(1, CHUNK_COSINES // (n * m * len(arg)))
+    rows = min(k, max(1, CHUNK_COSINES // (n * m * len(arg))))
+    work = np.empty((rows, n, m, len(arg)))   # per call: the worker runs one too
     for r in range(0, k, rows):
-        x = alpha_trig[r:r + rows, ..., None] * arg + phase[r:r + rows, ..., None]
+        x = work[:k - r]
+        np.multiply(alpha_trig[r:r + rows, ..., None], arg, out=x)
+        x += phase[r:r + rows, ..., None]
         np.cos(x, out=x)
-        # a C-contiguous copy: numpy may sum the moved-axis view sequentially
-        out[:, r:r + rows] = np.ascontiguousarray(np.moveaxis(x, -1, 0)).sum(axis=-1)
+        _pairwise_sum(x, np.moveaxis(out[:, r:r + rows], 0, -1))
     return out
+
+
+def _pairwise_sum(a, out):
+    """Sum a over axis 2 into out, adding in the order of numpy's float sum
+    (pairwise_sum in numpy's loops_utils.h), so the bits equal those of
+    .sum(axis=-1) over a C-contiguous copy with that axis last; a is scratch.
+
+    Below 8 terms numpy adds in sequence; up to 128 it keeps 8 accumulators over
+    the whole groups of 8, adds them as a balanced tree and then the rest in
+    sequence; above 128 it sums two halves, split at a multiple of 8. Its sum
+    starts from 0.0, which changes no bit: no partial sum of cosines is -0.0.
+    """
+    n = a.shape[2]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        _pairwise_sum(a[:, :, :half], a[:, :, 0])
+        _pairwise_sum(a[:, :, half:], a[:, :, half])
+        terms = [a[:, :, 0], a[:, :, half]]
+    elif n >= 8:
+        r = a[:, :, :8]
+        whole = n - n % 8
+        for i in range(8, whole, 8):
+            r += a[:, :, i:i + 8]
+        r[:, :, 0::2] += r[:, :, 1::2]
+        r[:, :, 0::4] += r[:, :, 2::4]
+        terms = [r[:, :, 0], r[:, :, 4]] + [a[:, :, i] for i in range(whole, n)]
+    else:
+        terms = [a[:, :, i] for i in range(n)]
+    acc = terms[0]
+    for term in terms[1:-1]:
+        acc = np.add(acc, term, out=a[:, :, 0])
+    if len(terms) > 1:
+        np.add(acc, terms[-1], out=out)
+    else:
+        out[...] = acc
 
 
 def _current_cpu():
@@ -156,9 +193,12 @@ class FadingProcess:
     sample_all takes one interval t or a 1-D int array of them, a block. libm's cos
     branches on its argument's range and quadrant, so a block is evaluated with
     time innermost, a chunk of K rows at a time: a link's successive arguments
-    then take the same branches. Each element is still fl(fl(arg * trig) + phase)
-    and its cos, and each link the same pairwise 16-term sum, so a block's slice t
-    has the bits of sample_all(t).
+    then take the same branches. Each chunk is one (rows, N, M, L) workspace: each
+    element is still fl(fl(arg * trig) + phase) and its cos, computed in place,
+    and each link's M cosines are added in place along M in the order of numpy's
+    own pairwise sum, the last add landing in the (L, K, N) output. So a block's
+    slice t has the bits of sample_all(t), without a transposed copy or a
+    temporary the size of a chunk.
 
     From SPLIT_COSINES cosines per component (K*N*M, or K*len(aps)*M for a
     column sample, times the block's length) on, sample_all computes the

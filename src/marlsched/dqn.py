@@ -138,9 +138,12 @@ class TrainerConfig:
 
 def select_actions(net: Mlp, mapped_obs: np.ndarray, epsilon: float,
                    rng: np.random.Generator) -> np.ndarray:
-    """Epsilon-greedy over the Q-values of each (..., obs_dim) row (ties -> lowest id)."""
+    """Epsilon-greedy over the Q-values of each (..., obs_dim) row (ties -> lowest id);
+    at epsilon 0 it draws nothing from rng."""
     rows = mapped_obs.reshape(-1, mapped_obs.shape[-1])
     greedy = np.argmax(net.forward(rows), axis=1)
+    if epsilon == 0:
+        return greedy.reshape(mapped_obs.shape[:-1])
     explore = rng.random(len(rows)) < epsilon
     randoms = rng.integers(0, net.out_dim, size=len(rows))
     return np.where(explore, randoms, greedy).reshape(mapped_obs.shape[:-1])
@@ -207,7 +210,7 @@ class DqnPolicy:
         self.net = net
         self.mapper = mapper
         self.epsilon = epsilon
-        self.rng = np.random.default_rng(0) if rng is None else rng   # drawn even at epsilon 0
+        self.rng = np.random.default_rng(0) if rng is None else rng   # not drawn at epsilon 0
         self._raw = self._mapped = None
 
     def map(self, obs: np.ndarray) -> np.ndarray:

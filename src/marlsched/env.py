@@ -406,8 +406,9 @@ class NetworkEnv:
         cfg = self.config
         w_vis = self._latest_visible(0).table[:, 0]
         served = [dec.ue for dec in decisions if not dec.off]
-        rewards = np.full(self.deployment.num_aps, sum(
-            (np.power(w_vis[j], cfg.reward_exponent) * rates[j] for j in served), 0.0))
+        terms = np.power(w_vis[served], cfg.reward_exponent) * rates[served]
+        # added left to right, in decision order (Python's sum compensates from 3.12)
+        rewards = np.full(self.deployment.num_aps, np.cumsum(terms)[-1] if served else 0.0)
         if not served:
             # nobody transmits, so the sum is 0.0: only the penalty is non-zero
             top = self.agent_top_pf()

@@ -148,6 +148,15 @@ def test_greedy_when_epsilon_zero():
     assert np.array_equal(actions, np.argmax(q, axis=1))
 
 
+def test_greedy_selection_draws_nothing():
+    """Validation, `marlsched evaluate` and the benchmark act at epsilon 0, where a
+    draw could never change an action."""
+    rng = np.random.default_rng(9)
+    before = rng.bit_generator.state
+    select_actions(tiny_net(7), np.ones((2, 3, 4)), 0.0, rng)
+    assert rng.bit_generator.state == before
+
+
 def test_greedy_tie_breaks_to_lowest_action():
     net = tiny_net(10)
     for k in net.params:

@@ -3,11 +3,12 @@
 The oracles below are the per-agent, per-slot loops that `NetworkEnv` and
 `baselines` used before observations, action decoding and the top-PF
 selections were built from the padded pool matrix and the feedback reports
-were kept in a list indexed by report number. A Hypothesis test steps random
-small environments and requires every fast-path output to equal its oracle
-bit for bit, and the environment invariants to hold at every interval. One
-whole default-config episode checks, at every interval, which report the
-local and the remote view read.
+were kept in a list indexed by report number, and the per-UE loop whose sum
+`compute_reward` took before it used one array expression. A Hypothesis test
+steps random small environments and requires every fast-path output, rewards
+included, to equal its oracle bit for bit, and the environment invariants to
+hold at every interval. One whole default-config episode checks, at every
+interval, which report the local and the remote view read.
 
 The interferer-profile oracle is the per-UE, per-n loop that
 `harness.interference_profile` ran before it gathered the neighbours' powers
@@ -26,7 +27,10 @@ at one shape each side of the size where the two sums go to two threads. A
 column sample, `sample_all(t, aps)`, must give the bits of the full sample's
 columns for every column count, on either side of that size. A block,
 `sample_all` over an array of intervals, must give the oracle's bits in every
-slice, for blocks on either side of that size and for its columns.
+slice, for blocks on either side of that size and for its columns. The block
+kernel, which adds each link's M cosines in place in numpy's pairwise order,
+must give the bits of `np.cos(arg * trig + phase).sum(axis=-1)` for an M in
+every branch of that order.
 
 The eager-gains oracle is the interval path before `NetworkEnv.g2` was
 sampled on first read or in blocks of intervals: a policy wrapper hands every
@@ -171,6 +175,16 @@ def oracle_decode(env, slot_map, agent, action):
 def oracle_agent_top_pf(env):
     _, _, pf = oracle_visible(env, remote=False)
     return np.array([pf[pool].max() if len(pool) else 0.0 for pool in oracle_pools(env)])
+
+
+def oracle_reward_sum(w_vis, exponent, decisions, rates):
+    """The weighted sum rate as compute_reward added it before it took one array
+    expression: one np.power scalar per served UE, left to right from 0.0."""
+    total = 0.0
+    for dec in decisions:
+        if not dec.off:
+            total += np.power(w_vis[dec.ue], exponent) * rates[dec.ue]
+    return total
 
 
 def oracle_top_pf_per_pool(env):
@@ -496,6 +510,7 @@ def test_interval_path_matches_loop_oracles(cfg, seed):
         with pytest.raises(OutOfRange):
             env.decode_action(0, cfg.num_actions)
 
+        w_vis = env.visible_link_values(remote=False)[0]
         obs, rewards, done, info = env.step(actions)
         assert info["decisions"] == [dec for dec, _ in decoded]
         for i, dec in enumerate(info["decisions"]):
@@ -510,6 +525,11 @@ def test_interval_path_matches_loop_oracles(cfg, seed):
             if len(penalized):
                 assert rewards[penalized[0]] < 0.0
                 assert penalized[0] == np.argmax(top_pf)
+        else:
+            want = oracle_reward_sum(w_vis, cfg.reward_exponent, info["decisions"],
+                                     info["rates"])
+            valid = [not bad for _, bad in decoded]
+            assert same_bits(rewards[valid], np.full(sum(valid), want))
         if done:
             return
 
@@ -691,6 +711,28 @@ def test_block_samples_match_serial_oracle(num_ues, num_aps):
             for i, t in enumerate(ts.tolist()):
                 assert same_bits(block[i], oracle_fading(fading, t)), (length, t)
             assert same_bits(fading.sample_all(ts, aps), block[:, :, aps]), (length, start)
+
+
+# numpy's pairwise sum adds fewer than 8 terms in sequence, up to 128 in 8
+# accumulators and then the rest in sequence, and more than 128 in two halves
+# split at a multiple of 8 (200 terms as 96 + 104, not 100 + 100)
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 16, 24, 129, 200])
+def test_block_sum_matches_numpy_sum(m):
+    """_block_sum adds each link's M cosines in place; every slice must have the
+    bits of the interval-outermost expression summed by numpy, at a K whose last
+    chunk of rows is short."""
+    rng = np.random.default_rng(m)
+    n, length = 2, 64
+    rows = channel.CHUNK_COSINES // (n * m * length)
+    k = 2 * rows + 1
+    assert rows >= 2, rows   # so the last chunk is short
+    trig = rng.uniform(-1.0, 1.0, (k, n, m))
+    phase = rng.uniform(-np.pi, np.pi, (k, n, m))
+    arg = rng.uniform(0.0, 1e3, length)
+    block = channel._block_sum(arg, trig, phase)
+    assert block.shape == (length, k, n)
+    for i, a in enumerate(arg):
+        assert same_bits(block[i], np.cos(a * trig + phase).sum(axis=-1)), (m, i)
 
 
 def recorded_run(cfg, policy, seed):
