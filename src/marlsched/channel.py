@@ -69,9 +69,9 @@ def draw_long_term_gains(deployment: Deployment, params: PathLossParams,
     return LongTermGains(H=np.sqrt(h_power), shadowing_db=sh)
 
 
-# Cosines per component (K*N*M, or K*len(aps)*M for a column sample, times the
-# intervals of a block) from which sample_all hands the quadrature sum to the
-# worker thread; below it the hand-off costs more than it saves.
+# Cosines per component (K*N*M, times the intervals of a block) from which
+# sample_all hands the quadrature sum to the worker thread; below it the
+# hand-off costs more than it saves.
 SPLIT_COSINES = 4096
 # Intervals per NetworkEnv block, and cosines per component that _block_sum
 # evaluates at once, so that its workspace does not grow with the block.
@@ -200,13 +200,13 @@ class FadingProcess:
     slice t has the bits of sample_all(t), without a transposed copy or a
     temporary the size of a chunk.
 
-    From SPLIT_COSINES cosines per component (K*N*M, or K*len(aps)*M for a
-    column sample, times the block's length) on, sample_all computes the
-    quadrature sum on one module-level worker thread while the caller computes
-    the in-phase sum; numpy releases the GIL inside both. Each thread evaluates
-    the same expression in the same order as the serial path, so the bits do
-    not depend on which path ran. An exception on the worker is raised in the
-    caller; a forked child starts a worker of its own.
+    From SPLIT_COSINES cosines per component (K*N*M, times the block's length)
+    on, sample_all computes the quadrature sum on one module-level worker
+    thread while the caller computes the in-phase sum; numpy releases the GIL
+    inside both. Each thread evaluates the same expression in the same order as
+    the serial path, so the bits do not depend on which path ran. An exception
+    on the worker is raised in the caller; a forked child starts a worker of
+    its own.
     """
 
     cos_alpha: np.ndarray      # (K, N, M)
@@ -220,25 +220,20 @@ class FadingProcess:
     def num_sinusoids(self) -> int:
         return self.cos_alpha.shape[-1]
 
-    def sample_all(self, t, aps=None) -> np.ndarray:
-        """Complex unit-power fading gains at interval t, (K, N); or only the columns
-        aps, the same bits as sample_all(t)[:, aps], split by their own size. For a
-        1-D int array t, (len(t), K, N) or (len(t), K, len(aps)): one slice per t."""
+    def sample_all(self, t) -> np.ndarray:
+        """Complex unit-power fading gains at interval t, (K, N); for a 1-D int
+        array t, (len(t), K, N): one slice per t."""
         m = self.num_sinusoids
         arg = 2.0 * np.pi * self.doppler_hz * (t * self.interval_duration)
-        arrays = (self.cos_alpha, self.sin_alpha, self.phi, self.psi)
-        if aps is not None:
-            arrays = [np.take(a, aps, axis=1) for a in arrays]     # faster than a[:, aps]
-        cos_alpha, sin_alpha, phi, psi = arrays
-        cosines, component = cos_alpha.size, _component_sum
+        cosines, component = self.cos_alpha.size, _component_sum
         if isinstance(arg, np.ndarray):       # a block
             cosines, component = cosines * len(arg), _block_sum
         if cosines < SPLIT_COSINES:
-            re = component(arg, cos_alpha, phi)
-            im = component(arg, sin_alpha, psi)
+            re = component(arg, self.cos_alpha, self.phi)
+            im = component(arg, self.sin_alpha, self.psi)
         else:
-            quadrature = _fading_worker().submit(component, arg, sin_alpha, psi)
-            re = component(arg, cos_alpha, phi)
+            quadrature = _fading_worker().submit(component, arg, self.sin_alpha, self.psi)
+            re = component(arg, self.cos_alpha, self.phi)
             im = quadrature.result()
         return (re + 1j * im) / np.sqrt(m)
 

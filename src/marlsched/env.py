@@ -215,7 +215,7 @@ class NetworkEnv:
         self.fading = channel.create_fading(
             dep.num_ues, dep.num_aps, NUM_SINUSOIDS, cfg.doppler_hz, INTERVAL_DURATION_S, rng)
         self._index_layout()
-        self._block, self._block_start = None, 1
+        self._block = None
         k = dep.num_ues
         self.stats = LinkStats(np.full(k, RATE_FLOOR), np.zeros(k), RATE_FLOOR)
         self.rate_sum = np.zeros(k)
@@ -257,38 +257,19 @@ class NetworkEnv:
     # ------------------------------------------------------------- per-interval
 
     def _refresh_interval_state(self):
-        """Start interval t: its gains from the fading block if that covers t, else
-        none sampled yet (see g2); a report on the cadence."""
+        """Start interval t: its (K, N) power gains g2 = |h_ji(t)|^2, never written
+        after they are set, then a report on the cadence. An interval that no block
+        covers samples the block [t, min(t + L, T + 1)) in one sample_all call,
+        L = channel.BLOCK_INTERVALS, and keeps it as (L, K, N); g2 is t's slice."""
         cfg = self.config
-        block, i = self._block, self.t - self._block_start
-        self._g2 = block[i] if block is not None and i < len(block) else None
+        if self._block is None or self.t - self._block_start >= len(self._block):
+            stop = min(self.t + channel.BLOCK_INTERVALS, cfg.episode_length + 1)
+            h = self.fading.sample_all(np.arange(self.t, stop))
+            self._block, self._block_start = self._power * np.abs(h) ** 2, self.t
+        self.g2 = self._block[self.t - self._block_start]
         if self.feedback and self.t % cfg.feedback_period == 0:
             self._reports.append(self._snapshot(self.t, self.stats.weight,
                                                 10.0 * np.log10(self._serving_sinr())))
-
-    @property
-    def g2(self) -> np.ndarray:
-        """The (K, N) power gains |h_ji(t)|^2 of interval t; never written after it is
-        returned. The first read in an interval that no block covers samples the block
-        [t, min(t + L, T + 1)) in one sample_all call, L = channel.BLOCK_INTERVALS,
-        and keeps it as (L, K, N); each later interval of it takes its slice."""
-        if self._g2 is None:
-            stop = min(self.t + channel.BLOCK_INTERVALS, self.config.episode_length + 1)
-            h = self.fading.sample_all(np.arange(self.t, stop))
-            self._block, self._block_start = self._power * np.abs(h) ** 2, self.t
-            self._g2 = self._block[0]
-        return self._g2
-
-    def _rate_gains(self, on: list[int]) -> np.ndarray:
-        """g2 if it is at hand (read, or from a block) or more than half the APs
-        transmit, else zeros but for the columns on: compute_rates weighs every other
-        column by a power of 0."""
-        if self._g2 is not None or 2 * len(on) > len(self._ap_ids):
-            return self.g2
-        gains = np.zeros_like(self._power)
-        if on:
-            gains[:, on] = self._power[:, on] * np.abs(self.fading.sample_all(self.t, on)) ** 2
-        return gains
 
     def _serving_sinr(self) -> np.ndarray:
         """Every UE's measured SINR toward its serving AP at full power."""
@@ -448,9 +429,8 @@ class NetworkEnv:
         elif len(invalid) != n_aps:
             raise ValueError(f"expected {n_aps} invalid flags, one per AP; "
                              f"got {len(invalid)}")
-        on = [i for i, dec in enumerate(decisions) if not dec.off]
         rates, interference = linklevel.compute_rates(
-            decisions, self._rate_gains(on), self.noise_w, self.association)
+            decisions, self.g2, self.noise_w, self.association)
         rewards = self.compute_reward(decisions, rates, invalid) if self.feedback else None
         self.rate_sum += rates
         linklevel.update_link_stats(self.stats, rates, interference,

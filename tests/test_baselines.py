@@ -5,8 +5,9 @@ from marlsched.baselines import (
     BASELINES, ITLINQ_ETA, ITLINQ_M, full_reuse_decide, itlinq_active_set, itlinq_decide,
     tdm_decide,
 )
+from marlsched import baselines
 from marlsched.env import EnvConfig, NetworkEnv
-from marlsched.harness import BaselinePolicy
+from marlsched.harness import BaselinePolicy, run_episode
 from marlsched.topology import DeploymentConfig
 
 
@@ -175,3 +176,59 @@ def test_itlinq_never_empty():
         decs = itlinq_decide(env)
         assert any(not d.off for d in decs)
         env.step_decisions(decs)
+
+
+# ------------------------------------------------------------------- relations
+# Each holds whatever bits the fading and BLAS kernels give: both sides of a
+# relation run the same code on the same gains.
+
+RELATION_SEEDS = (0, 1, 2)
+
+
+def rates_only_rollout(cfg, name, seed):
+    """A rates-only run_episode of baseline name: its per-interval decisions, (T, K)
+    rates and interference, and (K,) average rates."""
+    env = NetworkEnv(cfg)
+    infos, step_decisions = [], env.step_decisions
+
+    def recording(decisions, invalid=None):
+        out = step_decisions(decisions, invalid)
+        infos.append(out[3])
+        return out
+
+    env.step_decisions = recording
+    average = run_episode([env], [seed], BaselinePolicy(name))[0]
+    return ([info["decisions"] for info in infos],
+            np.array([info["rates"] for info in infos]),
+            np.array([info["interference"] for info in infos]), average)
+
+
+def assert_same_rollouts(cfg, a, b):
+    for seed in RELATION_SEEDS:
+        _, *got = rates_only_rollout(cfg, a, seed)
+        _, *want = rates_only_rollout(cfg, b, seed)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want], seed
+
+
+def test_itlinq_at_one_ap_is_full_reuse():
+    """A lone AP is always admitted, so ITLinQ serves what full reuse serves."""
+    cfg = EnvConfig(deployment=DeploymentConfig(num_aps=1, num_ues=6), episode_length=300)
+    assert_same_rollouts(cfg, "itlinq", "full_reuse")
+
+
+def test_itlinq_admitting_every_ap_is_full_reuse(monkeypatch):
+    """With ITLINQ_M so large that no cross INR reaches the limit, every AP is
+    admitted at the default N=4."""
+    monkeypatch.setattr(baselines, "ITLINQ_M", 1e300)
+    assert_same_rollouts(EnvConfig(episode_length=300), "itlinq", "full_reuse")
+
+
+def test_tdm_serves_without_interference():
+    """Exactly one AP transmits in each interval, so its UE hears no interference."""
+    cfg = EnvConfig(episode_length=300)
+    for seed in RELATION_SEEDS:
+        decisions, _, interference, _ = rates_only_rollout(cfg, "tdm", seed)
+        assert len(decisions) == cfg.episode_length
+        for t, (decs, heard) in enumerate(zip(decisions, interference), start=1):
+            (ue,) = [d.ue for d in decs if not d.off]
+            assert heard[ue] == 0.0, (seed, t)

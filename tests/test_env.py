@@ -335,81 +335,69 @@ def test_rates_only_episode_makes_no_feedback():
 
 # ------------------------------------------------------------- fading samples
 
-def record_samples(monkeypatch, entry):
-    """entry(t, aps) of every FadingProcess.sample_all call, in order."""
+@pytest.fixture
+def sampled_intervals(monkeypatch):
+    """The intervals of every FadingProcess.sample_all call, in order: a block's
+    as a list, a single interval t as [t]."""
     calls = []
     sample_all = FadingProcess.sample_all
 
-    def recording(self, t, aps=None):
-        calls.append(entry(t, None if aps is None else list(aps)))
-        return sample_all(self, t, aps)
+    def recording(self, t):
+        calls.append(np.atleast_1d(t).tolist())
+        return sample_all(self, t)
 
     monkeypatch.setattr(FadingProcess, "sample_all", recording)
     return calls
 
 
-@pytest.fixture
-def sampled_columns(monkeypatch):
-    """The aps argument of every FadingProcess.sample_all call, in order."""
-    return record_samples(monkeypatch, lambda t, aps: aps)
-
-
-@pytest.fixture
-def sampled_intervals(monkeypatch):
-    """(intervals, aps) of every FadingProcess.sample_all call, in order: a block's
-    intervals as a list, a single interval t as [t]."""
-    return record_samples(monkeypatch, lambda t, aps: (np.atleast_1d(t).tolist(), aps))
+# back-to-back blocks of BLOCK_INTERVALS (64) intervals over T=150, the last cut at T
+BLOCKS_OF_150 = [list(range(1, 65)), list(range(65, 129)), list(range(129, 151))]
 
 
 @pytest.mark.parametrize("feedback", [False, True])
-def test_all_off_interval_samples_no_fading(sampled_columns, feedback):
-    """From t=1 on, an interval with every AP off needs no gains: it samples
-    nothing and gives zero rates and interference."""
+def test_all_off_interval_samples_no_fading(sampled_intervals, feedback):
+    """From t=1 on, an interval with every AP off gives zero rates and
+    interference; it samples nothing itself and reads its slice of the block
+    that the reset sampled."""
     env = NetworkEnv(small_config(episode_length=30))
     env.reset(seed=83, feedback=feedback)
+    assert sampled_intervals == [list(range(1, 31))]
+    read = []
     for t in range(1, 9):                       # t stays short of the first report, at 10
+        read.append(env.g2.tobytes())
         _, _, _, info = env.step_decisions([ScheduleDecision.silent()] * 2)
         assert info["t"] == t
         assert not info["rates"].any() and not info["interference"].any()
-    assert sampled_columns == []
+    assert len(sampled_intervals) == 1
+    for t, got in enumerate(read, start=1):
+        assert got == (env._power * np.abs(env.fading.sample_all(t)) ** 2).tobytes(), t
 
 
 def test_returned_gains_never_change(sampled_intervals):
     """Over two episodes of random actions, with a reset mid-block: each interval's
-    gains come from one sample_all call at most, no block reaches past T, the reset
-    drops the block, and an array env.g2 returned keeps its bytes through every
-    later step and reset, whether it came from a block or columns were sampled."""
-    cfg = EnvConfig(episode_length=50, feedback_period=20)
+    gains come from one sample_all call, blocks run back to back and none reaches
+    past T, a reset samples exactly one block, and an array env.g2 returned keeps
+    its bytes through every later step and reset."""
+    cfg = EnvConfig(episode_length=150, feedback_period=20)
     env, fresh = NetworkEnv(cfg), NetworkEnv(cfg)
     rng = np.random.default_rng(89)
     kept, episodes = [], []
-    for seed, stop in ((89, 30), (90, None)):
-        env.reset(seed)
+    for seed, stop in ((89, 100), (90, None)):
         first = len(sampled_intervals)
+        env.reset(seed)
         while not env.done and env.t != stop:
             if rng.random() < 0.2:
                 kept.append((env.g2, env.g2.tobytes()))
             env.step(rng.integers(0, cfg.num_actions, size=4) * (rng.random(4) < 0.5))
         episodes.append(sampled_intervals[first:])
-    assert env.t == 51 and episodes[0][-1][0][-1] > 30       # the reset came mid-block
-    fresh.reset(90)
-    assert env._block is not None and fresh._block is None
-    env.reset(90)
-    assert env._block is None and env.g2.tobytes() == fresh.g2.tobytes()
-    for calls in episodes:
-        intervals = [t for ts, _ in calls for t in ts]
-        assert len(intervals) == len(set(intervals)) and max(intervals) <= 50
-        assert any(aps is None and len(ts) > 1 for ts, aps in calls)
-        assert any(aps is not None for _, aps in calls)
+    assert env.t == 151 and episodes == [BLOCKS_OF_150[:2], BLOCKS_OF_150]
+    for reset in (fresh, env):                  # env's reset comes after a whole episode
+        first = len(sampled_intervals)
+        reset.reset(90)
+        assert sampled_intervals[first:] == [BLOCKS_OF_150[0]]
+    assert env.g2.tobytes() == fresh.g2.tobytes()
     assert len(kept) > 10
     assert all(g2.tobytes() == want for g2, want in kept)
-
-
-def test_rates_only_tdm_samples_one_column_per_interval(sampled_columns):
-    env = NetworkEnv(EnvConfig(episode_length=50))
-    run_episode([env], [97], BaselinePolicy("tdm"))
-    k = env.deployment.num_ues
-    assert sampled_columns == [[int(env.association[t % k])] for t in range(1, 51)]
 
 
 def test_full_reuse_samples_every_link_once_per_interval(sampled_intervals):
@@ -418,8 +406,16 @@ def test_full_reuse_samples_every_link_once_per_interval(sampled_intervals):
     env = NetworkEnv(EnvConfig(episode_length=150))
     run_episode([env], [97], BaselinePolicy("full_reuse"))
     assert channel.BLOCK_INTERVALS == 64
-    assert sampled_intervals == [(list(range(1, 65)), None), (list(range(65, 129)), None),
-                                 (list(range(129, 151)), None)]
+    assert sampled_intervals == BLOCKS_OF_150
+
+
+def test_rates_only_tdm_samples_back_to_back_blocks(sampled_intervals):
+    """TDM transmits from one AP per interval, yet samples the blocks that full
+    reuse does: every interval reads its slice of the block."""
+    env = NetworkEnv(EnvConfig(episode_length=150))
+    run_episode([env], [97], BaselinePolicy("tdm"))
+    assert not env.feedback                     # rates-only, as every baseline rollout
+    assert sampled_intervals == BLOCKS_OF_150
 
 
 # -------------------------------------------------------------------- rewards

@@ -9,13 +9,12 @@ collected under the three baselines), of the bytes of a decision-log CSV
 (random policy, two seeds), and of a short training run: the parameters of
 every epoch's checkpoint plus the epoch log. At N=4 and N=10 APs (K=100) it
 holds the interference profile's mean SINR per interferer count, written
-exactly with float.hex. At N=10 APs and K=100 UEs, where the full fading
-sums run on two threads, it holds the rewards and average rates of full
-reuse, TDM, ITLinQ and the random policy (2 seeds, 200 intervals); TDM's
-one-column samples there are small enough to run serially. For each baseline at both
-configs, and for TDM at N=10, K=100, it holds evaluate_policy's per-seed
-sum_rate_mbps, pct5_mbps and score, written exactly with float.hex. A refactor that is meant to keep outputs
-unchanged must keep every digest.
+exactly with float.hex. At N=10 APs and K=100 UEs, where the fading
+blocks run on two threads, it holds the rewards and average rates of full
+reuse, TDM, ITLinQ and the random policy (2 seeds, 200 intervals). For each
+baseline at both configs, and for TDM at N=10, K=100, it holds evaluate_policy's
+per-seed sum_rate_mbps, pct5_mbps and score, written exactly with float.hex. A
+refactor that is meant to keep outputs unchanged must keep every digest.
 
 Regenerate the file only after a change that is meant to alter outputs:
 
