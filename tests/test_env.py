@@ -391,9 +391,9 @@ def test_returned_gains_never_change(sampled_intervals):
             env.step(rng.integers(0, cfg.num_actions, size=4) * (rng.random(4) < 0.5))
         episodes.append(sampled_intervals[first:])
     assert env.t == 151 and episodes == [BLOCKS_OF_150[:2], BLOCKS_OF_150]
-    for reset in (fresh, env):                  # env's reset comes after a whole episode
+    for e in (fresh, env):                      # env's reset comes after a whole episode
         first = len(sampled_intervals)
-        reset.reset(90)
+        e.reset(90)
         assert sampled_intervals[first:] == [BLOCKS_OF_150[0]]
     assert env.g2.tobytes() == fresh.g2.tobytes()
     assert len(kept) > 10
