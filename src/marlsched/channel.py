@@ -69,25 +69,21 @@ def draw_long_term_gains(deployment: Deployment, params: PathLossParams,
     return LongTermGains(H=np.sqrt(h_power), shadowing_db=sh)
 
 
-# Cosines per component (K*N*M, times the intervals of a block) from which
+# Cosines per component (K*N*M, times the block's intervals) from which
 # sample_all hands the quadrature sum to the worker thread; below it the
 # hand-off costs more than it saves.
 SPLIT_COSINES = 4096
-# Intervals per NetworkEnv block, and cosines per component that _block_sum
-# evaluates at once, so that its workspace does not grow with the block.
-BLOCK_INTERVALS = 64
+# Cosines per component that _block_sum evaluates at once, so that its
+# workspace does not grow with the block.
 CHUNK_COSINES = 2 ** 16
 
 _worker = None   # the ThreadPoolExecutor, started by the first large sample
 _worker_lock = threading.Lock()
 
 
-def _component_sum(arg, alpha_trig, phase):
-    return np.cos(arg * alpha_trig + phase).sum(axis=-1)
-
-
 def _block_sum(arg, alpha_trig, phase):
-    """_component_sum over a 1-D block arg, (len(arg), K, N); see FadingProcess."""
+    """cos(arg * alpha_trig + phase) summed over M for each entry of the 1-D
+    arg, (len(arg), K, N); see FadingProcess."""
     k, n, m = alpha_trig.shape
     out = np.empty((len(arg), k, n))
     rows = min(k, max(1, CHUNK_COSINES // (n * m * len(arg))))
@@ -97,7 +93,7 @@ def _block_sum(arg, alpha_trig, phase):
         np.multiply(alpha_trig[r:r + rows, ..., None], arg, out=x)
         x += phase[r:r + rows, ..., None]
         np.cos(x, out=x)
-        _pairwise_sum(x, np.moveaxis(out[:, r:r + rows], 0, -1))
+        _pairwise_sum(x, out[:, r:r + rows].transpose(1, 2, 0))
     return out
 
 
@@ -190,23 +186,23 @@ class FadingProcess:
     phases for the in-phase and quadrature components. Sampling is pure in
     (state, t), so concurrent readers are safe.
 
-    sample_all takes one interval t or a 1-D int array of them, a block. libm's cos
-    branches on its argument's range and quadrant, so a block is evaluated with
-    time innermost, a chunk of K rows at a time: a link's successive arguments
-    then take the same branches. Each chunk is one (rows, N, M, L) workspace: each
-    element is still fl(fl(arg * trig) + phase) and its cos, computed in place,
-    and each link's M cosines are added in place along M in the order of numpy's
-    own pairwise sum, the last add landing in the (L, K, N) output. So a block's
-    slice t has the bits of sample_all(t), without a transposed copy or a
-    temporary the size of a chunk.
+    sample_all takes a 1-D int array of intervals, a block, or one interval t,
+    which it evaluates as a block of one. libm's cos branches on its argument's
+    range and quadrant, so a block is evaluated with time innermost, a chunk of
+    K rows at a time: a link's successive arguments then take the same branches.
+    Each chunk is one (rows, N, M, L) workspace: each element is
+    fl(fl(arg * trig) + phase) and its cos, computed in place, and each link's M
+    cosines are added in place along M in the order of numpy's own pairwise
+    sum, the last add landing in the (L, K, N) output. So every slice has the
+    bits of the serial cos(arg * trig + phase).sum(axis=-1) at its interval,
+    without a transposed copy or a temporary the size of a chunk.
 
     From SPLIT_COSINES cosines per component (K*N*M, times the block's length)
     on, sample_all computes the quadrature sum on one module-level worker
     thread while the caller computes the in-phase sum; numpy releases the GIL
-    inside both. Each thread evaluates the same expression in the same order as
-    the serial path, so the bits do not depend on which path ran. An exception
-    on the worker is raised in the caller; a forked child starts a worker of
-    its own.
+    inside both. Both run the same kernel, so the bits do not depend on which
+    thread ran it. An exception on the worker is raised in the caller; a forked
+    child starts a worker of its own.
     """
 
     cos_alpha: np.ndarray      # (K, N, M)
@@ -223,19 +219,16 @@ class FadingProcess:
     def sample_all(self, t) -> np.ndarray:
         """Complex unit-power fading gains at interval t, (K, N); for a 1-D int
         array t, (len(t), K, N): one slice per t."""
-        m = self.num_sinusoids
-        arg = 2.0 * np.pi * self.doppler_hz * (t * self.interval_duration)
-        cosines, component = self.cos_alpha.size, _component_sum
-        if isinstance(arg, np.ndarray):       # a block
-            cosines, component = cosines * len(arg), _block_sum
-        if cosines < SPLIT_COSINES:
-            re = component(arg, self.cos_alpha, self.phi)
-            im = component(arg, self.sin_alpha, self.psi)
+        arg = 2.0 * np.pi * self.doppler_hz * (np.atleast_1d(t) * self.interval_duration)
+        if self.cos_alpha.size * len(arg) < SPLIT_COSINES:
+            re = _block_sum(arg, self.cos_alpha, self.phi)
+            im = _block_sum(arg, self.sin_alpha, self.psi)
         else:
-            quadrature = _fading_worker().submit(component, arg, self.sin_alpha, self.psi)
-            re = component(arg, self.cos_alpha, self.phi)
+            quadrature = _fading_worker().submit(_block_sum, arg, self.sin_alpha, self.psi)
+            re = _block_sum(arg, self.cos_alpha, self.phi)
             im = quadrature.result()
-        return (re + 1j * im) / np.sqrt(m)
+        h = (re + 1j * im) / np.sqrt(self.num_sinusoids)
+        return h[0] if np.ndim(t) == 0 else h
 
 
 def create_fading(num_ues: int, num_aps: int, num_sinusoids: int,

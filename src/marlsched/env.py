@@ -22,6 +22,7 @@ ALPHA_RATE, ALPHA_INTERFERENCE = 0.01, 0.05     # the link stats' averaging cons
 RATE_FLOOR = 1e-3                               # bps/Hz; keeps weights = 1/avg_rate <= 1e3
 INTERVAL_DURATION_S = 1e-3
 NUM_SINUSOIDS = 16                              # per fading sum
+BLOCK_INTERVALS = 64                            # intervals per fading block
 
 
 class OutOfRange(ValueError):
@@ -260,10 +261,10 @@ class NetworkEnv:
         """Start interval t: its (K, N) power gains g2 = |h_ji(t)|^2, never written
         after they are set, then a report on the cadence. An interval that no block
         covers samples the block [t, min(t + L, T + 1)) in one sample_all call,
-        L = channel.BLOCK_INTERVALS, and keeps it as (L, K, N); g2 is t's slice."""
+        L = BLOCK_INTERVALS, and keeps it as (L, K, N); g2 is t's slice."""
         cfg = self.config
         if self._block is None or self.t - self._block_start >= len(self._block):
-            stop = min(self.t + channel.BLOCK_INTERVALS, cfg.episode_length + 1)
+            stop = min(self.t + BLOCK_INTERVALS, cfg.episode_length + 1)
             h = self.fading.sample_all(np.arange(self.t, stop))
             self._block, self._block_start = self._power * np.abs(h) ** 2, self.t
         self.g2 = self._block[self.t - self._block_start]

@@ -232,3 +232,21 @@ def test_tdm_serves_without_interference():
         for t, (decs, heard) in enumerate(zip(decisions, interference), start=1):
             (ue,) = [d.ue for d in decs if not d.off]
             assert heard[ue] == 0.0, (seed, t)
+
+
+def test_itlinq_active_set_follows_an_ap_relabelling():
+    """Relabelling the APs by a permutation P, so that AP q is the old AP P[q],
+    relabels the active set exactly and keeps its walk order: each admission
+    compares the same gains."""
+    rng = np.random.default_rng(12)
+    p_max, noise = 0.01, 3.98e-14
+    partial = 0
+    for _ in range(300):
+        selected, order, g2 = _random_instance(rng, n_max=6)
+        perm = rng.permutation(len(order))
+        new_id = np.argsort(perm)                      # old AP i is AP new_id[i]
+        active = itlinq_active_set(selected, order, g2, p_max, noise)
+        got = itlinq_active_set(selected[perm], new_id[order], g2[:, perm], p_max, noise)
+        assert got == new_id[active].tolist()
+        partial += 1 < len(active) < len(order)
+    assert partial >= 30, partial   # instances where the walk admits some, not all

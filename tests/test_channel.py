@@ -16,6 +16,7 @@ from marlsched.channel import (
     DomainError, LongTermGains, PathLossParams, create_fading,
     draw_long_term_gains, path_loss_db,
 )
+from marlsched.env import BLOCK_INTERVALS
 from marlsched.topology import DeploymentConfig, generate_deployment
 
 PARAMS = PathLossParams()
@@ -124,6 +125,18 @@ def test_fading_lag1_autocorrelation():
     assert corr == pytest.approx(j0(2 * np.pi * 0.008), abs=0.04)
 
 
+def test_fading_interval_shapes():
+    """A scalar interval, as a Python int, an np.int64 or a 0-d array, gives the
+    (K, N) slice of the block of one that a 1-element array gives as (1, K, N)."""
+    proc = create_fading(5, 3, 16, 8.0, 1e-3, np.random.default_rng(2))
+    block = proc.sample_all(np.array([7]))
+    assert block.shape == (1, 5, 3)
+    for t in (7, np.int64(7), np.array(7)):
+        h = proc.sample_all(t)
+        assert h.shape == (5, 3), type(t)
+        assert h.tobytes() == block[0].tobytes(), type(t)
+
+
 def test_fading_long_run_power():
     # ergodic power over many independent fades
     acc = 0.0
@@ -147,7 +160,7 @@ def test_fading_block_peak_memory_is_bounded():
     complex output at 64) peaks under 4x its output: the cosines are evaluated a
     chunk of rows at a time. The whole block at once peaked at 32x."""
     proc = _large_fading()
-    ts = np.arange(1, channel.BLOCK_INTERVALS + 1)
+    ts = np.arange(1, BLOCK_INTERVALS + 1)
     proc.sample_all(ts)   # the worker thread exists before tracing starts
     tracemalloc.start()
     try:

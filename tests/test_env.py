@@ -5,12 +5,11 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
-from marlsched import channel
 from marlsched.channel import FadingProcess, PathLossParams
 from marlsched.dqn import TrainerConfig
 from marlsched.env import (
-    DEFAULT_SINR_DB, DEFAULT_WEIGHT, RATE_FLOOR, ConfigError, EnvConfig, EpisodeFinished,
-    NetworkEnv, OutOfRange, read_config,
+    BLOCK_INTERVALS, DEFAULT_SINR_DB, DEFAULT_WEIGHT, RATE_FLOOR, ConfigError, EnvConfig,
+    EpisodeFinished, NetworkEnv, OutOfRange, read_config,
 )
 from marlsched.harness import BaselinePolicy, run_episode
 from marlsched.linklevel import ScheduleDecision, compute_rates
@@ -350,7 +349,7 @@ def sampled_intervals(monkeypatch):
     return calls
 
 
-# back-to-back blocks of BLOCK_INTERVALS (64) intervals over T=150, the last cut at T
+# back-to-back blocks of the environment's BLOCK_INTERVALS (64) over T=150, the last cut at T
 BLOCKS_OF_150 = [list(range(1, 65)), list(range(65, 129)), list(range(129, 151))]
 
 
@@ -405,7 +404,7 @@ def test_full_reuse_samples_every_link_once_per_interval(sampled_intervals):
     BLOCK_INTERVALS intervals, the last one cut at T, and nothing else."""
     env = NetworkEnv(EnvConfig(episode_length=150))
     run_episode([env], [97], BaselinePolicy("full_reuse"))
-    assert channel.BLOCK_INTERVALS == 64
+    assert BLOCK_INTERVALS == 64
     assert sampled_intervals == BLOCKS_OF_150
 
 

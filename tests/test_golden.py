@@ -21,7 +21,9 @@ Regenerate the file only after a change that is meant to alter outputs:
     PYTHONPATH=src python tests/test_golden.py --write
 
 Under pytest the file is only read, never written. Without --write the
-script compares and exits 1 when any case differs.
+script compares and exits 1 when any case differs. For a differing case that
+holds float.hex values, the pytest message and the script both give the
+largest relative change of those values.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -166,12 +169,41 @@ def compute_all() -> dict:
     return out
 
 
+def largest_relative_change(want, got) -> float | None:
+    """The largest |got - want| / |want| over the float.hex values that both
+    cases hold at the same key, or None when they share none (a digest case)."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        changes = [largest_relative_change(want[k], got[k]) for k in want.keys() & got.keys()]
+        return max((c for c in changes if c is not None), default=None)
+    if not (isinstance(want, str) and isinstance(got, str) and "x" in want and "x" in got):
+        return None                     # float.hex writes 0x; a SHA-256 digest has no x
+    w, g = float.fromhex(want), float.fromhex(got)
+    return abs(g - w) / abs(w) if w else (0.0 if g == w else math.inf)
+
+
+def describe(case: str, want, got) -> str:
+    """The case's name, with how far its exact values moved when it holds any."""
+    change = largest_relative_change(want, got)
+    return case if change is None else f"{case} (largest relative change {change:.3g})"
+
+
 def test_rollouts_match_golden_digests():
     want = json.loads(GOLDEN.read_text())
     got = compute_all()
     assert sorted(got) == sorted(want)
-    mismatched = [case for case in want if got[case] != want[case]]
+    mismatched = [describe(case, want[case], got[case]) for case in want
+                  if got[case] != want[case]]
     assert not mismatched, f"outputs changed for {mismatched}"
+
+
+def test_a_differing_case_says_how_far_its_exact_values_moved():
+    want = {"0": {"pct5_mbps": (1.0).hex(), "score": (4.0).hex()}, "1": {"score": (2.0).hex()}}
+    got = {"0": {"pct5_mbps": (1.0).hex(), "score": (4.5).hex()}, "1": {"score": (1.5).hex()}}
+    assert largest_relative_change(want, got) == 0.25
+    assert describe("tdm/evaluate", want, got) == "tdm/evaluate (largest relative change 0.25)"
+    assert largest_relative_change({"0": (0.0).hex()}, {"0": (1e-300).hex()}) == math.inf
+    digests = {"rewards": "5d57" * 16}, {"rewards": "99e0" * 16}
+    assert describe("default/tdm/0", *digests) == "default/tdm/0"
 
 
 def main() -> int:
@@ -187,7 +219,9 @@ def main() -> int:
         return 0
     want = json.loads(GOLDEN.read_text())
     bad = sorted(case for case in set(got) | set(want) if want.get(case) != got.get(case))
-    print(f"{len(got) - len(bad)}/{len(got)} cases match" + (f"; differ: {bad}" if bad else ""))
+    print(f"{len(got) - len(bad)}/{len(got)} cases match")
+    for case in bad:
+        print(f"differs: {describe(case, want.get(case), got.get(case))}")
     return 1 if bad else 0
 
 

@@ -52,25 +52,57 @@ def test_off_decision_power_adds_no_interference():
     assert np.all(interf[:2] == 0.0) and rates[0] > 0.0
 
 
+def _random_case(rng):
+    """Gains (9, 3), an association with no empty pool, and decisions that leave
+    an AP off with probability 0.3."""
+    g2 = rng.uniform(1e-12, 1e-8, size=(9, 3))
+    assoc = rng.integers(0, 3, size=9)
+    for i in range(3):          # keep every pool nonempty
+        assoc[i] = i
+    decisions = []
+    for i in range(3):
+        if rng.random() < 0.3:
+            decisions.append(ScheduleDecision.silent())
+        else:
+            pool = np.flatnonzero(assoc == i)
+            decisions.append(ScheduleDecision(
+                int(rng.choice(pool)), float(rng.uniform(0.001, 0.01))))
+    return g2, assoc, decisions
+
+
 def test_rates_match_naive_oracle():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        g2 = rng.uniform(1e-12, 1e-8, size=(9, 3))
-        assoc = rng.integers(0, 3, size=9)
-        for i in range(3):          # keep every pool nonempty
-            assoc[i] = i
-        decisions = []
-        for i in range(3):
-            if rng.random() < 0.3:
-                decisions.append(ScheduleDecision.silent())
-            else:
-                pool = np.flatnonzero(assoc == i)
-                decisions.append(ScheduleDecision(
-                    int(rng.choice(pool)), float(rng.uniform(0.001, 0.01))))
+        g2, assoc, decisions = _random_case(rng)
         rates, interf = compute_rates(decisions, g2, 3.98e-14, assoc)
         exp_r, exp_i = _naive_rates(decisions, g2, 3.98e-14, assoc)
         assert np.allclose(rates, exp_r, rtol=1e-12)
         assert np.allclose(interf, exp_i, rtol=1e-12)
+
+
+@pytest.mark.parametrize("k", [-7, 7])
+def test_power_of_two_scale_keeps_rates_bit_for_bit(k):
+    """Scaling every gain and the noise by 2^k scales each product and sum
+    exactly, so the interference scales exactly and each SINR, a ratio of two
+    scaled values, keeps its bits, and so does each rate."""
+    rng = np.random.default_rng(50 + k)
+    for _ in range(50):
+        g2, assoc, decisions = _random_case(rng)
+        rates, interf = compute_rates(decisions, g2, 3.98e-14, assoc)
+        got_r, got_i = compute_rates(decisions, g2 * 2.0 ** k, 3.98e-14 * 2.0 ** k, assoc)
+        assert got_r.tobytes() == rates.tobytes()
+        assert got_i.tobytes() == (interf * 2.0 ** k).tobytes()
+
+
+def test_scale_by_three_keeps_rates_within_1e_12():
+    """A scale of 3 rounds every gain, so the rates move, but by rounding only."""
+    rng = np.random.default_rng(53)
+    for _ in range(50):
+        g2, assoc, decisions = _random_case(rng)
+        rates, interf = compute_rates(decisions, g2, 3.98e-14, assoc)
+        got_r, got_i = compute_rates(decisions, g2 * 3.0, 3.98e-14 * 3.0, assoc)
+        np.testing.assert_allclose(got_r, rates, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got_i, interf * 3.0, rtol=1e-12, atol=0.0)
 
 
 def test_rate_monotone_in_powers():

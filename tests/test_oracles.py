@@ -20,14 +20,16 @@ neighbour loops that `topology` used before it worked on plain arrays; they
 are compared with `topology` on random, tied and lopsided gains and on
 positions with distance ties.
 
-The fading oracle is the serial in-phase and quadrature sums of
-`FadingProcess.sample_all` at one interval; it is compared with `sample_all`
-bit for bit over 2,000 intervals at the default and the N=10, K=100 shapes and
-at one shape each side of the size where the two sums go to two threads. A
-block, `sample_all` over an array of intervals, must give the oracle's bits in
-every slice, for blocks on either side of that size. The block
-kernel, which adds each link's M cosines in place in numpy's pairwise order,
-must give the bits of `np.cos(arg * trig + phase).sum(axis=-1)` for an M in
+The fading oracle is the serial in-phase and quadrature sums,
+`np.cos(arg * trig + phase).sum(axis=-1)`, that `FadingProcess.sample_all`
+evaluated at one interval before a single interval became a block of one;
+`oracle_fading` is now the only copy of that serial expression. It is compared
+with `sample_all` at one interval bit for bit over 2,000 intervals at the
+default and the N=10, K=100 shapes and at one shape each side of the size where
+the two sums go to two threads. A block, `sample_all` over an array of
+intervals, must give the oracle's bits in every slice, for blocks on either
+side of that size. The block kernel, which adds each link's M cosines in place
+in numpy's pairwise order, must give the bits of that expression for an M in
 every branch of that order.
 
 The eager-gains oracle is the interval path before `NetworkEnv.g2` was
@@ -79,8 +81,8 @@ from marlsched import channel, dqn, harness, linklevel
 from marlsched.channel import create_fading
 from marlsched.dqn import TrainerConfig, run_training
 from marlsched.env import (
-    DEFAULT_SINR_DB, DEFAULT_WEIGHT, INTERVAL_DURATION_S, NUM_SINUSOIDS, RATE_FLOOR, EnvConfig,
-    NetworkEnv, OutOfRange, draw_layout,
+    BLOCK_INTERVALS, DEFAULT_SINR_DB, DEFAULT_WEIGHT, INTERVAL_DURATION_S, NUM_SINUSOIDS,
+    RATE_FLOOR, EnvConfig, NetworkEnv, OutOfRange, draw_layout,
 )
 from marlsched.harness import (
     BaselinePolicy, EpisodeMetrics, InsufficientCandidates, RandomPolicy,
@@ -674,7 +676,7 @@ BLOCK_LENGTHS = (1, 2, 3, 21, 64)
 
 def test_block_lengths_straddle_the_split():
     assert 2 * 24 * 4 * 16 < channel.SPLIT_COSINES <= 3 * 24 * 4 * 16
-    assert channel.BLOCK_INTERVALS in BLOCK_LENGTHS
+    assert BLOCK_INTERVALS in BLOCK_LENGTHS
 
 
 # (37, 10): K is prime, so a block's last chunk of rows is short (one row at 16,
@@ -683,7 +685,7 @@ def test_block_lengths_straddle_the_split():
 def test_block_samples_match_serial_oracle(num_ues, num_aps):
     fading = create_fading(num_ues, num_aps, NUM_SINUSOIDS, EnvConfig().doppler_hz,
                            INTERVAL_DURATION_S, np.random.default_rng(num_ues))
-    cut = (2000 - 1) % channel.BLOCK_INTERVALS + 1   # NetworkEnv's last block at T=2000
+    cut = (2000 - 1) % BLOCK_INTERVALS + 1   # NetworkEnv's last block at T=2000
     for length in BLOCK_LENGTHS + (cut,):
         for start in (1, 777, 2001 - length):
             ts = np.arange(start, start + length)
