@@ -83,7 +83,10 @@ _worker_lock = threading.Lock()
 
 def _block_sum(arg, alpha_trig, phase):
     """cos(arg * alpha_trig + phase) summed over M for each entry of the 1-D
-    arg, (len(arg), K, N); see FadingProcess."""
+    arg, (len(arg), K, N); see FadingProcess. The M cosines are added as numpy's
+    pairwise_sum (loops_utils.h) adds 8 to 128 terms: eight running sums over the
+    groups of 8, then a balanced tree. numpy starts from 0.0; no bit differs, as
+    no partial sum of cosines is -0.0."""
     k, n, m = alpha_trig.shape
     out = np.empty((len(arg), k, n))
     rows = min(k, max(1, CHUNK_COSINES // (n * m * len(arg))))
@@ -93,43 +96,13 @@ def _block_sum(arg, alpha_trig, phase):
         np.multiply(alpha_trig[r:r + rows, ..., None], arg, out=x)
         x += phase[r:r + rows, ..., None]
         np.cos(x, out=x)
-        _pairwise_sum(x, out[:, r:r + rows].transpose(1, 2, 0))
+        acc = x[:, :, :8]
+        for i in range(8, m, 8):
+            acc += x[:, :, i:i + 8]
+        acc[:, :, 0::2] += acc[:, :, 1::2]
+        acc[:, :, 0::4] += acc[:, :, 2::4]
+        np.add(acc[:, :, 0], acc[:, :, 4], out=out[:, r:r + rows].transpose(1, 2, 0))
     return out
-
-
-def _pairwise_sum(a, out):
-    """Sum a over axis 2 into out, adding in the order of numpy's float sum
-    (pairwise_sum in numpy's loops_utils.h), so the bits equal those of
-    .sum(axis=-1) over a C-contiguous copy with that axis last; a is scratch.
-
-    Below 8 terms numpy adds in sequence; up to 128 it keeps 8 accumulators over
-    the whole groups of 8, adds them as a balanced tree and then the rest in
-    sequence; above 128 it sums two halves, split at a multiple of 8. Its sum
-    starts from 0.0, which changes no bit: no partial sum of cosines is -0.0.
-    """
-    n = a.shape[2]
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        _pairwise_sum(a[:, :, :half], a[:, :, 0])
-        _pairwise_sum(a[:, :, half:], a[:, :, half])
-        terms = [a[:, :, 0], a[:, :, half]]
-    elif n >= 8:
-        r = a[:, :, :8]
-        whole = n - n % 8
-        for i in range(8, whole, 8):
-            r += a[:, :, i:i + 8]
-        r[:, :, 0::2] += r[:, :, 1::2]
-        r[:, :, 0::4] += r[:, :, 2::4]
-        terms = [r[:, :, 0], r[:, :, 4]] + [a[:, :, i] for i in range(whole, n)]
-    else:
-        terms = [a[:, :, i] for i in range(n)]
-    acc = terms[0]
-    for term in terms[1:-1]:
-        acc = np.add(acc, term, out=a[:, :, 0])
-    if len(terms) > 1:
-        np.add(acc, terms[-1], out=out)
-    else:
-        out[...] = acc
 
 
 def _current_cpu():
@@ -195,7 +168,8 @@ class FadingProcess:
     cosines are added in place along M in the order of numpy's own pairwise
     sum, the last add landing in the (L, K, N) output. So every slice has the
     bits of the serial cos(arg * trig + phase).sum(axis=-1) at its interval,
-    without a transposed copy or a temporary the size of a chunk.
+    without a transposed copy or a temporary the size of a chunk. M must be a
+    multiple of 8 from 8 to 128, the one case of numpy's order that is copied.
 
     From SPLIT_COSINES cosines per component (K*N*M, times the block's length)
     on, sample_all computes the quadrature sum on one module-level worker
@@ -211,6 +185,11 @@ class FadingProcess:
     psi: np.ndarray            # (K, N, M)
     doppler_hz: float
     interval_duration: float
+
+    def __post_init__(self):
+        if self.num_sinusoids % 8 or not 8 <= self.num_sinusoids <= 128:
+            raise ValueError("fading needs a multiple of 8 from 8 to 128 sinusoids, "
+                             f"got {self.num_sinusoids}")
 
     @property
     def num_sinusoids(self) -> int:

@@ -137,6 +137,17 @@ def test_fading_interval_shapes():
         assert h.tobytes() == block[0].tobytes(), type(t)
 
 
+@pytest.mark.parametrize("m", [1, 7, 9, 129, 136])
+def test_fading_refuses_a_sinusoid_count_outside_the_fold(m):
+    """The kernel adds M cosines in numpy's order for 8 to 128 terms in groups
+    of 8; at M = 9 it would add one column across all eight lanes."""
+    with pytest.raises(ValueError, match=f"got {m}$"):
+        create_fading(2, 3, m, 8.0, 1e-3, np.random.default_rng(0))
+    proc = create_fading(2, 3, 16, 8.0, 1e-3, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=f"got {m}$"):
+        dataclasses.replace(proc, cos_alpha=np.ones((2, 3, m)))
+
+
 def test_fading_long_run_power():
     # ergodic power over many independent fades
     acc = 0.0
