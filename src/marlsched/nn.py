@@ -118,6 +118,7 @@ class Mlp:
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8   # Kingma & Ba's defaults
+LR_HALVING_STEPS = 5000   # Adam steps between halvings of the learning rate
 
 
 @dataclass
@@ -125,13 +126,12 @@ class AdamState:
     """Adam moments plus the halving learning-rate schedule."""
 
     base_lr: float = 0.01
-    halving_period: int = 5000
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
     def learning_rate(self) -> float:
-        return self.base_lr * 0.5 ** (self.step // self.halving_period)
+        return self.base_lr * 0.5 ** (self.step // LR_HALVING_STEPS)
 
 
 def adam_update(net: Mlp, grads: dict, state: AdamState, l2_coeff: float = 0.0) -> None:

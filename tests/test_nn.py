@@ -163,7 +163,7 @@ def test_forward_with_other_params_cannot_be_cached():
 # ------------------------------------------------------------------------ Adam
 
 def test_lr_schedule_halving():
-    st = AdamState(base_lr=0.01, halving_period=5000)
+    st = AdamState(base_lr=0.01)
     st.step = 0
     assert st.learning_rate() == pytest.approx(0.01)
     st.step = 4999

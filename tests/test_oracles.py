@@ -77,7 +77,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from marlsched import channel, dqn, harness, linklevel
+from marlsched import channel, dqn, harness, linklevel, nn
 from marlsched.channel import create_fading
 from marlsched.dqn import TrainerConfig, run_training
 from marlsched.env import (
@@ -811,11 +811,12 @@ def test_mlp_forward_with_other_params_matches_oracle():
 
 
 @pytest.mark.parametrize("in_dim, out_dim, hidden", [(24, 4, 128), (5, 3, 8)])
-def test_adam_matches_allocating_oracle(in_dim, out_dim, hidden):
+def test_adam_matches_allocating_oracle(in_dim, out_dim, hidden, monkeypatch):
     """300 steps with L2 on, the learning rate halving every 50, on gradients
     of every sign and several magnitudes."""
     nets = [Mlp(in_dim, out_dim, hidden, rng=np.random.default_rng(5)) for _ in range(2)]
-    states = [AdamState(base_lr=0.01, halving_period=50) for _ in range(2)]
+    monkeypatch.setattr(nn, "LR_HALVING_STEPS", 50)
+    states = [AdamState(base_lr=0.01) for _ in range(2)]
     rng = np.random.default_rng(6)
     for step in range(300):
         grads = {k: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=p.shape)
