@@ -2,8 +2,9 @@
 
 For every (config, policy, seed) case, tests/data/golden.json holds SHA-256
 digests of the per-interval reward arrays and of the per-UE average rates,
-both as little-endian float64 bytes; for the action policy it also holds the
-digest of the per-interval observations. For every config it also holds the
+both as little-endian float64 bytes, and the episode's sum_rate_mbps and
+pct5_mbps, written exactly with float.hex; for the action policy it also holds
+the digest of the per-interval observations. For every config it also holds the
 digests of the offline normalization dataset (weights, sinr_db and rewards
 collected under the three baselines), of the bytes of a decision-log CSV
 (random policy, two seeds), and of a short training run: the parameters of
@@ -42,7 +43,7 @@ import numpy as np
 from marlsched.dqn import TrainerConfig, run_training
 from marlsched.env import EnvConfig, NetworkEnv
 from marlsched.harness import (
-    BaselinePolicy, RandomPolicy, evaluate_policy, export_decision_log,
+    BaselinePolicy, EpisodeMetrics, RandomPolicy, evaluate_policy, export_decision_log,
     interference_profile,
 )
 from marlsched.nn import PARAM_NAMES
@@ -83,7 +84,8 @@ def _digest(arrays) -> str:
 
 
 def rollout_digests(config: EnvConfig, policy_name: str, seed: int) -> dict:
-    """Digests of one episode's rewards, average rates and (actions) observations."""
+    """Digests of one episode's rewards, average rates and (actions) observations,
+    and its exact sum_rate_mbps and pct5_mbps."""
     env = NetworkEnv(config)
     policy = _policy(policy_name, seed)
     obs = env.reset(seed)
@@ -97,7 +99,9 @@ def rollout_digests(config: EnvConfig, policy_name: str, seed: int) -> dict:
         else:
             _, r, done, _ = env.step_decisions(policy.act([env], None)[0])
         rewards.append(r)
-    out = {"rewards": _digest(rewards), "average_rates": _digest([env.average_rates()])}
+    metrics = EpisodeMetrics.from_rates(env.average_rates())
+    out = {"rewards": _digest(rewards), "average_rates": _digest([env.average_rates()]),
+           "sum_rate_mbps": metrics.sum_rate_mbps.hex(), "pct5_mbps": metrics.pct5_mbps.hex()}
     if policy.kind == "actions":
         out["observations"] = _digest(observations)
     return out
@@ -204,6 +208,9 @@ def test_a_differing_case_says_how_far_its_exact_values_moved():
     assert largest_relative_change({"0": (0.0).hex()}, {"0": (1e-300).hex()}) == math.inf
     digests = {"rewards": "5d57" * 16}, {"rewards": "99e0" * 16}
     assert describe("default/tdm/0", *digests) == "default/tdm/0"
+    rollout = [{"rewards": d, "sum_rate_mbps": (s).hex(), "pct5_mbps": (p).hex()}
+               for d, s, p in (("5d57" * 16, 80.0, 2.0), ("99e0" * 16, 60.0, 2.2))]
+    assert describe("default/tdm/0", *rollout) == "default/tdm/0 (largest relative change 0.25)"
 
 
 def main() -> int:
