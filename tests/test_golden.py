@@ -99,8 +99,9 @@ def rollout_digests(config: EnvConfig, policy_name: str, seed: int) -> dict:
         else:
             _, r, done, _ = env.step_decisions(policy.act([env], None)[0])
         rewards.append(r)
-    metrics = EpisodeMetrics.from_rates(env.average_rates())
-    out = {"rewards": _digest(rewards), "average_rates": _digest([env.average_rates()]),
+    rates = env.average_rates()
+    metrics = EpisodeMetrics.from_rates(rates)
+    out = {"rewards": _digest(rewards), "average_rates": _digest([rates]),
            "sum_rate_mbps": metrics.sum_rate_mbps.hex(), "pct5_mbps": metrics.pct5_mbps.hex()}
     if policy.kind == "actions":
         out["observations"] = _digest(observations)
@@ -208,7 +209,7 @@ def test_a_differing_case_says_how_far_its_exact_values_moved():
     assert largest_relative_change({"0": (0.0).hex()}, {"0": (1e-300).hex()}) == math.inf
     digests = {"rewards": "5d57" * 16}, {"rewards": "99e0" * 16}
     assert describe("default/tdm/0", *digests) == "default/tdm/0"
-    rollout = [{"rewards": d, "sum_rate_mbps": (s).hex(), "pct5_mbps": (p).hex()}
+    rollout = [{"rewards": d, "sum_rate_mbps": s.hex(), "pct5_mbps": p.hex()}
                for d, s, p in (("5d57" * 16, 80.0, 2.0), ("99e0" * 16, 60.0, 2.2))]
     assert describe("default/tdm/0", *rollout) == "default/tdm/0 (largest relative change 0.25)"
 
