@@ -259,3 +259,25 @@ def test_fading_worker_survives_fork():
             os._exit(code)
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+def test_fading_worker_lock_is_fresh_after_fork():
+    """A thread starting the worker may hold _worker_lock when another thread
+    forks; the child must take a lock of its own, not wait on its copy of the
+    held one. SIGALRM kills a child that hangs."""
+    proc = _large_fading()
+    want = proc.sample_all(2)
+    proc.sample_all(1)   # the parent's worker thread exists before the fork
+    with channel._worker_lock:
+        pid = os.fork()
+        if pid == 0:   # the child samples inside the block: leaving it would release the lock
+            code = 1
+            try:
+                signal.signal(signal.SIGALRM, signal.SIG_DFL)
+                signal.alarm(10)
+                code = 0 if proc.sample_all(2).tobytes() == want.tobytes() else 3
+            finally:
+                os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
