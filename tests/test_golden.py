@@ -14,14 +14,17 @@ exactly with float.hex. At N=10 APs and K=100 UEs, where the fading
 blocks run on two threads, it holds the rewards and average rates of full
 reuse, TDM, ITLinQ and the random policy (2 seeds, 200 intervals). For each
 baseline at both configs, and for TDM at N=10, K=100, it holds evaluate_policy's
-per-seed sum_rate_mbps, pct5_mbps and score, written exactly with float.hex. A
-refactor that is meant to keep outputs unchanged must keep every digest.
+per-seed sum_rate_mbps, pct5_mbps and score, written exactly with float.hex, and
+the same for a greedy DqnPolicy (a fixed-seed network over the norm stats the
+training case fits) at all three configs. A refactor that is meant to keep
+outputs unchanged must keep every digest.
 
 Regenerate the file only after a change that is meant to alter outputs:
 
     PYTHONPATH=src python tests/test_golden.py --write
 
-Under pytest the file is only read, never written. Without --write the
+It prints how many cases it added, changed and removed against the file it
+replaces. Under pytest the file is only read, never written. Without --write the
 script compares and exits 1 when any case differs. For a differing case that
 holds float.hex values, the pytest message and the script both give the
 largest relative change of those values.
@@ -40,13 +43,13 @@ from pathlib import Path
 
 import numpy as np
 
-from marlsched.dqn import TrainerConfig, run_training
+from marlsched.dqn import DqnPolicy, TrainerConfig, run_training
 from marlsched.env import EnvConfig, NetworkEnv
 from marlsched.harness import (
     BaselinePolicy, EpisodeMetrics, RandomPolicy, evaluate_policy, export_decision_log,
-    interference_profile,
+    interference_profile, run_episode,
 )
-from marlsched.nn import PARAM_NAMES
+from marlsched.nn import PARAM_NAMES, Mlp
 from marlsched.normalize import collect_offline_dataset, fit
 from marlsched.topology import DeploymentConfig
 
@@ -108,9 +111,9 @@ def rollout_digests(config: EnvConfig, policy_name: str, seed: int) -> dict:
     return out
 
 
-def evaluation_digests(config: EnvConfig, policy_name: str) -> dict:
-    """Exact per-seed metrics of a baseline's evaluate_policy run."""
-    result = evaluate_policy(config, BaselinePolicy(policy_name), SEEDS)
+def evaluation_digests(config: EnvConfig, policy) -> dict:
+    """Exact per-seed metrics of a policy's evaluate_policy run."""
+    result = evaluate_policy(config, policy, SEEDS)
     return {str(seed): {k: v.hex() for k, v in dataclasses.asdict(m).items()}
             for seed, m in zip(SEEDS, result["per_env"])}
 
@@ -137,10 +140,22 @@ TRAINER = TrainerConfig(num_envs=3, episodes=6, epoch_episodes=3, buffer_capacit
                         hidden_units=16)
 
 
+def norm_stats(config: EnvConfig):
+    """(mapper, reward normalizer) fitted on one full-reuse rollout."""
+    dataset = collect_offline_dataset(config, ["full_reuse"], 1, np.random.default_rng(0))
+    return fit(dataset, 20)
+
+
+def greedy_dqn_policy(config: EnvConfig) -> DqnPolicy:
+    """A greedy DqnPolicy over a fixed-seed network and norm_stats' mapper."""
+    net = Mlp(config.obs_dim, config.num_actions, TRAINER.hidden_units,
+              rng=np.random.default_rng(7))
+    return DqnPolicy(net, norm_stats(config)[0])
+
+
 def training_digests(config: EnvConfig) -> dict:
     """Digests of every epoch's checkpoint parameters, plus the epoch log."""
-    dataset = collect_offline_dataset(config, ["full_reuse"], 1, np.random.default_rng(0))
-    mapper, reward_norm = fit(dataset, 20)
+    mapper, reward_norm = norm_stats(config)
     result = run_training(config, TRAINER, mapper, reward_norm,
                           validation_seeds=SEEDS[:1], seed=9)
     return {"checkpoints": [_digest(params[k] for k in PARAM_NAMES)
@@ -164,13 +179,16 @@ def compute_all() -> dict:
         out[f"{cfg_name}/decision_log"] = decision_log_digests(cfg)
         out[f"{cfg_name}/training"] = training_digests(cfg)
         for policy in POLICIES[:3]:
-            out[f"{cfg_name}/{policy}/evaluate"] = evaluation_digests(cfg, policy)
+            out[f"{cfg_name}/{policy}/evaluate"] = evaluation_digests(
+                cfg, BaselinePolicy(policy))
     for num_aps in (4, 10):
         out[f"N{num_aps}-K100/interference_profile"] = interference_digests(num_aps)
     for policy in ("full_reuse", "tdm", "itlinq", "random"):
         for seed in SEEDS[:2]:
             out[f"N10-K100/{policy}/{seed}"] = rollout_digests(LARGE, policy, seed)
-    out["N10-K100/tdm/evaluate"] = evaluation_digests(LARGE, "tdm")
+    out["N10-K100/tdm/evaluate"] = evaluation_digests(LARGE, BaselinePolicy("tdm"))
+    for cfg_name, cfg in {**_configs(), "N10-K100": LARGE}.items():
+        out[f"{cfg_name}/dqn/evaluate"] = evaluation_digests(cfg, greedy_dqn_policy(cfg))
     return out
 
 
@@ -214,6 +232,29 @@ def test_a_differing_case_says_how_far_its_exact_values_moved():
     assert describe("default/tdm/0", *rollout) == "default/tdm/0 (largest relative change 0.25)"
 
 
+def test_golden_dqn_policy_acts_on_more_than_one_action():
+    """The dqn/evaluate cases would pin little if the network always chose one action."""
+    chosen = set()
+    run_episode([NetworkEnv(LARGE)], [SEEDS[0]], greedy_dqn_policy(LARGE),
+                lambda obs, actions, *_: chosen.update(actions.ravel().tolist()))
+    assert len(chosen) > 1
+
+
+def write_summary(old: dict, new: dict) -> str:
+    """How many cases new adds, changes and removes against old."""
+    added = len(new.keys() - old.keys())
+    changed = sum(old[k] != new[k] for k in old.keys() & new.keys())
+    removed = len(old.keys() - new.keys())
+    return f"{added} added, {changed} changed, {removed} removed"
+
+
+def test_write_summary_counts_added_changed_and_removed_cases():
+    old = {"a": {"x": "1"}, "b": {"x": "2"}, "c": {"x": "3"}}
+    new = {"a": {"x": "1"}, "b": {"x": "9"}, "d": {"x": "4"}, "e": {"x": "5"}}
+    assert write_summary(old, new) == "2 added, 1 changed, 1 removed"
+    assert write_summary({}, old) == "3 added, 0 changed, 0 removed"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--write", action="store_true",
@@ -221,9 +262,10 @@ def main() -> int:
     args = parser.parse_args()
     got = compute_all()
     if args.write:
+        old = json.loads(GOLDEN.read_text()) if GOLDEN.is_file() else {}
         GOLDEN.parent.mkdir(parents=True, exist_ok=True)
         GOLDEN.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
-        print(f"wrote {len(got)} cases to {GOLDEN}")
+        print(f"wrote {len(got)} cases to {GOLDEN}: {write_summary(old, got)}")
         return 0
     want = json.loads(GOLDEN.read_text())
     bad = sorted(case for case in set(got) | set(want) if want.get(case) != got.get(case))
