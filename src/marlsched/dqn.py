@@ -201,7 +201,8 @@ class TrainingResult:
 
 
 class DqnPolicy:
-    """Rollout adapter: percentile-map raw observations, then act epsilon-greedily."""
+    """Rollout adapter: percentile-map raw observations, then act epsilon-greedily.
+    Actions are read-only; greedy ones return again while map(obs), net and net.writes stay."""
 
     kind = "actions"
 
@@ -212,6 +213,7 @@ class DqnPolicy:
         self.epsilon = epsilon
         self.rng = np.random.default_rng(0) if rng is None else rng   # not drawn at epsilon 0
         self._raw = self._mapped = None
+        self._greedy = (None, None, None, None)     # (mapped, net, net.writes, actions)
 
     def map(self, obs: np.ndarray) -> np.ndarray:
         """obs mapped; it remembers the last raw array, so training maps each once."""
@@ -220,7 +222,13 @@ class DqnPolicy:
         return self._mapped
 
     def act(self, envs, obs):
-        return select_actions(self.net, self.map(obs), self.epsilon, self.rng)
+        mapped, net = self.map(obs), self.net
+        kept, kept_net, writes, actions = self._greedy
+        if self.epsilon or kept is not mapped or kept_net is not net or writes != net.writes:
+            actions = select_actions(net, mapped, self.epsilon, self.rng)
+            actions.flags.writeable = False
+            self._greedy = (None if self.epsilon else mapped, net, net.writes, actions)
+        return actions
 
 
 def _crossings(total: int, step: int, period: int) -> int:

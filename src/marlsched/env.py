@@ -207,7 +207,8 @@ class NetworkEnv:
     def reset(self, seed: int, feedback: bool = True) -> np.ndarray | None:
         """Start a new episode: fresh deployment, gains, fading and stats.
         feedback=False, which run_episode decides, makes it rates-only: no reports,
-        observations (None here) or rewards, and report readers raise."""
+        observations (None here) or rewards, and report readers raise. Returns the
+        read-only (N, obs_dim) observations, kept as _build_observations says."""
         cfg = self.config
         self.feedback = feedback
         rng = np.random.default_rng(seed)
@@ -225,6 +226,7 @@ class NetworkEnv:
                                         np.full(k, DEFAULT_SINR_DB))]
         self._done = False
         self.t = 1
+        self._kept_obs = self._kept_decode = (None, None)    # a key only: nothing kept yet
         self._refresh_interval_state()
         return self._build_observations() if feedback else None
 
@@ -320,14 +322,17 @@ class NetworkEnv:
         order; slots beyond the pool, and whole blocks beyond the available
         remote APs, are padding with the default (weight, sinr_db). Only
         gathers: UE ids from the two reports' slot matrices through
-        _block_aps, values from their tables.
+        _block_aps, values from their tables. The array is read-only and kept:
+        the same object returns until either of the two reports changes.
         """
-        cfg = self.config
-        loc, rem = self._latest_visible(0), self._latest_visible(cfg.backhaul_delay)
-        local = loc.slots[self._block_aps[:, :1]]            # (N, 1, top_k)
-        remote = rem.slots[self._block_aps[:, 1:]]           # (N, num_remote, top_k)
-        values = np.concatenate((loc.table[local], rem.table[remote]), axis=1)
-        return values.reshape(len(local), cfg.obs_dim)
+        loc, rem = self._latest_visible(0), self._latest_visible(self.config.backhaul_delay)
+        if self._kept_obs[0] is not loc or self._kept_obs[1] is not rem:
+            local = loc.slots[self._block_aps[:, :1]]            # (N, 1, top_k)
+            remote = rem.slots[self._block_aps[:, 1:]]           # (N, num_remote, top_k)
+            values = np.concatenate((loc.table[local], rem.table[remote]), axis=1)
+            values.flags.writeable = False
+            self._kept_obs = (loc, rem, values.reshape(len(local), self.config.obs_dim))
+        return self._kept_obs[2]
 
     def pool_argmax(self, values: np.ndarray) -> np.ndarray:
         """Each AP's pool UE with the largest value; ties go to the lowest UE id.
@@ -376,8 +381,10 @@ class NetworkEnv:
         """Map a discrete action id to a schedule decision.
 
         Returns (decision, invalid): selecting an empty slot maps to the off
-        action with the invalid flag raised.
+        action with the invalid flag raised. An agent outside [0, N) raises OutOfRange.
         """
+        if not 0 <= agent < self.deployment.num_aps:
+            raise OutOfRange(f"agent {agent} outside [0, {self.deployment.num_aps - 1}]")
         ue, power, invalid = self._decode(np.array([agent]), np.array([action]))
         if ue[0] < 0:
             return ScheduleDecision.silent(), bool(invalid[0])
@@ -402,7 +409,8 @@ class NetworkEnv:
     # -------------------------------------------------------------------- step
 
     def step(self, actions):
-        """Advance one interval with per-agent discrete actions, one per AP."""
+        """Advance one interval with per-agent discrete actions, one per AP. Decoded
+        decisions are kept while the actions (dtype, bytes) and local report stay."""
         if self._done:
             raise EpisodeFinished("episode is over; call reset()")
         actions = np.asarray(actions)
@@ -410,10 +418,13 @@ class NetworkEnv:
         if actions.shape != (n_aps,):
             raise ValueError(f"expected {n_aps} actions, one per AP; "
                              f"got shape {actions.shape}")
-        ue, power, invalid = self._decode(self._ap_ids, actions)
-        decisions = [ScheduleDecision(j, p) if j >= 0 else ScheduleDecision.silent()
-                     for j, p in zip(ue.tolist(), power.tolist())]
-        return self.step_decisions(decisions, invalid)
+        loc, key = self._latest_visible(0), (actions.dtype, actions.tobytes())
+        if self._kept_decode[0] is not loc or self._kept_decode[1] != key:
+            ue, power, invalid = self._decode(self._ap_ids, actions)
+            decisions = [ScheduleDecision(j, p) if j >= 0 else ScheduleDecision.silent()
+                         for j, p in zip(ue.tolist(), power.tolist())]
+            self._kept_decode = (loc, key, decisions, invalid)
+        return self.step_decisions(list(self._kept_decode[2]), self._kept_decode[3])
 
     def step_decisions(self, decisions, invalid=None):
         """Advance one interval with explicit decisions, one per AP (baseline fast path);

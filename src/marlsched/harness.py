@@ -92,24 +92,32 @@ def run_episode(envs: list[NetworkEnv], seeds, policy, on_step=None) -> np.ndarr
     (B, N) actions, or for kind "decisions" one decision list per env. on_step(obs,
     actions, rewards, next_obs, t) sees each interval t = 1..T with the (B, N)
     rewards; next_obs is None after the last one. This loop decides feedback:
-    without on_step, a decisions policy's episodes are rates-only (obs None)."""
+    without on_step, a decisions policy's episodes are rates-only (obs None). obs is
+    read-only, and the same object while every env returns the same one as before."""
     if len(seeds) != len(envs):
         raise ValueError(f"one seed per env: {len(seeds)} seeds, {len(envs)} envs")
     feedback = policy.kind == "actions" or on_step is not None
-    obs = [env.reset(int(s), feedback) for env, s in zip(envs, seeds)]
-    obs = np.array(obs) if feedback else None
+    raw = [env.reset(int(s), feedback) for env, s in zip(envs, seeds)]
+    obs = _stack(raw) if feedback else None
     done = False
     while not done:
         actions = policy.act(envs, obs)
         steps = [env.step(a) if policy.kind == "actions" else env.step_decisions(a)
                  for env, a in zip(envs, actions)]
-        raw, rewards, dones, infos = zip(*steps)
+        next_raw, rewards, dones, infos = zip(*steps)
         done = dones[-1]
-        next_obs = None if done or not feedback else np.array(raw)
+        same = all(a is b for a, b in zip(next_raw, raw))
+        next_obs = None if done or not feedback else (obs if same else _stack(next_raw))
         if on_step is not None:
             on_step(obs, actions, np.array(rewards), next_obs, infos[0]["t"])
-        obs = next_obs
+        obs, raw = next_obs, next_raw
     return np.array([env.average_rates() for env in envs])
+
+
+def _stack(raw) -> np.ndarray:
+    stacked = np.array(raw)
+    stacked.flags.writeable = False
+    return stacked
 
 
 def evaluate_policy(env_config: EnvConfig, policy, seeds) -> dict:

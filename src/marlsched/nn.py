@@ -26,7 +26,8 @@ class Mlp:
     forward with another network's params is a plain forward through this
     workspace, so a network only ever evaluated that way (a double-DQN
     target) holds none. Each returned array is the caller's own. copy()
-    copies the parameters only.
+    copies the parameters only. writes counts adam_update's and load_params'
+    in-place parameter writes; any other writer of params must bump it.
     """
 
     def __init__(self, in_dim: int, out_dim: int, hidden: int,
@@ -39,8 +40,8 @@ class Mlp:
             bound = np.sqrt(6.0 / (fan_in + fan_out))
             self.params[f"w{idx}"] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
             self.params[f"b{idx}"] = np.zeros(fan_out)
-        self._ws = None
-        self._cache = None
+        self._ws = self._cache = None
+        self.writes = 0
 
     def forward(self, x: np.ndarray, cache: bool = False, params: dict | None = None):
         """Batched forward pass; x is (B, in_dim). Returns (B, out_dim).
@@ -115,6 +116,7 @@ class Mlp:
         """Copy params into this network's arrays in place; the workspace stays."""
         for k, v in params.items():
             np.copyto(self.params[k], v)
+        self.writes += 1
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8   # Kingma & Ba's defaults
@@ -162,6 +164,7 @@ def adam_update(net: Mlp, grads: dict, state: AdamState, l2_coeff: float = 0.0) 
         u /= g
         p -= u
     state.step = t
+    net.writes += 1
 
 
 # ---------------------------------------------------------------- checkpoints

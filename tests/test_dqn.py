@@ -432,7 +432,8 @@ def test_run_training_gives_the_target_network_no_workspace(monkeypatch):
 
 
 def test_run_training_maps_each_observation_once(monkeypatch):
-    """Acting and pushing share one percentile map per lockstep interval: two
+    """Acting and pushing share one percentile map per distinct pair of visible
+    reports (local, remote), since observations are kept until one changes: two
     rounds of 2 environments and two 1-seed validations, 30 intervals each."""
     cfg, tc, mapper, rnorm = _mini_setup()
     shapes = []
@@ -440,7 +441,13 @@ def test_run_training_maps_each_observation_once(monkeypatch):
     monkeypatch.setattr(PercentileMapper, "map_observation_vector",
                         lambda self, obs: shapes.append(obs.shape) or original(self, obs))
     run_training(cfg, tc, mapper, rnorm, validation_seeds=[0], seed=5)
-    assert sorted(shapes) == [(1, 2, cfg.obs_dim)] * 60 + [(2, 2, cfg.obs_dim)] * 60
+    # report r is made at r * period; the local view sees it after the feedback
+    # delay, the remote views after the backhaul delay too
+    pairs = len({tuple(max((t - cfg.feedback_delay - extra) // cfg.feedback_period, 0)
+                       for extra in (0, cfg.backhaul_delay))
+                 for t in range(1, cfg.episode_length + 1)})
+    assert pairs == 5               # t = 1, 15, 20, 25 and 30
+    assert sorted(shapes) == [(1, 2, cfg.obs_dim)] * 2 * pairs + [(2, 2, cfg.obs_dim)] * 2 * pairs
 
 
 def test_run_training_seed_changes_outcome():

@@ -278,6 +278,48 @@ def test_decode_action_out_of_range():
         env.decode_action(0, env.config.num_actions)
 
 
+def test_decode_action_refuses_an_agent_outside_the_aps():
+    """-1 and N once read the padding row of the slot matrix, -2 wrapped round to
+    AP N-2's pool and N+1 raised IndexError."""
+    env = NetworkEnv(small_config(deployment=DeploymentConfig(num_aps=4, num_ues=20)))
+    env.reset(seed=23)
+    n = env.deployment.num_aps
+    for agent in (-2, -1, n, n + 1):
+        with pytest.raises(OutOfRange, match=f"agent {agent} outside \\[0, {n - 1}\\]"):
+            env.decode_action(agent, 1)
+
+
+def test_observations_are_read_only():
+    env = NetworkEnv(small_config())
+    for obs in (env.reset(seed=23), env.step([1, 1])[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            obs[0, 0] = 0.0
+
+
+def test_step_decodes_kept_actions_as_decode_action_does():
+    """The same actions every interval, across report changes: each step's decisions
+    are decode_action's under the report visible then, in a list of the step's own."""
+    env = NetworkEnv(small_config(episode_length=40))
+    env.reset(seed=31)
+    lists = []
+    while not env.done:
+        want = [env.decode_action(i, 1)[0] for i in range(2)]
+        lists.append(env.step(np.array([1, 1]))[3]["decisions"])
+        assert lists[-1] == want
+    assert lists[0] == lists[1] and lists[0] is not lists[1]
+    assert len({tuple(d) for d in lists}) > 1       # the local report moved the slots
+
+
+def test_step_refuses_float_actions_with_the_bytes_of_kept_ones():
+    """Kept decisions are keyed on the actions' dtype as well as their bytes."""
+    env = NetworkEnv(small_config())
+    env.reset(seed=23)
+    actions = np.array([1, 1])
+    env.step(actions)
+    with pytest.raises(OutOfRange, match="dtype float64"):
+        env.step(actions.view(np.float64))
+
+
 @pytest.mark.parametrize("actions, dtype", [
     ([1.7, 0], "float64"), ([True, False], "bool"), ([float("nan"), 0], "float64"),
 ], ids=["float", "bool", "nan"])

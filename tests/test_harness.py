@@ -91,6 +91,26 @@ def test_run_episode_refuses_a_seed_count_other_than_the_env_count(num_envs, see
     assert all(not hasattr(env, "deployment") for env in envs)      # before any reset
 
 
+def test_run_episode_hands_on_read_only_observations_kept_between_reports():
+    """on_step's obs cannot be written, and next_obs is obs exactly when no env's
+    visible reports (local or remote) changed at the step."""
+    envs = [NetworkEnv(tiny_config()) for _ in range(2)]
+    seen = [[None] * 4]         # every view reads the defaults at reset
+    kept = []
+
+    def on_step(obs, actions, rewards, next_obs, t):
+        with pytest.raises(ValueError, match="read-only"):
+            obs[0, 0, 0] = 0.0
+        seen.append([env.visible_link_values(remote)[3] for env in envs
+                     for remote in (False, True)])
+        if next_obs is not None:
+            kept.append((next_obs is obs, seen[-1] == seen[-2]))
+
+    run_episode(envs, [3, 4], RandomPolicy(seed=2), on_step)
+    assert len(kept) == 39 and all(same == unchanged for same, unchanged in kept)
+    assert {same for same, _ in kept} == {True, False}
+
+
 def test_run_episode_on_step():
     cfg = tiny_config(episode_length=10)
     envs = [NetworkEnv(cfg)]

@@ -551,6 +551,52 @@ def test_visible_report_times_over_a_default_episode():
     assert env.t == cfg.episode_length + 1
 
 
+def test_observations_kept_exactly_while_the_visible_reports_stay():
+    """A whole default episode: step returns the previous observations object
+    exactly when neither view's report changed, with the oracle's values every
+    interval."""
+    cfg = EnvConfig()
+    env = NetworkEnv(cfg)
+    obs, done = env.reset(seed=0), False
+    rng = np.random.default_rng(1)
+    while not done:
+        assert same_bits(obs, oracle_observations(env)[0])
+        times = [oracle_visible_time(env, remote) for remote in (False, True)]
+        last = obs
+        obs, _, done, _ = env.step(rng.integers(0, cfg.num_actions, cfg.deployment.num_aps))
+        if not done:
+            now = [oracle_visible_time(env, remote) for remote in (False, True)]
+            assert (obs is last) == (now == times)
+
+
+def test_greedy_training_matches_acting_every_interval(monkeypatch):
+    """At epsilon 0, DqnPolicy reuses its greedy actions while the observations
+    stay. A train step every lockstep interval changes the network inside each
+    5-interval window between reports, at a learning rate large enough to flip
+    greedy actions there, and the run must equal, bit for bit, one whose act
+    selects anew every interval, as it did before the reuse."""
+    cfg = EnvConfig(deployment=DeploymentConfig(num_aps=2, num_ues=6), episode_length=60)
+    tcfg = TrainerConfig(num_envs=2, episodes=4, epoch_episodes=2, buffer_capacity=500,
+                         batch_timesteps=16, target_sync_intervals=50,
+                         train_period_intervals=2, epsilon_start=0.0, epsilon_end=0.0,
+                         hidden_units=16, learning_rate=0.1)
+    mapper = PercentileMapper(weight_thresholds=np.linspace(0, 1000, 20),
+                              sinr_db_thresholds=np.linspace(-60, 60, 20))
+
+    def train():
+        result = run_training(cfg, tcfg, mapper, RewardNormalizer(mu=0.0, sigma=100.0),
+                              validation_seeds=[0], seed=3)
+        return [asdict(r) for r in result.epoch_log], result.checkpoints
+
+    kept_log, kept_params = train()
+    monkeypatch.setattr(dqn.DqnPolicy, "act", lambda self, envs, obs: dqn.select_actions(
+        self.net, self.map(obs), self.epsilon, self.rng))
+    anew_log, anew_params = train()
+    assert kept_log == anew_log
+    assert all(same_bits(a[k], b[k]) for a, b in zip(kept_params, anew_params, strict=True)
+               for k in PARAM_NAMES)
+
+
 # ------------------------------------------------------------------- topology
 
 def random_gains(rng, num_ues, num_aps, kind):
