@@ -106,8 +106,8 @@ def run_episode(envs: list[NetworkEnv], seeds, policy, on_step=None) -> np.ndarr
                  for env, a in zip(envs, actions)]
         next_raw, rewards, dones, infos = zip(*steps)
         done = dones[-1]
-        same = all(a is b for a, b in zip(next_raw, raw))
-        next_obs = None if done or not feedback else (obs if same else _stack(next_raw))
+        next_obs = None if done or not feedback else (
+            obs if all(a is b for a, b in zip(next_raw, raw)) else _stack(next_raw))
         if on_step is not None:
             on_step(obs, actions, np.array(rewards), next_obs, infos[0]["t"])
         obs, raw = next_obs, next_raw
