@@ -409,8 +409,8 @@ class NetworkEnv:
     # -------------------------------------------------------------------- step
 
     def step(self, actions):
-        """Advance one interval with per-agent discrete actions, one per AP. Decoded
-        decisions are kept while the actions (dtype, bytes) and local report stay."""
+        """Advance one interval with per-agent discrete actions, one per AP; obs as reset's.
+        Decoded decisions are kept while the actions (dtype, bytes) and local report stay."""
         if self._done:
             raise EpisodeFinished("episode is over; call reset()")
         actions = np.asarray(actions)

@@ -280,7 +280,7 @@ def test_decode_action_out_of_range():
 
 def test_decode_action_refuses_an_agent_outside_the_aps():
     """-1 and N once read the padding row of the slot matrix, -2 wrapped round to
-    AP N-2's pool and N+1 raised IndexError."""
+    AP N-1's pool and N+1 raised IndexError."""
     env = NetworkEnv(small_config(deployment=DeploymentConfig(num_aps=4, num_ues=20)))
     env.reset(seed=23)
     n = env.deployment.num_aps

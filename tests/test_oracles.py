@@ -8,7 +8,9 @@ were kept in a list indexed by report number, and the per-UE loop whose sum
 steps random small environments and requires every fast-path output, rewards
 included, to equal its oracle bit for bit, and the environment invariants to
 hold at every interval. One whole default-config episode checks, at every
-interval, which report the local and the remote view read.
+interval, which report the local and the remote view read; another, that
+`step` hands back the previous observations object exactly when neither
+view's report changed, with the oracle's values.
 
 The interferer-profile oracle is the per-UE, per-n loop that
 `harness.interference_profile` ran before it gathered the neighbours' powers
@@ -63,6 +65,11 @@ The training-schedule oracle is the trigger-counter loop (`next_train`,
 steps, target syncs and epochs from its interval and episode totals; the
 train steps, syncs and validations of tiny runs are compared with it,
 including periods that the number of parallel environments does not divide.
+
+The acting oracle is the body `DqnPolicy.act` had before it reused its greedy
+actions between reports, `select_actions(net, map(obs), epsilon, rng)` every
+interval: a greedy training run with a train step every interval must give
+the same epoch log and checkpoints bit for bit through both.
 
 The validation-set oracle is the seed-by-seed acceptance loop (`within`,
 `accepted`, `reference_rows`) that `harness.build_validation_set` ran before it
