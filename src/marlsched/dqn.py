@@ -10,7 +10,7 @@ import numpy as np
 from . import harness
 from .env import EnvConfig, NetworkEnv
 from .nn import AdamState, Mlp, adam_update, save_checkpoint
-from .normalize import PercentileMapper, RewardNormalizer
+from .normalize import PercentileMapper, RewardNormalizer, levels
 from .topology import ConfigError, require
 
 
@@ -48,35 +48,61 @@ class ReplayBuffer:
     is stored once: record i's next_obs is the obs of record i + B, the
     newest interval's is kept (by reference) until the next push, and a done
     record's reads zeros.
+
+    Observations arrive percentile-mapped, each entry one of normalize.levels(q),
+    and the ring stores the level index k of each: one byte up to q = 255, two above.
+    sample decodes them as fl(fl(k / q) - 1/2), the roundings of the mapping,
+    so every bit comes back.
     """
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, q: int):
         self.capacity = capacity
+        self.q = q
         self._obs = self._actions = self._rewards = self._done = None   # at the first push
         self._next_obs = None       # the newest interval's next_obs, (B, N, obs_dim)
+        self._coded = (None, None)  # the last obs pushed and its level indices
         self._pushed = 0
 
     def __len__(self) -> int:
         return min(self._pushed, self.capacity)
 
+    def _encode(self, obs: np.ndarray) -> np.ndarray:
+        """obs's level indices, once per obs array; ValueError names a non-level."""
+        kept, codes = self._coded
+        if obs is not kept:
+            valid = (obs >= -0.5) & (obs <= 0.5)
+            k = np.rint((np.where(valid, obs, 0.0) + 0.5) * self.q)
+            codes = k.astype(np.min_scalar_type(self.q))
+            wrong = ~valid | (levels(self.q)[codes] != obs)
+            if wrong.any():
+                raise ValueError(f"observation entry {obs[wrong][0]} is none of "
+                                 f"the {self.q + 1} levels k/{self.q} - 1/2")
+            self._coded = (obs, codes)
+        return codes
+
     def push(self, obs, actions, rewards, next_obs, done) -> None:
         """Store one lockstep interval of B environments as B records, in order.
 
-        Raises ValueError when B differs from the first push's, or when the
-        last interval was not done and obs is not its next_obs.
+        Raises ValueError when B differs from the first push's, when the last
+        interval was not done and obs is not its next_obs, or when an entry
+        of obs is no level. obs is encoded once per array object, so it must
+        not change once pushed.
         """
+        if self._obs is not None:
+            if len(obs) != len(self._next_obs):
+                raise ValueError(f"an interval of {len(obs)} environments after "
+                                 f"intervals of {len(self._next_obs)}")
+            if not (self._done[(self._pushed - 1) % self.capacity] or obs is self._next_obs):
+                raise ValueError("obs is not the next_obs of the last interval, "
+                                 "which was not done")
+        codes = self._encode(obs)
         if self._obs is None:
-            self._obs = np.empty((self.capacity, *obs.shape[1:]))
+            self._obs = np.empty((self.capacity, *obs.shape[1:]), dtype=codes.dtype)
             self._actions = np.empty((self.capacity, *actions.shape[1:]), dtype=int)
             self._rewards = np.empty((self.capacity, *rewards.shape[1:]))
             self._done = np.empty(self.capacity, dtype=bool)
-        elif len(obs) != len(self._next_obs):
-            raise ValueError(f"an interval of {len(obs)} environments after intervals "
-                             f"of {len(self._next_obs)}")
-        elif not (self._done[(self._pushed - 1) % self.capacity] or obs is self._next_obs):
-            raise ValueError("obs is not the next_obs of the last interval, which was not done")
         idx = (self._pushed + np.arange(len(obs))) % self.capacity
-        self._obs[idx] = obs
+        self._obs[idx] = codes
         self._actions[idx] = actions
         self._rewards[idx] = rewards
         self._done[idx] = done
@@ -91,13 +117,18 @@ class ReplayBuffer:
         idx = rng.choice(len(self), size=batch_size, replace=False)
         envs = len(self._next_obs)
         age = (self._pushed - 1 - idx) % self.capacity      # 0 for the newest record
-        next_obs = self._obs[(idx + envs) % self.capacity]
         newest = age < envs
+        # decoded obs rows, then next_obs rows; a newest record's successor slot
+        # may be unwritten, so its own stands in until the pending next_obs
+        rows = np.concatenate([idx, np.where(newest, idx, (idx + envs) % self.capacity)])
+        both = np.empty((len(rows), *self._obs.shape[1:]))
+        np.divide(self._obs[rows], self.q, out=both)
+        both -= 0.5
+        obs, next_obs = both[:batch_size], both[batch_size:]
         next_obs[newest] = self._next_obs[envs - 1 - age[newest]]
         done = self._done[idx]
         next_obs[done] = 0.0
-        return Transitions(self._obs[idx], self._actions[idx], self._rewards[idx],
-                           next_obs, done)
+        return Transitions(obs, self._actions[idx], self._rewards[idx], next_obs, done)
 
 
 @dataclass
@@ -254,7 +285,7 @@ def run_training(env_config: EnvConfig, trainer_config: TrainerConfig,
     net = Mlp(cfg.obs_dim, cfg.num_actions, tcfg.hidden_units, rng=master)
     target = net.copy()
     adam = AdamState(base_lr=tcfg.learning_rate)
-    buffer = ReplayBuffer(tcfg.buffer_capacity)
+    buffer = ReplayBuffer(tcfg.buffer_capacity, len(mapper.weight_thresholds))
     act_rng, sample_rng = map(np.random.default_rng, harness.fresh_seeds(master, 2))
     envs = [NetworkEnv(cfg) for _ in range(tcfg.num_envs)]
 

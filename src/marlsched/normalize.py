@@ -22,8 +22,16 @@ class DegenerateDataset(ValueError):
 
 @dataclass
 class PercentileMapper:
+    """Maps an entry to levels(Q)[k], k in [0, Q] its bucket among its field's Q
+    thresholds. ConfigError unless both fields hold Q >= 2 finite ascending
+    numbers, first below last, so that they share one grid of levels."""
+
     weight_thresholds: np.ndarray   # (Q,) ascending empirical quantiles
     sinr_db_thresholds: np.ndarray  # (Q,)
+
+    def __post_init__(self):
+        for name in ("weight_thresholds", "sinr_db_thresholds"):
+            check_thresholds(self, name, np.size(self.weight_thresholds))
 
     def map_weights(self, values):
         return map_observation(values, self.weight_thresholds)
@@ -52,17 +60,23 @@ class RewardNormalizer:
         return (np.asarray(r) - self.mu) / self.sigma
 
 
+def levels(q: int) -> np.ndarray:
+    """The Q+1 values of a mapped entry, level k being fl(fl(k / Q) - 1/2),
+    k = 0..Q; dqn.ReplayBuffer stores k and decodes it with these two roundings."""
+    return np.arange(q + 1) / q - 0.5
+
+
 def map_observation(values, thresholds):
     """Quantile-bucket mapping onto the Q+1 levels in [-1/2, +1/2].
 
     A value in bucket q (thresholds[q] <= v < thresholds[q+1]) maps to
-    (q+1)/Q - 1/2. Values below the fitted minimum fall in bucket -1 and map
-    to -1/2; values at or above the fitted maximum, and NaN, fall in bucket
-    Q-1 and map to +1/2.
+    levels(Q)[q+1], (q+1)/Q - 1/2. Values below the fitted minimum fall in
+    bucket -1 and map to -1/2; values at or above the fitted maximum, and NaN,
+    fall in bucket Q-1 and map to +1/2.
     """
     thresholds = np.asarray(thresholds)
     v = np.asarray(values, dtype=float)
-    out = np.searchsorted(thresholds, v, side="right") / len(thresholds) - 0.5
+    out = levels(len(thresholds))[np.searchsorted(thresholds, v, side="right")]
     return float(out) if out.ndim == 0 else out
 
 
@@ -137,12 +151,18 @@ class StatsFile:
         first is below their last, as fit makes them, and sigma_rew is positive."""
         require(self, ">= 1", "Q")
         for name in ("weight_thresholds", "sinr_db_thresholds"):
-            values = getattr(self, name)
-            if (len(values) != self.Q or np.any(np.diff(values) < 0)
-                    or values[0] == values[-1]):
-                raise ConfigError(f"StatsFile.{name} must be Q = {self.Q} ascending "
-                                  f"numbers, first below last, got {values}")
+            check_thresholds(self, name, self.Q)
         require(self, "> 0", "sigma_rew")
+
+
+def check_thresholds(owner, name: str, q: int) -> None:
+    """Raise ConfigError unless owner.name is Q >= 2 finite ascending numbers,
+    first below last: a grid that map_observation buckets correctly."""
+    values = np.asarray(getattr(owner, name), dtype=float)
+    if (q < 2 or values.shape != (q,) or not np.all(np.isfinite(values))
+            or np.any(np.diff(values) < 0) or not values[0] < values[-1]):
+        raise ConfigError(f"{type(owner).__name__}.{name} must be Q = {q} finite "
+                          f"ascending numbers, first below last, got {values}")
 
 
 def save_stats(path, mapper: PercentileMapper, normalizer: RewardNormalizer,

@@ -16,7 +16,7 @@ from marlsched.channel import (
     DomainError, LongTermGains, PathLossParams, create_fading,
     draw_long_term_gains, path_loss_db,
 )
-from marlsched.env import BLOCK_INTERVALS
+from marlsched.env import BLOCK_INTERVALS, INTERVAL_DURATION_S, NUM_SINUSOIDS, EnvConfig
 from marlsched.topology import DeploymentConfig, generate_deployment
 
 PARAMS = PathLossParams()
@@ -116,6 +116,9 @@ def test_fading_rayleigh_envelope_ks():
     assert ks.statistic < 0.02
 
 
+LAGS = np.array([1, 5, 10, 25, 50, 100, 150])
+
+
 def test_fading_lag1_autocorrelation():
     # f_d * T = 0.008 -> expected correlation about J0(2*pi*0.008)
     proc = create_fading(500, 200, 16, 8.0, 1e-3, np.random.default_rng(6))
@@ -123,6 +126,39 @@ def test_fading_lag1_autocorrelation():
     corr = np.real(np.mean(h1 * np.conj(h2))) / np.mean(np.abs(h1) ** 2)
     assert corr > 0.95
     assert corr == pytest.approx(j0(2 * np.pi * 0.008), abs=0.04)
+    # Clarke's J0 over a Doppler period and more, at the default shape: 8 seeds,
+    # 64 start times 1,000 intervals apart, each at lag 0 and every lag in LAGS
+    cfg = EnvConfig()
+    dep = cfg.deployment
+    times = (1000 * np.arange(64)[:, None] + np.r_[0, LAGS]).ravel()
+    mean = np.zeros(len(LAGS))
+    for seed in range(8):
+        proc = create_fading(dep.num_ues, dep.num_aps, NUM_SINUSOIDS, cfg.doppler_hz,
+                             INTERVAL_DURATION_S, np.random.default_rng(seed))
+        h = proc.sample_all(times).reshape(64, 1 + len(LAGS), -1)
+        mean += np.mean(np.real(h[:, 1:] * np.conj(h[:, :1])), axis=(0, 2)) / 8
+    want = j0(2 * np.pi * cfg.doppler_hz * INTERVAL_DURATION_S * LAGS)
+    assert np.all(np.abs(mean - want) <= 0.02), dict(zip(LAGS, mean - want))
+
+
+def test_fading_in_phase_and_quadrature_are_uncorrelated():
+    proc = create_fading(500, 200, 16, 8.0, 1e-3, np.random.default_rng(7))
+    h = proc.sample_all(1)
+    assert abs(np.mean(h.real * h.imag)) <= 0.01
+
+
+def test_fading_time_shift_is_a_phase_advance():
+    """Advancing each sinusoid's phase by its angular step times t0 gives at t
+    what the process gives at t + t0."""
+    cfg = EnvConfig()
+    dep = cfg.deployment
+    proc = create_fading(dep.num_ues, dep.num_aps, NUM_SINUSOIDS, cfg.doppler_hz,
+                         INTERVAL_DURATION_S, np.random.default_rng(8))
+    t0, t = 1234, np.arange(200)
+    step = 2 * np.pi * cfg.doppler_hz * INTERVAL_DURATION_S * t0
+    shifted = dataclasses.replace(proc, phi=proc.phi + step * proc.cos_alpha,
+                                  psi=proc.psi + step * proc.sin_alpha)
+    assert np.max(np.abs(shifted.sample_all(t) - proc.sample_all(t + t0))) <= 1e-12
 
 
 def test_fading_interval_shapes():

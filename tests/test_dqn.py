@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import asdict
 
@@ -12,7 +13,7 @@ from marlsched.dqn import (
 from marlsched.env import ConfigError, EnvConfig, NetworkEnv, read_config
 from marlsched.harness import run_episode
 from marlsched.nn import PARAM_NAMES, AdamState, Mlp
-from marlsched.normalize import PercentileMapper, RewardNormalizer
+from marlsched.normalize import PercentileMapper, RewardNormalizer, levels
 from marlsched.topology import DeploymentConfig
 
 
@@ -20,16 +21,24 @@ def tiny_net(seed=0, in_dim=4, out_dim=3):
     return Mlp(in_dim, out_dim, hidden=8, rng=np.random.default_rng(seed))
 
 
-def intervals(rng, count, n_envs=1, n_agents=2, obs_dim=4, dones=None):
+Q = 20     # percentile levels of the observations pushed to the replay rings
+
+
+def random_levels(rng, shape, q=Q):
+    """Percentile-mapped observations: each entry one of the q + 1 levels."""
+    return levels(q)[rng.integers(0, q + 1, size=shape)]
+
+
+def intervals(rng, count, n_envs=1, n_agents=2, obs_dim=4, dones=None, q=Q):
     """count chained lockstep intervals (obs, actions, rewards, next_obs, done),
     as run_training pushes them: each starts from the last one's next_obs, or
     afresh after a done one, whose next_obs is zeros."""
-    obs = rng.normal(size=(n_envs, n_agents, obs_dim))
+    obs = random_levels(rng, (n_envs, n_agents, obs_dim), q)
     for done in dones or [False] * count:
-        next_obs = np.zeros_like(obs) if done else rng.normal(size=obs.shape)
+        next_obs = np.zeros_like(obs) if done else random_levels(rng, obs.shape, q)
         yield (obs, rng.integers(0, 3, size=(n_envs, n_agents)),
                rng.normal(size=(n_envs, n_agents)), next_obs, done)
-        obs = rng.normal(size=obs.shape) if done else next_obs
+        obs = random_levels(rng, obs.shape, q) if done else next_obs
 
 
 def tagged(step, tags):
@@ -41,7 +50,7 @@ def tagged(step, tags):
 
 def make_batch(rng, dones):
     """One record per entry of dones, pushed one at a time, sampled back shuffled."""
-    buf = ReplayBuffer(len(dones))
+    buf = ReplayBuffer(len(dones), Q)
     for step in intervals(rng, len(dones), dones=dones):
         buf.push(*step)
     return buf.sample(len(dones), rng)
@@ -50,7 +59,7 @@ def make_batch(rng, dones):
 # -------------------------------------------------------------- replay buffer
 
 def test_buffer_ring_overwrites_oldest():
-    buf = ReplayBuffer(3)
+    buf = ReplayBuffer(3, Q)
     rng = np.random.default_rng(0)
     for t, step in enumerate(intervals(rng, 5)):
         buf.push(*tagged(step, [t]))
@@ -61,7 +70,7 @@ def test_buffer_ring_overwrites_oldest():
 def test_buffer_wraps_mid_interval():
     # capacity 7 is no multiple of B = 3: slot i holds the latest record
     # pushed with index = i mod 7, as with one record pushed at a time
-    buf = ReplayBuffer(7)
+    buf = ReplayBuffer(7, Q)
     rng = np.random.default_rng(1)
     for t, step in enumerate(intervals(rng, 5, n_envs=3)):
         buf.push(*tagged(step, 3 * t + np.arange(3)))
@@ -71,14 +80,14 @@ def test_buffer_wraps_mid_interval():
 
 
 def test_buffer_underfilled_raises():
-    buf = ReplayBuffer(10)
+    buf = ReplayBuffer(10, Q)
     buf.push(*next(intervals(np.random.default_rng(1), 1)))
     with pytest.raises(BufferUnderfilled):
         buf.sample(2, np.random.default_rng(2))
 
 
 def test_buffer_sample_without_replacement():
-    buf = ReplayBuffer(100)
+    buf = ReplayBuffer(100, Q)
     rng = np.random.default_rng(3)
     for t, step in enumerate(intervals(rng, 10)):
         buf.push(*tagged(step, [t]))
@@ -88,7 +97,7 @@ def test_buffer_sample_without_replacement():
 
 def test_transitions_keep_agents_together():
     # a sampled timestep always carries every agent's row of that interval
-    buf = ReplayBuffer(50)
+    buf = ReplayBuffer(50, Q)
     rng = np.random.default_rng(5)
     for t, step in enumerate(intervals(rng, 10, n_envs=2, n_agents=3)):
         buf.push(*tagged(step, [2 * t, 2 * t + 1]))     # tag rows by env
@@ -98,7 +107,7 @@ def test_transitions_keep_agents_together():
 
 
 def test_buffer_refuses_an_interval_that_breaks_the_chain():
-    buf = ReplayBuffer(20)
+    buf = ReplayBuffer(20, Q)
     rng = np.random.default_rng(41)
     first, second = intervals(rng, 2)
     buf.push(*first)
@@ -111,7 +120,7 @@ def test_buffer_refuses_an_interval_that_breaks_the_chain():
 
 
 def test_buffer_takes_any_obs_after_a_done_interval():
-    buf = ReplayBuffer(20)
+    buf = ReplayBuffer(20, Q)
     rng = np.random.default_rng(42)
     buf.push(*next(intervals(rng, 1, dones=[True])))
     buf.push(*next(intervals(rng, 1)))
@@ -119,7 +128,7 @@ def test_buffer_takes_any_obs_after_a_done_interval():
 
 
 def test_buffer_refuses_another_number_of_environments():
-    buf = ReplayBuffer(20)
+    buf = ReplayBuffer(20, Q)
     rng = np.random.default_rng(43)
     buf.push(*next(intervals(rng, 1, n_envs=2)))
     with pytest.raises(ValueError, match="an interval of 3 environments after intervals of 2"):
@@ -128,7 +137,7 @@ def test_buffer_refuses_another_number_of_environments():
 
 def test_sampled_fields_are_contiguous():
     # train_step flattens obs and next_obs to (rows, obs_dim) without a copy
-    buf = ReplayBuffer(30)
+    buf = ReplayBuffer(30, Q)
     rng = np.random.default_rng(44)
     for step in intervals(rng, 10, n_envs=3, dones=[False, True] * 5):
         buf.push(*step)
@@ -136,6 +145,75 @@ def test_sampled_fields_are_contiguous():
     for field in (batch.obs, batch.next_obs):
         assert np.shares_memory(field, field.reshape(-1, field.shape[-1]))
     assert all(f.flags.c_contiguous for f in (batch.actions, batch.rewards, batch.done))
+
+
+def test_buffer_reads_a_done_records_next_obs_as_zero_at_odd_q():
+    # at Q = 7, 0.0 is no level; index 0 would decode to -0.5
+    buf = ReplayBuffer(10, 7)
+    rng = np.random.default_rng(45)
+    for step in intervals(rng, 6, n_envs=2, dones=[False, True] * 3, q=7):
+        buf.push(*step)
+    batch = buf.sample(10, rng)
+    assert batch.done.sum() == 6
+    assert np.all(batch.next_obs[batch.done] == 0.0)
+    assert not np.signbit(batch.next_obs[batch.done]).any()
+
+
+@pytest.mark.parametrize("bad", [0.123, float("nan"), float("inf"), -0.5 - 1 / 20, 0.5 + 1e-12])
+def test_buffer_refuses_an_observation_that_is_no_level(bad):
+    buf = ReplayBuffer(10, Q)
+    obs, *rest = next(intervals(np.random.default_rng(46), 1))
+    obs = obs.copy()
+    obs[0, 1, 2] = bad
+    with pytest.raises(ValueError, match=f"entry {re.escape(str(bad))} is none of the 21 levels"):
+        buf.push(obs, *rest)
+    assert len(buf) == 0
+
+
+@pytest.mark.parametrize("q, dtype", [(2, np.uint8), (255, np.uint8), (300, np.uint16)])
+def test_buffer_stores_level_indices_in_the_smallest_dtype(q, dtype):
+    buf = ReplayBuffer(40, q)
+    rng = np.random.default_rng(47)
+    pushed = []
+    obs = levels(q)[rng.integers(0, q + 1, size=(2, 3, 4))]
+    for _ in range(10):
+        next_obs = levels(q)[rng.integers(0, q + 1, size=obs.shape)]
+        buf.push(obs, rng.integers(0, 3, size=(2, 3)), rng.normal(size=(2, 3)), next_obs, False)
+        pushed.extend(zip(obs, next_obs))
+        obs = next_obs
+    assert buf._obs.dtype == dtype
+    batch = buf.sample(20, np.random.default_rng(48))
+    for record in batch:    # rewards tag no record, so find each by its obs bits
+        match = [(o, n) for o, n in pushed if o.tobytes() == record.obs.tobytes()]
+        assert len(match) == 1 and match[0][1].tobytes() == record.next_obs.tobytes()
+
+
+def test_buffer_encodes_each_obs_array_once(monkeypatch):
+    # at the defaults an observation array stays the same object for 5 intervals
+    calls, real_levels = [], dqn.levels
+    monkeypatch.setattr(dqn, "levels", lambda q: calls.append(q) or real_levels(q))
+    buf = ReplayBuffer(20, Q)
+    obs = random_levels(np.random.default_rng(49), (2, 2, 4))
+    for _ in range(5):
+        buf.push(obs, np.zeros((2, 2), int), np.zeros((2, 2)), obs, False)
+    assert calls == [Q]
+
+
+def test_default_ring_reserves_under_4_5_mb():
+    """One level index byte per observation entry: 25,000 records of 4 agents x
+    24 entries take 2.4 MB, with actions, rewards and done about 4.0 MB. As
+    float64 observations the ring reserved about 20.8 MB."""
+    cfg, tc = EnvConfig(), TrainerConfig()
+    step = next(intervals(np.random.default_rng(50), 1, tc.num_envs,
+                          cfg.deployment.num_aps, cfg.obs_dim))
+    tracemalloc.start()
+    try:
+        buf = ReplayBuffer(tc.buffer_capacity, Q)
+        buf.push(*step)
+        reserved = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert reserved <= 4.5e6, f"{reserved / 1e6:.1f} MB"
 
 
 # ------------------------------------------------------------ action selection
@@ -237,7 +315,7 @@ def test_targets_online_selects_target_evaluates():
 # ------------------------------------------------------------------ train step
 
 def _filled_buffer(rng, n=16):
-    buf = ReplayBuffer(64)
+    buf = ReplayBuffer(64, Q)
     for step in intervals(rng, n):
         buf.push(*step)
     return buf
@@ -251,7 +329,7 @@ def test_train_step_zero_loss_at_fixed_point():
                                                      dones=[True]))
     q = online.forward(obs.reshape(-1, 4)).reshape(8, 2, 3)
     rewards = np.take_along_axis(q, actions[..., None], axis=2)[..., 0]
-    buf = ReplayBuffer(8)
+    buf = ReplayBuffer(8, Q)
     buf.push(obs, actions, rewards, next_obs, done)
     before = {k: v.copy() for k, v in online.params.items()}
     tc = TrainerConfig(batch_timesteps=8, l2_coeff=0.0)
@@ -267,7 +345,9 @@ def test_train_step_reduces_td_error():
     rng = np.random.default_rng(31)
     buf = _filled_buffer(rng, 16)
     tc = TrainerConfig(batch_timesteps=16, gamma=0.9, l2_coeff=0.0)
-    adam = AdamState(base_lr=0.003)
+    # level observations (std ~0.3) learn slower than the unit normals once
+    # pushed: 300 steps at 0.003 left 0.26 of the first loss
+    adam = AdamState(base_lr=0.01)
     srng = np.random.default_rng(32)
     first = train_step(buf, online, target, adam, tc, srng)
     for _ in range(300):
@@ -295,7 +375,7 @@ def test_warm_default_train_step_allocates_little():
     activation, bias add, tanh and backward delta it was about 28 MB."""
     cfg, tc = EnvConfig(), TrainerConfig()
     rng = np.random.default_rng(37)
-    buf = ReplayBuffer(2 * tc.batch_timesteps)
+    buf = ReplayBuffer(2 * tc.batch_timesteps, Q)
     for step in intervals(rng, buf.capacity // tc.num_envs, tc.num_envs,
                           cfg.deployment.num_aps, cfg.obs_dim):
         buf.push(*step)
@@ -345,7 +425,7 @@ def test_warm_default_train_step_keeps_its_peak_under_3_5_mb():
     structured-record sample and an allocating Adam."""
     cfg, tc = EnvConfig(), TrainerConfig()
     rng = np.random.default_rng(38)
-    buf = ReplayBuffer(2 * tc.batch_timesteps)
+    buf = ReplayBuffer(2 * tc.batch_timesteps, Q)
     for step in intervals(rng, buf.capacity // tc.num_envs, tc.num_envs,
                           cfg.deployment.num_aps, cfg.obs_dim):
         buf.push(*step)

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from marlsched.env import ConfigError, EnvConfig
 from marlsched.normalize import (
     DegenerateDataset, OfflineDataset, PercentileMapper, RewardNormalizer,
-    collect_offline_dataset, fit, load_stats, map_observation, save_stats,
+    collect_offline_dataset, fit, levels, load_stats, map_observation, save_stats,
 )
 from marlsched.topology import DeploymentConfig
 
@@ -177,6 +177,37 @@ def test_map_observation_vector_interleaving():
     assert out[1] == -0.5          # below the fitted minimum SINR
     assert out[2] == 0.5           # above fitted max weight
     assert out[3] == 0.5
+
+
+@pytest.mark.parametrize("q", [2, 7, 20, 255, 300])
+def test_levels_are_the_mapped_values_bit_for_bit(q):
+    thr = np.linspace(0.0, 1.0, q)
+    vals = np.r_[-1.0, (thr[:-1] + thr[1:]) / 2, 2.0]      # one value per bucket
+    mapped = map_observation(vals, thr)
+    assert mapped.tobytes() == levels(q).tobytes()
+    assert mapped.tobytes() == (np.arange(q + 1) / q - 0.5).tobytes()
+
+
+W20, S20 = np.linspace(0, 1, 20), np.linspace(-60, 40, 20)
+
+
+@pytest.mark.parametrize("weights, sinr, field", [
+    (W20, S20[:-1], "sinr_db_thresholds must be Q = 20"),
+    (W20[:-1], S20, "sinr_db_thresholds must be Q = 19"),
+    (W20[::-1], S20, "weight_thresholds"),
+    (W20, np.r_[S20[:5], S20[3], S20[6:]], "sinr_db_thresholds"),
+    (np.r_[W20[:-1], np.nan], S20, "weight_thresholds"),
+    (W20, np.r_[-np.inf, S20[1:]], "sinr_db_thresholds"),
+    (W20.reshape(4, 5), S20.reshape(4, 5), "weight_thresholds"),
+    (np.zeros(20), S20, "weight_thresholds"),
+    (W20[:1], S20[:1], "weight_thresholds must be Q = 1"),
+    (W20[:0], S20[:0], "weight_thresholds must be Q = 0"),
+], ids=["sinr-shorter", "weights-shorter", "weights-descending", "sinr-unsorted",
+        "weights-nan", "sinr-inf", "two-dimensional", "weights-constant", "one-level",
+        "empty"])
+def test_percentile_mapper_refuses_thresholds_it_cannot_map(weights, sinr, field):
+    with pytest.raises(ConfigError, match=f"^PercentileMapper.{field}"):
+        PercentileMapper(weight_thresholds=weights, sinr_db_thresholds=sinr)
 
 
 # ----------------------------------------------------------------- persistence

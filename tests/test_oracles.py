@@ -55,10 +55,11 @@ through several learning-rate halvings.
 
 The replay oracle is the structured-record ring that `dqn.ReplayBuffer` was
 before it stored each observation once, reading record i's next_obs from
-record i + B: every record kept its own next_obs. Both rings take the same
-chained lockstep intervals, with random B, capacities that are no multiple of
-B, done intervals and many wraps, and must sample the same bits for every
-field from equal generators.
+record i + B, and as level indices rather than floats: every record kept its
+own float obs and next_obs. Both rings take the same chained lockstep
+intervals of percentile-level observations, with random B and Q, capacities
+that are no multiple of B, done intervals and many wraps, and must sample the
+same bits for every field from equal generators.
 
 The training-schedule oracle is the trigger-counter loop (`next_train`,
 `next_sync`, `next_epoch`) that `dqn.run_training` ran before it derived train
@@ -99,7 +100,7 @@ from marlsched.linklevel import ScheduleDecision
 from marlsched.nn import (
     ADAM_BETA1, ADAM_BETA2, ADAM_EPS, PARAM_NAMES, AdamState, Mlp, adam_update,
 )
-from marlsched.normalize import PercentileMapper, RewardNormalizer
+from marlsched.normalize import PercentileMapper, RewardNormalizer, levels
 from marlsched.topology import (
     DeploymentConfig, associate_max_rsrp, balance_pools, nearest_remote_agents,
 )
@@ -887,28 +888,33 @@ def test_adam_matches_allocating_oracle(in_dim, out_dim, hidden, monkeypatch):
 
 @settings(max_examples=60, deadline=None)
 @given(envs=st.integers(1, 5), spare=st.integers(0, 13), episode=st.integers(1, 6),
-       count=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+       count=st.integers(1, 40), q=st.integers(2, 300), seed=st.integers(0, 2 ** 32 - 1))
 # 3 environments in a ring of 7: 120 records wrap it 17 times, mid-interval
-@example(envs=3, spare=4, episode=5, count=40, seed=0)
-# one environment whose every interval is done, and a ring of exactly B
-@example(envs=1, spare=0, episode=1, count=10, seed=1)
-@example(envs=4, spare=0, episode=3, count=12, seed=2)
-def test_replay_matches_record_oracle(envs, spare, episode, count, seed):
+@example(envs=3, spare=4, episode=5, count=40, q=20, seed=0)
+# one environment whose every interval is done, and a ring of exactly B; at
+# odd Q a done record's zero next_obs is no level
+@example(envs=1, spare=0, episode=1, count=10, q=7, seed=1)
+@example(envs=4, spare=0, episode=3, count=12, q=20, seed=2)
+def test_replay_matches_record_oracle(envs, spare, episode, count, q, seed):
     """Chained intervals as run_training pushes them: each starts from the
     last one's next_obs, or afresh after a done one, whose next_obs is zeros.
     After every push both rings sample a random number of records from equal
     generators."""
     rng = np.random.default_rng(seed)
-    rings = (dqn.ReplayBuffer(envs + spare), OracleReplayBuffer(envs + spare))
-    obs = rng.normal(size=(envs, 3, 5))
+    rings = (dqn.ReplayBuffer(envs + spare, q), OracleReplayBuffer(envs + spare))
+
+    def random_levels():
+        return levels(q)[rng.integers(0, q + 1, size=(envs, 3, 5))]
+
+    obs = random_levels()
     for t in range(count):
         done = (t + 1) % episode == 0
-        next_obs = np.zeros_like(obs) if done else rng.normal(size=obs.shape)
+        next_obs = np.zeros_like(obs) if done else random_levels()
         step = (obs, rng.integers(0, 4, size=(envs, 3)), rng.normal(size=(envs, 3)),
                 next_obs, done)
         for ring in rings:
             ring.push(*step)
-        obs = rng.normal(size=obs.shape) if done else next_obs
+        obs = random_levels() if done else next_obs
         size = int(rng.integers(1, len(rings[0]) + 1))
         got, want = (ring.sample(size, np.random.default_rng(t)) for ring in rings)
         for name in ("obs", "actions", "rewards", "next_obs", "done"):
