@@ -72,7 +72,7 @@ class ReplayBuffer:
         if obs is not kept:
             valid = (obs >= -0.5) & (obs <= 0.5)
             k = np.rint((np.where(valid, obs, 0.0) + 0.5) * self.q)
-            codes = k.astype(np.min_scalar_type(self.q))
+            codes = k.astype(self._obs.dtype)
             wrong = ~valid | (levels(self.q)[codes] != obs)
             if wrong.any():
                 raise ValueError(f"observation entry {obs[wrong][0]} is none of "
@@ -88,19 +88,17 @@ class ReplayBuffer:
         of obs is no level. obs is encoded once per array object, so it must
         not change once pushed.
         """
-        if self._obs is not None:
-            if len(obs) != len(self._next_obs):
-                raise ValueError(f"an interval of {len(obs)} environments after "
-                                 f"intervals of {len(self._next_obs)}")
-            if not (self._done[(self._pushed - 1) % self.capacity] or obs is self._next_obs):
-                raise ValueError("obs is not the next_obs of the last interval, "
-                                 "which was not done")
-        codes = self._encode(obs)
-        if self._obs is None:
-            self._obs = np.empty((self.capacity, *obs.shape[1:]), dtype=codes.dtype)
+        if not self._pushed:
+            self._obs = np.empty((self.capacity, *obs.shape[1:]), np.min_scalar_type(self.q))
             self._actions = np.empty((self.capacity, *actions.shape[1:]), dtype=int)
             self._rewards = np.empty((self.capacity, *rewards.shape[1:]))
             self._done = np.empty(self.capacity, dtype=bool)
+        elif len(obs) != len(self._next_obs):
+            raise ValueError(f"an interval of {len(obs)} environments after intervals "
+                             f"of {len(self._next_obs)}")
+        elif not (self._done[(self._pushed - 1) % self.capacity] or obs is self._next_obs):
+            raise ValueError("obs is not the next_obs of the last interval, which was not done")
+        codes = self._encode(obs)
         idx = (self._pushed + np.arange(len(obs))) % self.capacity
         self._obs[idx] = codes
         self._actions[idx] = actions

@@ -148,12 +148,15 @@ def test_sampled_fields_are_contiguous():
 
 
 def test_buffer_reads_a_done_records_next_obs_as_zero_at_odd_q():
-    # at Q = 7, 0.0 is no level; index 0 would decode to -0.5
-    buf = ReplayBuffer(10, 7)
+    # at Q = 7, 0.0 is no level; index 0 would decode to -0.5. The newest
+    # interval is done too, its pending next_obs not zeros.
+    buf = ReplayBuffer(12, 7)
     rng = np.random.default_rng(45)
-    for step in intervals(rng, 6, n_envs=2, dones=[False, True] * 3, q=7):
+    for step in intervals(rng, 5, n_envs=2, dones=[False, True] * 2 + [False], q=7):
         buf.push(*step)
-    batch = buf.sample(10, rng)
+    obs, actions, rewards, next_obs, _ = step
+    buf.push(next_obs, actions, rewards, random_levels(rng, next_obs.shape, 7), True)
+    batch = buf.sample(12, rng)
     assert batch.done.sum() == 6
     assert np.all(batch.next_obs[batch.done] == 0.0)
     assert not np.signbit(batch.next_obs[batch.done]).any()

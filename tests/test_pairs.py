@@ -81,3 +81,13 @@ def test_a_worsening_beyond_the_bound_is_flagged():
     assert summary["metrics"]["intervals_per_s"]["worsening"] == pytest.approx(0.3)
     assert not summary["verdict"]["within_bounds"]
     assert "claim" not in summary["verdict"]
+
+
+def test_a_rate_claim_must_hold_on_the_unscaled_rate_too():
+    # the probe-scaled rate wins every pair, the unscaled one none
+    runs = [run(i, side, 100.0 + 10 * (side == "change"), 70.0,
+                unscaled=100.0 - (side == "change")) for i in range(3) for side in pairs.SIDES]
+    summary = pairs.summarize(runs, END_TO_END, claim="intervals_per_s")
+    assert summary["metrics"]["intervals_per_s"]["wins"] == 3
+    assert summary["metrics"]["unscaled_intervals_per_s"]["wins"] == 0
+    assert not summary["verdict"]["claim_holds"]
