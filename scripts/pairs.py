@@ -2,7 +2,7 @@
 
     python3 scripts/pairs.py --workload train-default --pairs 5 --seconds 15 \
         --parent 80a1877 --out BENCH_31.json [--change HEAD] [--claim peak_rss_mb] \
-        [--label NAME] [--env MALLOC_MMAP_THRESHOLD_=131072] [--workdir DIR]
+        [--label NAME] [--env MALLOC_MMAP_THRESHOLD_=131072]
 
 Both commits are extracted with `git archive` into a temporary directory, and
 each side runs its own unedited `bench/run.py --workload W --seconds S --seed i`
@@ -129,14 +129,13 @@ def main(argv=None) -> int:
     parser.add_argument("--claim", help="end-to-end metric the change claims to improve")
     parser.add_argument("--label", help="key of these runs in the output (default: workload)")
     parser.add_argument("--env", action="append", default=[], metavar="KEY=VALUE")
-    parser.add_argument("--workdir", help="where the commits are extracted")
     args = parser.parse_args(argv)
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     if args.claim and args.claim not in {m["name"] for m in end_to_end}:
         parser.error(f"--claim {args.claim} is no end-to-end metric of BENCHMARK.json")
     env = dict(item.split("=", 1) for item in args.env)
 
-    with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         commits = {side: extract(getattr(args, side), trees[side]) for side in SIDES}
         runs = []

@@ -22,8 +22,8 @@ class DegenerateDataset(ValueError):
 
 @dataclass
 class PercentileMapper:
-    """Maps an entry to levels(Q)[k], k in [0, Q] its bucket among its field's Q
-    thresholds. ConfigError unless both fields hold Q >= 2 finite ascending
+    """Maps an entry to level k of levels(Q), k in [0, Q] its bucket among its
+    field's Q thresholds. ConfigError unless both fields hold Q >= 2 finite ascending
     numbers, first below last, so that they share one grid of levels."""
 
     weight_thresholds: np.ndarray   # (Q,) ascending empirical quantiles
@@ -62,7 +62,8 @@ class RewardNormalizer:
 
 def levels(q: int) -> np.ndarray:
     """The Q+1 values of a mapped entry, level k being fl(fl(k / Q) - 1/2),
-    k = 0..Q; dqn.ReplayBuffer stores k and decodes it with these two roundings."""
+    k = 0..Q: the two roundings map_observation makes on its bucket and
+    dqn.ReplayBuffer makes when it decodes a stored k."""
     return np.arange(q + 1) / q - 0.5
 
 
@@ -70,13 +71,13 @@ def map_observation(values, thresholds):
     """Quantile-bucket mapping onto the Q+1 levels in [-1/2, +1/2].
 
     A value in bucket q (thresholds[q] <= v < thresholds[q+1]) maps to
-    levels(Q)[q+1], (q+1)/Q - 1/2. Values below the fitted minimum fall in
-    bucket -1 and map to -1/2; values at or above the fitted maximum, and NaN,
-    fall in bucket Q-1 and map to +1/2.
+    (q+1)/Q - 1/2, which is levels(Q)[q+1] bit for bit. Values below the fitted
+    minimum fall in bucket -1 and map to -1/2; values at or above the fitted
+    maximum, and NaN, fall in bucket Q-1 and map to +1/2.
     """
     thresholds = np.asarray(thresholds)
     v = np.asarray(values, dtype=float)
-    out = levels(len(thresholds))[np.searchsorted(thresholds, v, side="right")]
+    out = np.searchsorted(thresholds, v, side="right") / len(thresholds) - 0.5
     return float(out) if out.ndim == 0 else out
 
 

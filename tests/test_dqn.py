@@ -349,11 +349,11 @@ def test_train_step_reduces_td_error():
     buf = _filled_buffer(rng, 16)
     tc = TrainerConfig(batch_timesteps=16, gamma=0.9, l2_coeff=0.0)
     # level observations (std ~0.3) learn slower than the unit normals once
-    # pushed: 300 steps at 0.003 left 0.26 of the first loss
-    adam = AdamState(base_lr=0.01)
+    # pushed: 300 steps left 0.26 of the first loss, 500 left 0.025
+    adam = AdamState(base_lr=0.003)
     srng = np.random.default_rng(32)
     first = train_step(buf, online, target, adam, tc, srng)
-    for _ in range(300):
+    for _ in range(600):
         last = train_step(buf, online, target, adam, tc, srng)
     assert last < 0.1 * first
 
