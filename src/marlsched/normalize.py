@@ -61,9 +61,8 @@ class RewardNormalizer:
 
 
 def levels(q: int) -> np.ndarray:
-    """The Q+1 values of a mapped entry, level k being fl(fl(k / Q) - 1/2),
-    k = 0..Q: the two roundings map_observation makes on its bucket and
-    dqn.ReplayBuffer makes when it decodes a stored k."""
+    """The Q+1 values of a mapped entry, fl(fl(k / Q) - 1/2) for k = 0..Q: the
+    roundings of map_observation and of dqn.ReplayBuffer's decode of a stored k."""
     return np.arange(q + 1) / q - 0.5
 
 
@@ -71,9 +70,9 @@ def map_observation(values, thresholds):
     """Quantile-bucket mapping onto the Q+1 levels in [-1/2, +1/2].
 
     A value in bucket q (thresholds[q] <= v < thresholds[q+1]) maps to
-    (q+1)/Q - 1/2, which is levels(Q)[q+1] bit for bit. Values below the fitted
-    minimum fall in bucket -1 and map to -1/2; values at or above the fitted
-    maximum, and NaN, fall in bucket Q-1 and map to +1/2.
+    (q+1)/Q - 1/2, levels(Q)[q+1]. Values below the fitted minimum fall in bucket
+    -1 and map to -1/2; values at or above the fitted maximum, and NaN, fall in
+    bucket Q-1 and map to +1/2.
     """
     thresholds = np.asarray(thresholds)
     v = np.asarray(values, dtype=float)
