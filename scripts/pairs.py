@@ -19,6 +19,10 @@ metric holds when the change won at least 9 of every 10 pairs, its median lies
 beyond the parent's IQR in the better direction and every run of the change
 was correct; a claim on intervals_per_s must also hold on the unscaled rate.
 Runs under other labels already in the file are kept when the commits match.
+
+Once per output file, each side also runs the Tier-1 suite in its tree, and
+the file holds each side's wall time, exit code and pytest summary line under
+`tier1`; a file that already holds them for the same two commits keeps them.
 """
 
 from __future__ import annotations
@@ -31,12 +35,14 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 UNSCALED = {"name": "unscaled_intervals_per_s", "unit": "1/s", "better": "higher"}
 CLAIM_WIN_SHARE = 0.9
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def quartiles(values):
@@ -118,6 +124,18 @@ def run_bench(tree: Path, workload: str, seconds: float, seed: int, env: dict) -
     return proc.stdout.strip().splitlines()[-2:]
 
 
+def run_tier1(tree: Path) -> dict:
+    """Wall time, exit code and last output line of the Tier-1 suite in tree."""
+    pythonpath = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run(TIER1, cwd=tree, env={**os.environ, "PYTHONPATH": pythonpath},
+                          capture_output=True, text=True)
+    wall_s = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    return {"wall_s": wall_s, "returncode": proc.returncode,
+            "summary": lines[-1] if lines else ""}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
@@ -138,18 +156,21 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         commits = {side: extract(getattr(args, side), trees[side]) for side in SIDES}
+        out = {"parent": commits["parent"], "change": commits["change"], "runs": {}}
+        if args.out.is_file():
+            old = json.loads(args.out.read_text())
+            if (old.get("parent"), old.get("change")) == (out["parent"], out["change"]):
+                out = old
         runs = []
         for i in range(args.pairs):
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                 lines = run_bench(trees[side], args.workload, args.seconds, i, env)
                 runs.append({"pair": i, "seed": i, "side": side, "lines": lines})
                 print(f"pair {i} {side}: {lines[-1]}", file=sys.stderr)
+        if "tier1" not in out:
+            out["tier1"] = {side: run_tier1(trees[side]) for side in SIDES}
+            print(f"tier1: {out['tier1']}", file=sys.stderr)
 
-    out = {"parent": commits["parent"], "change": commits["change"], "runs": {}}
-    if args.out.is_file():
-        old = json.loads(args.out.read_text())
-        if (old.get("parent"), old.get("change")) == (out["parent"], out["change"]):
-            out = old
     out["runs"][args.label or args.workload] = {
         "workload": args.workload, "seconds": args.seconds, "env": env, "runs": runs,
         **summarize(runs, end_to_end, args.claim)}

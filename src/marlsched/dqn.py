@@ -10,7 +10,7 @@ import numpy as np
 from . import harness
 from .env import EnvConfig, NetworkEnv
 from .nn import AdamState, Mlp, adam_update, save_checkpoint
-from .normalize import PercentileMapper, RewardNormalizer, levels
+from .normalize import PercentileMapper, RewardNormalizer
 from .topology import ConfigError, require
 
 
@@ -49,9 +49,9 @@ class ReplayBuffer:
     newest interval's is kept (by reference) until the next push, and a done
     record's reads zeros.
 
-    Observations arrive percentile-mapped, each entry one of normalize.levels(q),
-    and the ring stores the level index k of each: one byte up to q = 255, two above.
-    sample decodes them as fl(fl(k / q) - 1/2), the roundings of the mapping,
+    Observations arrive percentile-mapped, each entry one of the q + 1 levels
+    fl(fl(k / q) - 1/2), and the ring stores the level index k of each: one byte
+    up to q = 255, two above. sample decodes them with the same two roundings,
     so every bit comes back.
     """
 
@@ -59,34 +59,28 @@ class ReplayBuffer:
         self.capacity = capacity
         self.q = q
         self._obs = self._actions = self._rewards = self._done = None   # at the first push
-        self._next_obs = None       # the newest interval's next_obs, (B, N, obs_dim)
-        self._coded = (None, None)  # the last obs pushed and its level indices
+        self._next_obs = None   # the newest interval's next_obs, (B, N, obs_dim)
         self._pushed = 0
 
     def __len__(self) -> int:
         return min(self._pushed, self.capacity)
 
     def _encode(self, obs: np.ndarray) -> np.ndarray:
-        """obs's level indices, once per obs array; ValueError names a non-level."""
-        kept, codes = self._coded
-        if obs is not kept:
-            valid = (obs >= -0.5) & (obs <= 0.5)
-            k = np.rint((np.where(valid, obs, 0.0) + 0.5) * self.q)
-            codes = k.astype(self._obs.dtype)
-            wrong = ~valid | (levels(self.q)[codes] != obs)
-            if wrong.any():
-                raise ValueError(f"observation entry {obs[wrong][0]} is none of "
-                                 f"the {self.q + 1} levels k/{self.q} - 1/2")
-            self._coded = (obs, codes)
-        return codes
+        """obs's level indices; ValueError names an entry that is no level."""
+        with np.errstate(over="ignore"):    # a huge entry becomes inf, refused below
+            k = np.rint((obs + 0.5) * self.q)
+        wrong = ~((k >= 0) & (k <= self.q) & (k / self.q - 0.5 == obs))
+        if wrong.any():
+            raise ValueError(f"observation entry {obs[wrong][0]} is none of "
+                             f"the {self.q + 1} levels k/{self.q} - 1/2")
+        return k.astype(self._obs.dtype)
 
     def push(self, obs, actions, rewards, next_obs, done) -> None:
         """Store one lockstep interval of B environments as B records, in order.
 
         Raises ValueError when B differs from the first push's, when the last
         interval was not done and obs is not its next_obs, or when an entry
-        of obs is no level. obs is encoded once per array object, so it must
-        not change once pushed.
+        of obs is no level.
         """
         if not self._pushed:
             self._obs = np.empty((self.capacity, *obs.shape[1:]), np.min_scalar_type(self.q))
@@ -116,13 +110,12 @@ class ReplayBuffer:
         envs = len(self._next_obs)
         age = (self._pushed - 1 - idx) % self.capacity      # 0 for the newest record
         newest = age < envs
-        # decoded obs rows, then next_obs rows; a newest record's successor slot
-        # may be unwritten, so its own stands in until the pending next_obs
-        rows = np.concatenate([idx, np.where(newest, idx, (idx + envs) % self.capacity)])
-        both = np.empty((len(rows), *self._obs.shape[1:]))
-        np.divide(self._obs[rows], self.q, out=both)
-        both -= 0.5
-        obs, next_obs = both[:batch_size], both[batch_size:]
+        # a newest record's successor slot may be unwritten, so its own stands
+        # in until the pending next_obs
+        succ = np.where(newest, idx, (idx + envs) % self.capacity)
+        obs, next_obs = (np.divide(self._obs[rows], self.q) for rows in (idx, succ))
+        obs -= 0.5
+        next_obs -= 0.5
         next_obs[newest] = self._next_obs[envs - 1 - age[newest]]
         done = self._done[idx]
         next_obs[done] = 0.0
@@ -279,6 +272,10 @@ def run_training(env_config: EnvConfig, trainer_config: TrainerConfig,
     """
     cfg, tcfg = env_config, trainer_config
     tcfg.validate()
+    if not (isinstance(validation_seeds, (list, tuple)) and validation_seeds and all(
+            isinstance(s, (int, np.integer)) and s >= 0 for s in validation_seeds)):
+        raise ValueError("validation_seeds must be a non-empty list of non-negative "
+                         f"ints, got {validation_seeds!r}")
     master = np.random.default_rng(seed)
     net = Mlp(cfg.obs_dim, cfg.num_actions, tcfg.hidden_units, rng=master)
     target = net.copy()

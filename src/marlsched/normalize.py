@@ -22,7 +22,7 @@ class DegenerateDataset(ValueError):
 
 @dataclass
 class PercentileMapper:
-    """Maps an entry to level k of levels(Q), k in [0, Q] its bucket among its
+    """Maps an entry to level fl(fl(k / Q) - 1/2), k in [0, Q] its bucket among its
     field's Q thresholds. ConfigError unless both fields hold Q >= 2 finite ascending
     numbers, first below last, so that they share one grid of levels."""
 
@@ -60,17 +60,11 @@ class RewardNormalizer:
         return (np.asarray(r) - self.mu) / self.sigma
 
 
-def levels(q: int) -> np.ndarray:
-    """The Q+1 values of a mapped entry, fl(fl(k / Q) - 1/2) for k = 0..Q: the
-    roundings of map_observation and of dqn.ReplayBuffer's decode of a stored k."""
-    return np.arange(q + 1) / q - 0.5
-
-
 def map_observation(values, thresholds):
     """Quantile-bucket mapping onto the Q+1 levels in [-1/2, +1/2].
 
     A value in bucket q (thresholds[q] <= v < thresholds[q+1]) maps to
-    (q+1)/Q - 1/2, levels(Q)[q+1]. Values below the fitted minimum fall in bucket
+    fl(fl((q+1) / Q) - 1/2). Values below the fitted minimum fall in bucket
     -1 and map to -1/2; values at or above the fitted maximum, and NaN, fall in
     bucket Q-1 and map to +1/2.
     """

@@ -13,8 +13,10 @@ from marlsched.dqn import (
 from marlsched.env import ConfigError, EnvConfig, NetworkEnv, read_config
 from marlsched.harness import run_episode
 from marlsched.nn import PARAM_NAMES, AdamState, Mlp
-from marlsched.normalize import PercentileMapper, RewardNormalizer, levels
+from marlsched.normalize import PercentileMapper, RewardNormalizer
 from marlsched.topology import DeploymentConfig
+
+from conftest import levels
 
 
 def tiny_net(seed=0, in_dim=4, out_dim=3):
@@ -162,13 +164,18 @@ def test_buffer_reads_a_done_records_next_obs_as_zero_at_odd_q():
     assert not np.signbit(batch.next_obs[batch.done]).any()
 
 
-@pytest.mark.parametrize("bad", [0.123, float("nan"), float("inf"), -0.5 - 1 / 20, 0.5 + 1e-12])
-def test_buffer_refuses_an_observation_that_is_no_level(bad):
-    buf = ReplayBuffer(10, Q)
-    obs, *rest = next(intervals(np.random.default_rng(46), 1))
+@pytest.mark.parametrize("q, bad", [
+    *((Q, bad) for bad in (0.123, float("nan"), float("inf"), -0.5 - 1 / 20, 0.5 + 1e-12)),
+    (Q, -float("inf")), (Q, 1e308),
+    # on the grid k / q - 1/2 but above +1/2; k = 256 would not fit the uint8 ring
+    (Q, 21 / 20 - 0.5), (255, 256 / 255 - 0.5),
+])
+def test_buffer_refuses_an_observation_that_is_no_level(q, bad):
+    buf = ReplayBuffer(10, q)
+    obs, *rest = next(intervals(np.random.default_rng(46), 1, q=q))
     obs = obs.copy()
     obs[0, 1, 2] = bad
-    with pytest.raises(ValueError, match=f"entry {re.escape(str(bad))} is none of the 21 levels"):
+    with pytest.raises(ValueError, match=f"entry {re.escape(str(bad))} is none of the {q + 1} "):
         buf.push(obs, *rest)
     assert len(buf) == 0
 
@@ -189,17 +196,6 @@ def test_buffer_stores_level_indices_in_the_smallest_dtype(q, dtype):
     for record in batch:    # rewards tag no record, so find each by its obs bits
         match = [(o, n) for o, n in pushed if o.tobytes() == record.obs.tobytes()]
         assert len(match) == 1 and match[0][1].tobytes() == record.next_obs.tobytes()
-
-
-def test_buffer_encodes_each_obs_array_once(monkeypatch):
-    # at the defaults an observation array stays the same object for 5 intervals
-    calls, real_levels = [], dqn.levels
-    monkeypatch.setattr(dqn, "levels", lambda q: calls.append(q) or real_levels(q))
-    buf = ReplayBuffer(20, Q)
-    obs = random_levels(np.random.default_rng(49), (2, 2, 4))
-    for _ in range(5):
-        buf.push(obs, np.zeros((2, 2), int), np.zeros((2, 2)), obs, False)
-    assert calls == [Q]
 
 
 def test_default_ring_reserves_under_4_5_mb():
@@ -606,3 +602,16 @@ def test_run_training_validates_its_config():
     tc.num_envs = 0
     with pytest.raises(ConfigError, match="num_envs"):
         run_training(cfg, tc, mapper, rnorm, validation_seeds=[0], seed=9)
+
+
+@pytest.mark.parametrize("seeds", [[], (), [0, -1], [np.int64(-2)], [0, 1.0], ["0"], {0},
+                                   np.array([0]), None])
+def test_run_training_refuses_bad_validation_seeds_before_its_first_episode(monkeypatch, seeds):
+    def no_episode(*args, **kwargs):
+        raise AssertionError("an episode ran")
+
+    monkeypatch.setattr(NetworkEnv, "reset", no_episode)
+    cfg, tc, mapper, rnorm = _mini_setup()
+    with pytest.raises(ValueError, match=r"validation_seeds must be a non-empty list of "
+                                         r"non-negative ints, got " + re.escape(repr(seeds))):
+        run_training(cfg, tc, mapper, rnorm, validation_seeds=seeds, seed=9)

@@ -100,10 +100,12 @@ from marlsched.linklevel import ScheduleDecision
 from marlsched.nn import (
     ADAM_BETA1, ADAM_BETA2, ADAM_EPS, PARAM_NAMES, AdamState, Mlp, adam_update,
 )
-from marlsched.normalize import PercentileMapper, RewardNormalizer, levels
+from marlsched.normalize import PercentileMapper, RewardNormalizer
 from marlsched.topology import (
     DeploymentConfig, associate_max_rsrp, balance_pools, nearest_remote_agents,
 )
+
+from conftest import levels
 
 
 # -------------------------------------------------------------------- oracles

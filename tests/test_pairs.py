@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import os
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -91,3 +93,49 @@ def test_a_rate_claim_must_hold_on_the_unscaled_rate_too():
     assert summary["metrics"]["intervals_per_s"]["wins"] == 3
     assert summary["metrics"]["unscaled_intervals_per_s"]["wins"] == 0
     assert not summary["verdict"]["claim_holds"]
+
+
+def test_tier1_stores_each_sides_wall_time_exit_code_and_summary(monkeypatch, tmp_path):
+    calls = []
+
+    def canned_pytest(cmd, cwd, env, capture_output, text):
+        calls.append((cmd, cwd, env["PYTHONPATH"].split(os.pathsep)[0]))
+        return subprocess.CompletedProcess(cmd, 1, stdout="..F.\n1 failed, 3 passed in 2.50s\n")
+
+    monkeypatch.setattr(pairs.subprocess, "run", canned_pytest)
+    result = pairs.run_tier1(tmp_path)
+    assert calls == [(pairs.TIER1, tmp_path, "src")]
+    assert "--continue-on-collection-errors" in pairs.TIER1
+    assert result["returncode"] == 1 and result["summary"] == "1 failed, 3 passed in 2.50s"
+    assert result["wall_s"] >= 0
+
+
+def test_a_file_for_the_same_commits_keeps_its_tier1_entry(monkeypatch, tmp_path):
+    def fake_extract(commit, dest):
+        dest.mkdir(parents=True)
+        return {"p": "a" * 40, "c": "b" * 40}[commit]
+
+    def canned_bench(tree, workload, seconds, seed, env):
+        metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in end_to_end}
+        return [json.dumps({"unscaled_intervals_per_s": 1.0}),
+                json.dumps({"correct": True, "metrics": metrics})]
+
+    end_to_end = json.loads((SCRIPT.parent.parent / "BENCHMARK.json").read_text())["end_to_end"]
+
+    tier1_runs = []
+    monkeypatch.setattr(pairs, "extract", fake_extract)
+    monkeypatch.setattr(pairs, "run_bench", canned_bench)
+    monkeypatch.setattr(pairs, "run_tier1", lambda tree: tier1_runs.append(tree.name) or
+                        {"wall_s": 90.0, "returncode": 0, "summary": "619 passed in 90.00s"})
+    out = tmp_path / "BENCH.json"
+    argv = ["--pairs", "2", "--seconds", "1", "--parent", "p", "--change", "c", "--out", str(out)]
+    assert pairs.main(["--workload", "policy-large", *argv]) == 0
+    assert tier1_runs == ["parent", "change"]
+    first = json.loads(out.read_text())
+    assert first["tier1"]["change"] == {"wall_s": 90.0, "returncode": 0,
+                                        "summary": "619 passed in 90.00s"}
+    assert pairs.main(["--workload", "train-default", *argv]) == 0
+    assert tier1_runs == ["parent", "change"]       # not rerun
+    second = json.loads(out.read_text())
+    assert second["tier1"] == first["tier1"]
+    assert set(second["runs"]) == {"policy-large", "train-default"}
