@@ -164,12 +164,13 @@ def test_buffer_reads_a_done_records_next_obs_as_zero_at_odd_q():
     assert not np.signbit(batch.next_obs[batch.done]).any()
 
 
-@pytest.mark.parametrize("q, bad", [
-    *((Q, bad) for bad in (0.123, float("nan"), float("inf"), -0.5 - 1 / 20, 0.5 + 1e-12)),
-    (Q, -float("inf")), (Q, 1e308),
-    # on the grid k / q - 1/2 but above +1/2; k = 256 would not fit the uint8 ring
-    (Q, 21 / 20 - 0.5), (255, 256 / 255 - 0.5),
-])
+# the last two are on the grid k / q - 1/2 but above +1/2; k = 256 would not fit a uint8 ring
+NO_LEVELS = [(Q, bad) for bad in (0.123, float("nan"), float("inf"), -0.5 - 1 / 20, 0.5 + 1e-12,
+                                  -float("inf"), 1e308, 21 / 20 - 0.5)] + [(255, 256 / 255 - 0.5)]
+
+
+@pytest.mark.parametrize("q, bad", NO_LEVELS,
+                         ids=[str(bad) if q == Q else f"q{q}-{bad}" for q, bad in NO_LEVELS])
 def test_buffer_refuses_an_observation_that_is_no_level(q, bad):
     buf = ReplayBuffer(10, q)
     obs, *rest = next(intervals(np.random.default_rng(46), 1, q=q))

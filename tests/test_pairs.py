@@ -111,6 +111,8 @@ def test_tier1_stores_each_sides_wall_time_exit_code_and_summary(monkeypatch, tm
 
 
 def test_a_file_for_the_same_commits_keeps_its_tier1_entry(monkeypatch, tmp_path):
+    end_to_end = json.loads((pairs.ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
     def fake_extract(commit, dest):
         dest.mkdir(parents=True)
         return {"p": "a" * 40, "c": "b" * 40}[commit]
@@ -119,8 +121,6 @@ def test_a_file_for_the_same_commits_keeps_its_tier1_entry(monkeypatch, tmp_path
         metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in end_to_end}
         return [json.dumps({"unscaled_intervals_per_s": 1.0}),
                 json.dumps({"correct": True, "metrics": metrics})]
-
-    end_to_end = json.loads((SCRIPT.parent.parent / "BENCHMARK.json").read_text())["end_to_end"]
 
     tier1_runs = []
     monkeypatch.setattr(pairs, "extract", fake_extract)
