@@ -226,7 +226,7 @@ class NetworkEnv:
                                         np.full(k, DEFAULT_SINR_DB))]
         self._done = False
         self.t = 1
-        self._kept_obs = self._kept_decode = (None, None)    # a key only: nothing kept yet
+        self._kept_obs = (None, None)    # a key only: nothing kept yet
         self._refresh_interval_state()
         return self._build_observations() if feedback else None
 
@@ -409,8 +409,7 @@ class NetworkEnv:
     # -------------------------------------------------------------------- step
 
     def step(self, actions):
-        """Advance one interval with per-agent discrete actions, one per AP; obs as reset's.
-        Decoded decisions are kept while the actions (dtype, bytes) and local report stay."""
+        """Advance one interval with per-agent discrete actions, one per AP; obs as reset's."""
         if self._done:
             raise EpisodeFinished("episode is over; call reset()")
         actions = np.asarray(actions)
@@ -418,13 +417,10 @@ class NetworkEnv:
         if actions.shape != (n_aps,):
             raise ValueError(f"expected {n_aps} actions, one per AP; "
                              f"got shape {actions.shape}")
-        loc, key = self._latest_visible(0), (actions.dtype, actions.tobytes())
-        if self._kept_decode[0] is not loc or self._kept_decode[1] != key:
-            ue, power, invalid = self._decode(self._ap_ids, actions)
-            decisions = [ScheduleDecision(j, p) if j >= 0 else ScheduleDecision.silent()
-                         for j, p in zip(ue.tolist(), power.tolist())]
-            self._kept_decode = (loc, key, decisions, invalid)
-        return self.step_decisions(list(self._kept_decode[2]), self._kept_decode[3])
+        ue, power, invalid = self._decode(self._ap_ids, actions)
+        decisions = [ScheduleDecision(j, p) if j >= 0 else ScheduleDecision.silent()
+                     for j, p in zip(ue.tolist(), power.tolist())]
+        return self.step_decisions(decisions, invalid)
 
     def step_decisions(self, decisions, invalid=None):
         """Advance one interval with explicit decisions, one per AP (baseline fast path);

@@ -311,7 +311,7 @@ def test_step_decodes_kept_actions_as_decode_action_does():
 
 
 def test_step_refuses_float_actions_with_the_bytes_of_kept_ones():
-    """Kept decisions are keyed on the actions' dtype as well as their bytes."""
+    """Integer actions seen through a float view are refused, though their bytes repeat."""
     env = NetworkEnv(small_config())
     env.reset(seed=23)
     actions = np.array([1, 1])
