@@ -18,6 +18,9 @@ IQR and the median's relative worsening against the metric's bound. A claimed
 metric holds when the change won at least 9 of every 10 pairs, its median lies
 beyond the parent's IQR in the better direction and every run of the change
 was correct; a claim on intervals_per_s must also hold on the unscaled rate.
+A run that exits non-zero is stored with its exit code and last stderr line; its
+pair is left out of every metric, and `verdict.all_correct` is false, so a claim
+fails.
 Runs under other labels already in the file are kept when the commits match.
 
 Once per output file, each side also runs the Tier-1 suite in its tree, and
@@ -64,14 +67,17 @@ def metric_value(run, name):
 
 def summarize(runs, end_to_end, claim=None) -> dict:
     """Per-metric medians, quartiles and wins of runs (dicts with `pair`, `side`
-    and `lines`), and the verdict on the claimed metric."""
+    and `lines`, or `returncode` for a failed run), and the verdict on the
+    claimed metric. Pairs with a failed run are left out of every metric."""
+    failed = {r["pair"] for r in runs if "lines" not in r}
     correct = {side: all(json.loads(r["lines"][1])["correct"] for r in runs
-                         if r["side"] == side) for side in SIDES}
-    pairs = sorted({r["pair"] for r in runs})
+                         if r["side"] == side and "lines" in r) for side in SIDES}
+    pairs = sorted({r["pair"] for r in runs} - failed)
     summary = {}
-    for spec in [*end_to_end, UNSCALED]:
+    for spec in [*end_to_end, UNSCALED] if pairs else []:     # no complete pair, no metric
         name, sign = spec["name"], 1 if spec["better"] == "higher" else -1
-        by_pair = {(r["pair"], r["side"]): metric_value(r, name) for r in runs}
+        by_pair = {(r["pair"], r["side"]): metric_value(r, name) for r in runs
+                   if r["pair"] in pairs}
         entry = {"better": spec["better"], "unit": spec["unit"]}
         for side in SIDES:
             q1, median, q3 = quartiles([by_pair[p, side] for p in pairs])
@@ -89,13 +95,14 @@ def summarize(runs, end_to_end, claim=None) -> dict:
             entry["worsening"] = worse
             entry["within_bound"] = worse <= spec["bound"]
         summary[name] = entry
-    verdict = {"all_correct": correct["parent"] and correct["change"],
-               "within_bounds": all(e.get("within_bound", True) for e in summary.values())}
+    verdict = {"all_correct": not failed and correct["parent"] and correct["change"],
+               "within_bounds": bool(pairs) and all(e.get("within_bound", True)
+                                                    for e in summary.values())}
     if claim is not None:
         # the probe's scaling can overstate a rate, so a rate claim holds on both
         names = [claim, UNSCALED["name"]] if claim == "intervals_per_s" else [claim]
         verdict["claim"] = claim
-        verdict["claim_holds"] = correct["change"] and all(
+        verdict["claim_holds"] = not failed and correct["change"] and all(
             summary[n]["beyond_parent_iqr"]
             and summary[n]["wins"] >= CLAIM_WIN_SHARE * summary[n]["pairs"] for n in names)
     return {"metrics": summary, "verdict": verdict}
@@ -115,13 +122,17 @@ def extract(commit: str, dest: Path) -> str:
     return full
 
 
-def run_bench(tree: Path, workload: str, seconds: float, seed: int, env: dict) -> list[str]:
-    """The last two lines of one benchmark run in tree."""
+def run_bench(tree: Path, workload: str, seconds: float, seed: int, env: dict) -> dict:
+    """One benchmark run in tree: its last two lines, or, if it exits non-zero,
+    its exit code and last stderr line."""
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                            "--seconds", str(seconds), "--seed", str(seed)],
-                          cwd=tree, env={**os.environ, **env}, check=True,
+                          cwd=tree, env={**os.environ, **env},
                           capture_output=True, text=True)
-    return proc.stdout.strip().splitlines()[-2:]
+    if proc.returncode:
+        return {"returncode": proc.returncode,
+                "stderr": (proc.stderr.strip().splitlines() or [""])[-1]}
+    return {"lines": proc.stdout.strip().splitlines()[-2:]}
 
 
 def run_tier1(tree: Path) -> dict:
@@ -164,9 +175,10 @@ def main(argv=None) -> int:
         runs = []
         for i in range(args.pairs):
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                lines = run_bench(trees[side], args.workload, args.seconds, i, env)
-                runs.append({"pair": i, "seed": i, "side": side, "lines": lines})
-                print(f"pair {i} {side}: {lines[-1]}", file=sys.stderr)
+                run = run_bench(trees[side], args.workload, args.seconds, i, env)
+                runs.append({"pair": i, "seed": i, "side": side, **run})
+                print(f"pair {i} {side}: {run['lines'][-1] if 'lines' in run else run}",
+                      file=sys.stderr)
         if "tier1" not in out:
             out["tier1"] = {side: run_tier1(trees[side]) for side in SIDES}
             print(f"tier1: {out['tier1']}", file=sys.stderr)

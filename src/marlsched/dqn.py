@@ -272,10 +272,7 @@ def run_training(env_config: EnvConfig, trainer_config: TrainerConfig,
     """
     cfg, tcfg = env_config, trainer_config
     tcfg.validate()
-    if not (isinstance(validation_seeds, (list, tuple)) and validation_seeds and all(
-            isinstance(s, (int, np.integer)) and s >= 0 for s in validation_seeds)):
-        raise ValueError("validation_seeds must be a non-empty list of non-negative "
-                         f"ints, got {validation_seeds!r}")
+    harness.check_seeds(validation_seeds, "validation_seeds")
     master = np.random.default_rng(seed)
     net = Mlp(cfg.obs_dim, cfg.num_actions, tcfg.hidden_units, rng=master)
     target = net.copy()

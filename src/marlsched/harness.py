@@ -56,6 +56,13 @@ def fresh_seeds(seed: int | np.random.Generator, count: int) -> list[int]:
     return [int(rng.integers(2 ** 63)) for _ in range(count)]
 
 
+def check_seeds(seeds, name: str) -> None:
+    """Raise ConfigError unless seeds is a non-empty list or tuple of ints >= 0, not bools."""
+    if not (isinstance(seeds, (list, tuple)) and seeds and all(
+            type(s) is not bool and isinstance(s, int | np.integer) and s >= 0 for s in seeds)):
+        raise ConfigError(f"{name} must be a non-empty list of non-negative ints, got {seeds!r}")
+
+
 class BaselinePolicy:
     """Adapter turning a baseline decider into a rollout policy."""
 
@@ -97,7 +104,7 @@ def run_episode(envs: list[NetworkEnv], seeds, policy, on_step=None) -> np.ndarr
     if len(seeds) != len(envs):
         raise ValueError(f"one seed per env: {len(seeds)} seeds, {len(envs)} envs")
     feedback = policy.kind == "actions" or on_step is not None
-    raw = [env.reset(int(s), feedback) for env, s in zip(envs, seeds)]
+    raw = [env.reset(s, feedback) for env, s in zip(envs, seeds)]
     obs = _stack(raw) if feedback else None
     done = False
     while not done:
@@ -123,8 +130,7 @@ def _stack(raw) -> np.ndarray:
 def evaluate_policy(env_config: EnvConfig, policy, seeds) -> dict:
     """Aggregate metrics of a policy over realizations, one run per seed: in lockstep a
     random policy's draws interleave across seeds, and at N=1 B rows go to gemm, 1 to gemv."""
-    if len(seeds) == 0:
-        raise ValueError("evaluate_policy needs at least one seed, got an empty seed list")
+    check_seeds(seeds, "seeds")
     envs = [NetworkEnv(env_config)]
     per_env = [EpisodeMetrics.from_rates(run_episode(envs, [s], policy)[0]) for s in seeds]
     sums = np.array([m.sum_rate_mbps for m in per_env])
@@ -158,9 +164,7 @@ class ValidationSet:
     reference: ValidationReference
 
     def validate(self) -> None:
-        if not (self.seeds and min(self.seeds) >= 0):
-            raise ConfigError("ValidationSet.seeds must be a non-empty list of non-negative "
-                              f"ints, got {self.seeds!r}")
+        check_seeds(self.seeds, "ValidationSet.seeds")
 
     def save(self, path) -> None:
         with open(path, "w") as f:
@@ -213,6 +217,8 @@ def interference_profile(env_config: EnvConfig, n_values, num_realizations: int,
     """
     cfg = env_config
     cfg.validate()
+    if bad := [n for n in n_values if not 0 <= n < cfg.deployment.num_aps]:
+        raise ValueError(f"n={bad[0]} interferers outside [0, N-1], N={cfg.deployment.num_aps}")
     sinr_db = {n: [] for n in n_values}
     for _ in range(num_realizations):
         dep, g2, assoc = draw_layout(cfg, rng)
@@ -235,6 +241,7 @@ def export_decision_log(env_config: EnvConfig, policy, seeds, path) -> int:
     """
     if policy.kind != "actions":
         raise ValueError("decision logging needs an action policy")
+    check_seeds(seeds, "seeds")
     cfg = env_config
     k, n = cfg.top_k, cfg.num_remote
     cols = (["t", "agent", "top_weight", "top_sinr_db"]

@@ -92,6 +92,8 @@ def collect_offline_dataset(env_config: EnvConfig, baseline_names: list[str],
     """
     if not baseline_names:
         raise ValueError("need at least one baseline")
+    if num_episodes < 1:
+        raise ValueError(f"num_episodes must be at least 1, got {num_episodes}")
     policies = [BaselinePolicy(b) for b in baseline_names]
     weights, sinrs, rewards = [], [], []
 

@@ -606,7 +606,7 @@ def test_run_training_validates_its_config():
 
 
 @pytest.mark.parametrize("seeds", [[], (), [0, -1], [np.int64(-2)], [0, 1.0], ["0"], {0},
-                                   np.array([0]), None])
+                                   np.array([0]), None, [True]])
 def test_run_training_refuses_bad_validation_seeds_before_its_first_episode(monkeypatch, seeds):
     def no_episode(*args, **kwargs):
         raise AssertionError("an episode ran")

@@ -5,6 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from marlsched import harness
 from marlsched.env import BANDWIDTH_HZ, ConfigError, EnvConfig, NetworkEnv, read_config
 from marlsched.harness import (
     BaselinePolicy, EpisodeMetrics, InsufficientCandidates, RandomPolicy,
@@ -175,8 +176,34 @@ def test_evaluate_policy_aggregation():
 
 
 def test_evaluate_policy_refuses_an_empty_seed_list():
-    with pytest.raises(ValueError, match="empty seed list"):
+    with pytest.raises(ValueError, match="seeds must be a non-empty list"):
         evaluate_policy(tiny_config(), BaselinePolicy("tdm"), [])
+
+
+@pytest.mark.parametrize("seeds", [[0.5], [True], [-1], [], np.array([0]), None],
+                         ids=["float", "bool", "negative", "empty", "array", "none"])
+@pytest.mark.parametrize("entry", ["evaluate_policy", "export_decision_log"])
+def test_seeded_entry_points_refuse_bad_seeds_before_any_episode(monkeypatch, tmp_path,
+                                                                 entry, seeds):
+    def no_episode(*args, **kwargs):
+        raise AssertionError("an episode ran")
+
+    monkeypatch.setattr(NetworkEnv, "reset", no_episode)
+    path = tmp_path / "log.csv"
+    with pytest.raises(ConfigError, match=r"^seeds must be a non-empty list of non-negative "
+                                          r"ints, got " + re.escape(repr(seeds))):
+        if entry == "evaluate_policy":
+            evaluate_policy(tiny_config(), BaselinePolicy("tdm"), seeds)
+        else:
+            export_decision_log(tiny_config(), RandomPolicy(0), seeds, path)
+    assert not path.exists()
+
+
+def test_evaluate_policy_takes_numpy_int_seeds_as_python_ints():
+    cfg = tiny_config(episode_length=10)
+    a = evaluate_policy(cfg, BaselinePolicy("tdm"), [np.int64(5), np.uint32(6)])
+    b = evaluate_policy(cfg, BaselinePolicy("tdm"), (5, 6))
+    assert a["per_env"] == b["per_env"]
 
 
 def test_evaluate_policy_deterministic():
@@ -308,6 +335,19 @@ def test_interference_profile_validates_its_config():
     with pytest.raises(ConfigError, match="EnvConfig.shadow_std_db must be >= 0"):
         interference_profile(EnvConfig(shadow_std_db=-3.0), n_values=[0],
                              num_realizations=1, rng=np.random.default_rng(12))
+
+
+@pytest.mark.parametrize("n", [4, -1])
+def test_interference_profile_refuses_an_interferer_count_outside_0_to_n_minus_1(
+        monkeypatch, n):
+    def no_layout(*args, **kwargs):
+        raise AssertionError("a layout was drawn")
+
+    monkeypatch.setattr(harness, "draw_layout", no_layout)
+    cfg = EnvConfig(deployment=DeploymentConfig(num_aps=4, num_ues=12), episode_length=10)
+    with pytest.raises(ValueError, match=re.escape(f"n={n} interferers outside [0, N-1], N=4")):
+        interference_profile(cfg, n_values=[0, n, 3], num_realizations=2,
+                             rng=np.random.default_rng(13))
 
 
 def test_interference_profile_non_increasing():

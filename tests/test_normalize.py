@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from marlsched.env import ConfigError, EnvConfig
+from marlsched.env import ConfigError, EnvConfig, NetworkEnv
 from marlsched.normalize import (
     DegenerateDataset, OfflineDataset, PercentileMapper, RewardNormalizer,
     collect_offline_dataset, fit, load_stats, map_observation, save_stats,
@@ -157,6 +157,16 @@ def test_collect_multiple_baselines_stack():
 def test_collect_rejects_empty_baseline_list():
     with pytest.raises(ValueError):
         collect_offline_dataset(tiny_config(), [], 1, np.random.default_rng(9))
+
+
+@pytest.mark.parametrize("num_episodes", [0, -2])
+def test_collect_refuses_fewer_than_one_episode_before_any_rollout(monkeypatch, num_episodes):
+    def no_episode(*args, **kwargs):
+        raise AssertionError("an episode ran")
+
+    monkeypatch.setattr(NetworkEnv, "reset", no_episode)
+    with pytest.raises(ValueError, match=f"num_episodes must be at least 1, got {num_episodes}"):
+        collect_offline_dataset(tiny_config(), ["tdm"], num_episodes, 1)
 
 
 def test_collected_data_fits_cleanly():

@@ -119,8 +119,8 @@ def test_a_file_for_the_same_commits_keeps_its_tier1_entry(monkeypatch, tmp_path
 
     def canned_bench(tree, workload, seconds, seed, env):
         metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in end_to_end}
-        return [json.dumps({"unscaled_intervals_per_s": 1.0}),
-                json.dumps({"correct": True, "metrics": metrics})]
+        return {"lines": [json.dumps({"unscaled_intervals_per_s": 1.0}),
+                          json.dumps({"correct": True, "metrics": metrics})]}
 
     tier1_runs = []
     monkeypatch.setattr(pairs, "extract", fake_extract)
@@ -139,3 +139,56 @@ def test_a_file_for_the_same_commits_keeps_its_tier1_entry(monkeypatch, tmp_path
     second = json.loads(out.read_text())
     assert second["tier1"] == first["tier1"]
     assert set(second["runs"]) == {"policy-large", "train-default"}
+
+
+def test_a_failed_run_is_kept_and_its_pair_left_out(monkeypatch, tmp_path):
+    """One bench/run.py exits 1: the series goes on, the file is written, the run keeps
+    its exit code and last stderr line, and its pair counts in no metric."""
+    end_to_end = json.loads((pairs.ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    good = {}
+    for r in canned():
+        context, result = map(json.loads, r["lines"])
+        result["metrics"] = {m["name"]: {"value": 1.0, "unit": m["unit"]}
+                             for m in end_to_end} | result["metrics"]
+        good[r["pair"], r["side"]] = [json.dumps(context), json.dumps(result)]
+    calls = []
+
+    def canned_run(cmd, cwd, env, capture_output, text):
+        pair, side = int(cmd[cmd.index("--seed") + 1]), cwd.name
+        calls.append((pair, side))
+        if (pair, side) == (3, "change"):
+            return subprocess.CompletedProcess(cmd, 1, stdout="{}\n",
+                                               stderr="Traceback ...\nMemoryError\n")
+        stdout = "set-up\n" + "\n".join(good[pair, side]) + "\n"
+        return subprocess.CompletedProcess(cmd, 0, stdout=stdout, stderr="")
+
+    def fake_extract(commit, dest):
+        dest.mkdir(parents=True)
+        return {"p": "a" * 40, "c": "b" * 40}[commit]
+
+    monkeypatch.setattr(pairs.subprocess, "run", canned_run)
+    monkeypatch.setattr(pairs, "extract", fake_extract)
+    monkeypatch.setattr(pairs, "run_tier1", lambda tree: {})
+    out = tmp_path / "BENCH.json"
+    assert pairs.main(["--workload", "train-default", "--pairs", "5", "--seconds", "1",
+                       "--parent", "p", "--change", "c", "--out", str(out),
+                       "--claim", "peak_rss_mb"]) == 0
+    assert len(calls) == 10
+    series = json.loads(out.read_text())["runs"]["train-default"]
+    failed = [r for r in series["runs"] if "lines" not in r]
+    assert failed == [{"pair": 3, "seed": 3, "side": "change", "returncode": 1,
+                       "stderr": "MemoryError"}]
+    rss = series["metrics"]["peak_rss_mb"]
+    assert rss["pairs"] == 4 and rss["wins"] == 4
+    assert rss["parent"] == pytest.approx({"median": 70.55, "q1": 70.375, "q3": 70.7})
+    assert series["verdict"]["all_correct"] is False
+    assert series["verdict"]["claim_holds"] is False
+
+
+def test_a_series_with_no_complete_pair_has_no_metric():
+    runs = [{"pair": 0, "seed": 0, "side": "parent", "returncode": 1, "stderr": ""},
+            *canned()[1:2]]
+    summary = pairs.summarize(runs, END_TO_END, claim="peak_rss_mb")
+    assert summary["metrics"] == {}
+    assert summary["verdict"] == {"all_correct": False, "within_bounds": False,
+                                  "claim": "peak_rss_mb", "claim_holds": False}
