@@ -286,9 +286,9 @@ class NetworkEnv:
         pf = linklevel.pf_ratio(weight, 10.0 ** (sinr_db / 10.0))
         order = self._pool_matrix
         if cfg.sort_by_pf:
-            # primary key -pf (padding last), secondary key the UE id
+            # key -pf, padding last; pool rows ascend, so a stable sort breaks ties by UE id
             key = np.where(order >= 0, -pf[order], np.inf)
-            order = np.take_along_axis(order, np.lexsort((order, key), axis=1), axis=1)
+            order = np.take_along_axis(order, np.argsort(key, axis=1, kind="stable"), axis=1)
         slots = np.full((len(order) + 1, cfg.top_k), -1)
         slots[:-1] = order[:, :cfg.top_k]
         table = np.empty((len(weight) + 1, 2))

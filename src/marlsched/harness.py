@@ -249,24 +249,21 @@ def export_decision_log(env_config: EnvConfig, policy, seeds, path) -> int:
             + [f"pf_remote_{r + 1}" for r in range(n)]
             + ["action"])
     envs = [NetworkEnv(cfg)]
-    rows = 0
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(cols)
 
         def write_rows(obs, actions, rewards, next_obs, t):
-            nonlocal rows
             w, sinr_db = obs[0, :, 0::2], obs[0, :, 1::2]     # (1, N, ·): one env per seed
             pf = linklevel.pf_ratio(w, 10.0 ** (sinr_db / 10.0))
             values = np.column_stack((w[:, 0], sinr_db[:, 0], pf[:, :k], pf[:, k::k]))
             for i, (row, a) in enumerate(zip(values.tolist(),
                                              actions[0].astype(int, copy=False).tolist())):
                 writer.writerow([t, i] + row + [a])
-            rows += len(values)
 
         for s in seeds:
             run_episode(envs, [s], policy, write_rows)
-    return rows
+    return len(seeds) * cfg.episode_length * cfg.deployment.num_aps
 
 
 def metrics_to_csv(path, rows: list[dict]) -> None:

@@ -42,18 +42,19 @@ def compute_rates(decisions: list[ScheduleDecision], power_gains: np.ndarray,
 
     power_gains is the (K, N) matrix |h_ji(t)|^2. Interference at UE j sums
     over every AP other than its serving AP, so it is defined for unserved
-    UEs as well (it feeds the long-term interference averages).
-    Returns (rates (K,), interference (K,)).
+    UEs as well (it feeds the long-term interference averages). AP i serves
+    only a UE of its own pool, association[ue] == i, whose signal is then its
+    own-AP term; any other decision raises ValueError. Returns (rates, interference), (K,) each.
     """
     tx = np.array([0.0 if dec.off else dec.power_w for dec in decisions])
-    total_rx = power_gains @ tx                                 # (K,)
     own_ap_rx = power_gains[np.arange(len(association)), association] * tx[association]
-    interference = total_rx - own_ap_rx
+    interference = power_gains @ tx - own_ap_rx                 # (K,)
     rates = np.zeros(len(association))
     for i, dec in enumerate(decisions):
         if not dec.off:
-            sinr = power_gains[dec.ue, i] * tx[i] / (interference[dec.ue] + noise_power)
-            rates[dec.ue] = np.log2(1.0 + sinr)
+            if dec.ue >= len(association) or association[dec.ue] != i:
+                raise ValueError(f"AP {i} cannot serve UE {dec.ue}: it is not in AP {i}'s pool")
+            rates[dec.ue] = np.log2(1 + own_ap_rx[dec.ue] / (interference[dec.ue] + noise_power))
     return rates, interference
 
 

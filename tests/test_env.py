@@ -356,6 +356,18 @@ def test_wrong_length_actions_and_decisions_raise():
         env.step_decisions([ScheduleDecision.silent()] * 2, [False])
     assert env.t == 1                           # nothing was stepped
 
+@pytest.mark.parametrize("other_pool", [True, False])
+def test_step_decisions_refuses_a_ue_outside_the_aps_pool(other_pool):
+    """AP 0 serving one of AP 1's UEs, or a UE id >= K, raises naming both
+    before anything is stepped."""
+    env = NetworkEnv(small_config())            # N = 2, K = 6
+    env.reset(seed=0)
+    ue = int(np.flatnonzero(env.association == 1)[-1]) if other_pool else 6
+    with pytest.raises(ValueError, match=f"^AP 0 cannot serve UE {ue}: it is not in AP 0's"):
+        env.step_decisions([ScheduleDecision(ue, env.p_max_w), ScheduleDecision.silent()])
+    assert env.t == 1 and not env.rate_sum.any()
+
+
 def test_rates_only_episode_makes_no_feedback():
     """reset(feedback=False) returns None, steps give no observations or
     rewards, and reading a report raises instead of reading the defaults."""

@@ -80,6 +80,30 @@ def test_rates_match_naive_oracle():
         assert np.allclose(interf, exp_i, rtol=1e-12)
 
 
+def test_served_signal_is_the_own_ap_term_bit_for_bit():
+    """A served UE's signal is its own-AP term, the same product of the same
+    operands as power_gains[ue, i] * tx[i], the expression it replaced."""
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        g2, assoc, decisions = _random_case(rng)
+        rates, interf = compute_rates(decisions, g2, 3.98e-14, assoc)
+        want = np.zeros(len(assoc))
+        for i, dec in enumerate(decisions):
+            if not dec.off:
+                sinr = g2[dec.ue, i] * dec.power_w / (interf[dec.ue] + 3.98e-14)
+                want[dec.ue] = np.log2(1.0 + sinr)
+        assert rates.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("ue", [2, 4])
+def test_a_decision_outside_its_aps_pool_raises(ue):
+    """AP 0 may serve only a UE of its own pool: UE 2 is AP 1's, and K = 4 has no UE 4."""
+    g2 = np.ones((4, 2))
+    assoc = np.array([0, 0, 1, 1])
+    with pytest.raises(ValueError, match=f"^AP 0 cannot serve UE {ue}: it is not in AP 0's"):
+        compute_rates([ScheduleDecision(ue, 1.0), ScheduleDecision.silent()], g2, 1.0, assoc)
+
+
 @pytest.mark.parametrize("k", [-7, 7])
 def test_power_of_two_scale_keeps_rates_bit_for_bit(k):
     """Scaling every gain and the noise by 2^k scales each product and sum

@@ -17,6 +17,12 @@ The interferer-profile oracle is the per-UE, per-n loop that
 as one array; it is compared with the array code on random small layouts from
 `draw_layout`, sorted and unsorted.
 
+The report-slot oracle is the two-key `np.lexsort` (-pf first, the UE id as
+the tie-break) that `NetworkEnv._snapshot` ordered each pool with before it
+took one stable sort on -pf; it is compared with the reports' slots on weights
+and SINRs drawn from a coarse grid, so that many UEs of a pool tie on pf,
+sorted and unsorted.
+
 The topology oracles are the pool-repair, pool-balancing and per-AP sorted()
 neighbour loops that `topology` used before it worked on plain arrays; they
 are compared with `topology` on random, tied and lopsided gains and on
@@ -202,6 +208,17 @@ def oracle_top_pf_per_pool(env):
     pf = env.true_pf()
     sel = [int(min(pool, key=lambda j: (-pf[j], j))) for pool in oracle_pools(env)]
     return np.asarray(sel), pf
+
+
+def oracle_report_slots(env, pf):
+    """A report's slot matrix as `NetworkEnv._snapshot` ordered it before it
+    sorted on one key: a two-key lexsort, -pf first (padding last) and the UE id
+    as the tie-break."""
+    order = env._pool_matrix
+    if env.config.sort_by_pf:
+        key = np.where(order >= 0, -pf[order], np.inf)
+        order = np.take_along_axis(order, np.lexsort((order, key), axis=1), axis=1)
+    return order[:, :env.config.top_k]
 
 
 def oracle_repair_empty_pools(association, long_term_gains):
@@ -577,6 +594,46 @@ def test_observations_kept_exactly_while_the_visible_reports_stay():
         if not done:
             now = [oracle_visible_time(env, remote) for remote in (False, True)]
             assert (obs is last) == (now == times)
+
+
+PF_GRID_WEIGHTS, PF_GRID_SINR_DB = (1.0, 2.0, 4.0), (-10.0, 0.0, 10.0)
+
+
+@st.composite
+def graded_reports(draw):
+    """A small config and per-UE weights and SINRs on a 3 x 3 grid, so that
+    many UEs of one pool share a pf."""
+    cfg = draw(small_configs())
+    k = cfg.deployment.num_ues
+    weight = draw(st.lists(st.sampled_from(PF_GRID_WEIGHTS), min_size=k, max_size=k))
+    sinr_db = draw(st.lists(st.sampled_from(PF_GRID_SINR_DB), min_size=k, max_size=k))
+    return cfg, np.array(weight), np.array(sinr_db)
+
+
+def grid_report(cfg, seed):
+    rng = np.random.default_rng(seed)
+    k = cfg.deployment.num_ues
+    return cfg, rng.choice(PF_GRID_WEIGHTS, k), rng.choice(PF_GRID_SINR_DB, k)
+
+
+N10_K100 = EnvConfig(deployment=DeploymentConfig(num_aps=10, num_ues=100), episode_length=5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(report=graded_reports(), seed=st.integers(0, 2 ** 32 - 1))
+# pinned: every UE on one pf (the order is the pools' ascending UE ids), and the
+# grid at N=10, sorted (K=100, pools of 3 to 16 UEs over nine pf values) and unsorted
+@example(report=(N10_K100, np.ones(100), np.zeros(100)), seed=0)
+@example(report=grid_report(N10_K100, 1), seed=1)
+@example(report=grid_report(EnvConfig(deployment=DeploymentConfig(num_aps=10, num_ues=30),
+                                      episode_length=5, sort_by_pf=False), 2), seed=2)
+def test_report_slots_match_two_key_sort_oracle(report, seed):
+    cfg, weight, sinr_db = report
+    env = NetworkEnv(cfg)
+    env.reset(seed)
+    snap = env._snapshot(env.t, weight, sinr_db)
+    assert same_bits(snap.slots[:-1], oracle_report_slots(env, snap.pf))
+    assert np.all(snap.slots[-1] == -1)
 
 
 def test_greedy_training_matches_acting_every_interval(monkeypatch):
