@@ -273,6 +273,8 @@ def run_training(env_config: EnvConfig, trainer_config: TrainerConfig,
     cfg, tcfg = env_config, trainer_config
     tcfg.validate()
     harness.check_seeds(validation_seeds, "validation_seeds")
+    if out_dir and not os.path.isdir(out_dir):
+        raise NotADirectoryError(f"out_dir {out_dir!r} is not a directory")
     master = np.random.default_rng(seed)
     net = Mlp(cfg.obs_dim, cfg.num_actions, tcfg.hidden_units, rng=master)
     target = net.copy()

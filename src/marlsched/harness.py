@@ -219,6 +219,8 @@ def interference_profile(env_config: EnvConfig, n_values, num_realizations: int,
     cfg.validate()
     if bad := [n for n in n_values if not 0 <= n < cfg.deployment.num_aps]:
         raise ValueError(f"n={bad[0]} interferers outside [0, N-1], N={cfg.deployment.num_aps}")
+    if num_realizations < 1:
+        raise ValueError(f"num_realizations must be at least 1, got {num_realizations}")
     sinr_db = {n: [] for n in n_values}
     for _ in range(num_realizations):
         dep, g2, assoc = draw_layout(cfg, rng)

@@ -605,6 +605,22 @@ def test_run_training_validates_its_config():
         run_training(cfg, tc, mapper, rnorm, validation_seeds=[0], seed=9)
 
 
+@pytest.mark.parametrize("missing", ["no_such_dir", "a_file"])
+def test_run_training_refuses_a_missing_out_dir_before_its_first_episode(monkeypatch, tmp_path,
+                                                                         missing):
+    def no_step(*args, **kwargs):
+        raise AssertionError("an interval was stepped")
+
+    monkeypatch.setattr(NetworkEnv, "step", no_step)
+    (tmp_path / "a_file").write_text("")
+    out_dir = str(tmp_path / missing)
+    cfg, tc, mapper, rnorm = _mini_setup()
+    with pytest.raises(NotADirectoryError, match=re.escape(f"out_dir {out_dir!r} is not a "
+                                                           f"directory")):
+        run_training(cfg, tc, mapper, rnorm, validation_seeds=[0], seed=9, out_dir=out_dir)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file"]
+
+
 @pytest.mark.parametrize("seeds", [[], (), [0, -1], [np.int64(-2)], [0, 1.0], ["0"], {0},
                                    np.array([0]), None, [True]])
 def test_run_training_refuses_bad_validation_seeds_before_its_first_episode(monkeypatch, seeds):

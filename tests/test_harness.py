@@ -350,6 +350,19 @@ def test_interference_profile_refuses_an_interferer_count_outside_0_to_n_minus_1
                              rng=np.random.default_rng(13))
 
 
+@pytest.mark.parametrize("num_realizations", [0, -1])
+def test_interference_profile_refuses_fewer_than_one_realization(monkeypatch,
+                                                                  num_realizations):
+    def no_layout(*args, **kwargs):
+        raise AssertionError("a layout was drawn")
+
+    monkeypatch.setattr(harness, "draw_layout", no_layout)
+    with pytest.raises(ValueError, match=f"^num_realizations must be at least 1, "
+                                         f"got {num_realizations}$"):
+        interference_profile(tiny_config(), n_values=[0, 1],
+                             num_realizations=num_realizations, rng=np.random.default_rng(14))
+
+
 def test_interference_profile_non_increasing():
     cfg = EnvConfig(deployment=DeploymentConfig(num_aps=4, num_ues=12),
                     episode_length=10)
