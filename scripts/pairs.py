@@ -20,7 +20,9 @@ beyond the parent's IQR in the better direction and every run of the change
 was correct; a claim on intervals_per_s must also hold on the unscaled rate.
 A run that exits non-zero is stored with its exit code and last stderr line; its
 pair is left out of every metric, and `verdict.all_correct` is false, so a claim
-fails.
+fails; a series with no complete pair is neither correct nor a gain. A workload
+BENCHMARK.json does not list, `--pairs` below 1 or a negative `--seconds` is
+refused before anything is extracted.
 Runs under other labels already in the file are kept when the commits match.
 
 Once per output file, each side also runs the Tier-1 suite in its tree, and
@@ -95,14 +97,16 @@ def summarize(runs, end_to_end, claim=None) -> dict:
             entry["worsening"] = worse
             entry["within_bound"] = worse <= spec["bound"]
         summary[name] = entry
-    verdict = {"all_correct": not failed and correct["parent"] and correct["change"],
+    # no complete pair shows nothing, so it is neither correct nor a gain
+    complete = bool(pairs) and not failed
+    verdict = {"all_correct": complete and correct["parent"] and correct["change"],
                "within_bounds": bool(pairs) and all(e.get("within_bound", True)
                                                     for e in summary.values())}
     if claim is not None:
         # the probe's scaling can overstate a rate, so a rate claim holds on both
         names = [claim, UNSCALED["name"]] if claim == "intervals_per_s" else [claim]
         verdict["claim"] = claim
-        verdict["claim_holds"] = not failed and correct["change"] and all(
+        verdict["claim_holds"] = complete and correct["change"] and all(
             summary[n]["beyond_parent_iqr"]
             and summary[n]["wins"] >= CLAIM_WIN_SHARE * summary[n]["pairs"] for n in names)
     return {"metrics": summary, "verdict": verdict}
@@ -159,7 +163,14 @@ def main(argv=None) -> int:
     parser.add_argument("--label", help="key of these runs in the output (default: workload)")
     parser.add_argument("--env", action="append", default=[], metavar="KEY=VALUE")
     args = parser.parse_args(argv)
-    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    end_to_end = benchmark["end_to_end"]
+    if args.workload not in {w["name"] for w in benchmark["workloads"]}:
+        parser.error(f"--workload {args.workload} is no workload of BENCHMARK.json")
+    if args.pairs < 1:
+        parser.error(f"--pairs must be at least 1, got {args.pairs}")
+    if not args.seconds >= 0:
+        parser.error(f"--seconds must be non-negative, got {args.seconds}")
     if args.claim and args.claim not in {m["name"] for m in end_to_end}:
         parser.error(f"--claim {args.claim} is no end-to-end metric of BENCHMARK.json")
     env = dict(item.split("=", 1) for item in args.env)

@@ -172,29 +172,39 @@ def select_actions(net: Mlp, mapped_obs: np.ndarray, epsilon: float,
 
 
 def compute_double_dqn_targets(batch: Transitions, online: Mlp, target: Mlp,
-                               gamma: float) -> np.ndarray:
-    """Per-agent-transition regression targets, flattened in batch order.
+                               gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-agent-transition regression targets, flattened in batch order, and
+    online's Q-values of the flattened obs, cached for the backward.
 
     The target's parameters are evaluated through the online network's
-    workspace, so the target network never allocates one.
+    workspace, so the target network never allocates one. A row whose next_obs
+    equals its obs (no report became visible) takes online's argmax from the
+    cached obs pass; only the other rows, done ones included, get a forward of
+    their own, so online runs on n + m rows, not 2n. BLAS picks its kernels by
+    row count, so the m-row pass may differ from an n-row one in the last bits
+    and could move an argmax only at a near-tie.
     """
-    n_agents, obs_dim = batch.next_obs.shape[1:]
+    n_agents, obs_dim = batch.obs.shape[1:]
+    obs = batch.obs.reshape(-1, obs_dim)
     next_obs = batch.next_obs.reshape(-1, obs_dim)
-    rewards = batch.rewards.reshape(-1)
     not_done = np.repeat(1.0 - batch.done, n_agents)
-    best = np.argmax(online.forward(next_obs), axis=1)
-    q_next = online.forward(next_obs, params=target.params)[np.arange(len(best)), best]
-    return rewards + gamma * not_done * q_next
+    q_next = online.forward(next_obs, params=target.params)
+    fresh = np.flatnonzero((next_obs != obs).any(axis=1) | (not_done == 0.0))
+    # before the cached pass, as a plain forward drops the cache the backward reads
+    fresh_best = np.argmax(online.forward(next_obs[fresh]), axis=1) if len(fresh) else fresh
+    q = online.forward(obs, cache=True)
+    best = np.argmax(q, axis=1)
+    best[fresh] = fresh_best
+    y = batch.rewards.reshape(-1) + gamma * not_done * q_next[np.arange(len(best)), best]
+    return y, q
 
 
 def train_step(buffer: ReplayBuffer, online: Mlp, target: Mlp, adam: AdamState,
                cfg: TrainerConfig, rng: np.random.Generator) -> float:
     """One gradient step of mean-squared TD error on a concurrent batch."""
     batch = buffer.sample(cfg.batch_timesteps, rng)
-    obs = batch.obs.reshape(-1, batch.obs.shape[-1])
     actions = batch.actions.reshape(-1)
-    y = compute_double_dqn_targets(batch, online, target, cfg.gamma)
-    q = online.forward(obs, cache=True)
+    y, q = compute_double_dqn_targets(batch, online, target, cfg.gamma)
     rows = np.arange(len(actions))
     td = q[rows, actions] - y
     loss = float(np.mean(td ** 2))

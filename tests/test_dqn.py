@@ -16,7 +16,7 @@ from marlsched.nn import PARAM_NAMES, AdamState, Mlp
 from marlsched.normalize import PercentileMapper, RewardNormalizer
 from marlsched.topology import DeploymentConfig
 
-from conftest import levels
+from conftest import levels, rollout_ring
 
 
 def tiny_net(seed=0, in_dim=4, out_dim=3):
@@ -270,14 +270,14 @@ def test_epsilon_schedule():
 def test_targets_gamma_zero_equal_rewards():
     online, target = tiny_net(15), tiny_net(16)
     batch = make_batch(np.random.default_rng(17), [False] * 4)
-    y = compute_double_dqn_targets(batch, online, target, gamma=0.0)
+    y, _ = compute_double_dqn_targets(batch, online, target, gamma=0.0)
     assert np.allclose(y, batch.rewards.reshape(-1))
 
 
 def test_targets_terminal_drops_bootstrap():
     online, target = tiny_net(18), tiny_net(19)
     batch = make_batch(np.random.default_rng(20), [True] * 3)
-    y = compute_double_dqn_targets(batch, online, target, gamma=0.9)
+    y, _ = compute_double_dqn_targets(batch, online, target, gamma=0.9)
     assert np.allclose(y, batch.rewards.reshape(-1))
 
 
@@ -285,7 +285,7 @@ def test_targets_match_manual_double_dqn():
     online, target = tiny_net(21), tiny_net(22)
     batch = make_batch(np.random.default_rng(23), [False, True])
     assert sorted(batch.done) == [False, True]
-    y = compute_double_dqn_targets(batch, online, target, gamma=0.9)
+    y, _ = compute_double_dqn_targets(batch, online, target, gamma=0.9)
     k = 0
     for tr in batch:
         for a in range(tr.obs.shape[0]):
@@ -301,7 +301,7 @@ def test_targets_online_selects_target_evaluates():
     # double estimator is distinguishable from plain max_a Q_target
     online, target = tiny_net(24), tiny_net(25)
     batch = make_batch(np.random.default_rng(26), [False] * 6)
-    y = compute_double_dqn_targets(batch, online, target, gamma=0.9)
+    y, _ = compute_double_dqn_targets(batch, online, target, gamma=0.9)
     next_obs = batch.next_obs.reshape(-1, 4)
     rewards = batch.rewards.reshape(-1)
     plain_max = rewards + 0.9 * np.max(target.forward(next_obs), axis=1)
@@ -416,6 +416,28 @@ def test_train_steps_allocate_little_across_target_syncs(monkeypatch):
     over = {step: f"{peak / 1e6:.1f} MB" for step, peak in enumerate(peaks, start=1)
             if step > 2 and peak > 8e6}
     assert not over, over
+
+
+def test_warm_default_train_step_runs_online_on_2n_plus_fresh_rows(monkeypatch):
+    """A row whose next_obs equals its obs takes online's argmax from the
+    cached forward of obs, so a default step on a ring of real rollouts passes
+    n rows to the target pass, n to the cached pass and only the m fresh ones
+    to a third; with a full forward of next_obs it passed 3n."""
+    cfg, tc = EnvConfig(), TrainerConfig()
+    ring = rollout_ring()
+    online = Mlp(cfg.obs_dim, cfg.num_actions, tc.hidden_units, rng=np.random.default_rng(39))
+    target = online.copy()
+    adam = AdamState()
+    train_step(ring, online, target, adam, tc, np.random.default_rng(40))
+    batch = ring.sample(tc.batch_timesteps, np.random.default_rng(41))
+    obs, next_obs = (a.reshape(-1, cfg.obs_dim) for a in (batch.obs, batch.next_obs))
+    n, m = len(obs), int((next_obs != obs).any(axis=1).sum())
+    rows, forward = [], Mlp.forward
+    monkeypatch.setattr(Mlp, "forward", lambda net, x, **kw: rows.append(len(x))
+                        or forward(net, x, **kw))
+    train_step(ring, online, target, adam, tc, np.random.default_rng(41))
+    assert 0 < m < n / 2
+    assert sum(rows) == 2 * n + m, (rows, n, m)
 
 
 def test_warm_default_train_step_keeps_its_peak_under_3_5_mb():

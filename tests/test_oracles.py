@@ -67,6 +67,13 @@ intervals of percentile-level observations, with random B and Q, capacities
 that are no multiple of B, done intervals and many wraps, and must sample the
 same bits for every field from equal generators.
 
+The double-DQN target oracle is the body `dqn.compute_double_dqn_targets` had
+before a row whose next_obs equals its obs took online's argmax from the cached
+forward of obs: online's argmax over a forward of all of next_obs, evaluated by
+the target. The targets must equal it bit for bit on a batch sampled from
+default-config rollouts (about 80% of the rows unchanged), on random records
+(every row fresh), on records with no fresh row and on records with one.
+
 The training-schedule oracle is the trigger-counter loop (`next_train`,
 `next_sync`, `next_epoch`) that `dqn.run_training` ran before it derived train
 steps, target syncs and epochs from its interval and episode totals; the
@@ -111,7 +118,7 @@ from marlsched.topology import (
     DeploymentConfig, associate_max_rsrp, balance_pools, nearest_remote_agents,
 )
 
-from conftest import levels
+from conftest import levels, rollout_ring
 
 
 # -------------------------------------------------------------------- oracles
@@ -348,6 +355,17 @@ def oracle_adam_update(net, grads, state, l2_coeff=0.0):
         v_hat = state.v[name] / (1 - ADAM_BETA2 ** t)
         p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     state.step = t
+
+
+def oracle_double_dqn_targets(batch, online, target, gamma):
+    """Online's argmax over a forward of all of next_obs, evaluated by the target."""
+    n_agents, obs_dim = batch.next_obs.shape[1:]
+    next_obs = batch.next_obs.reshape(-1, obs_dim)
+    rewards = batch.rewards.reshape(-1)
+    not_done = np.repeat(1.0 - batch.done, n_agents)
+    best = np.argmax(online.forward(next_obs), axis=1)
+    q_next = online.forward(next_obs, params=target.params)[np.arange(len(best)), best]
+    return rewards + gamma * not_done * q_next
 
 
 class OracleReplayBuffer:
@@ -978,6 +996,54 @@ def test_replay_matches_record_oracle(envs, spare, episode, count, q, seed):
         got, want = (ring.sample(size, np.random.default_rng(t)) for ring in rings)
         for name in ("obs", "actions", "rewards", "next_obs", "done"):
             assert same_bits(getattr(got, name), getattr(want, name)), (t, name)
+
+
+# ------------------------------------------------------------ double-DQN targets
+
+def target_batches():
+    """(name, batch) pairs: 1,024 records sampled from a ring of default-config
+    rollouts, where about 80% of the rows' next_obs equal their obs; 64 random
+    records, every row fresh, the done ones (obs and next_obs zeros) for being
+    done; those records with next_obs = obs and none done, no row fresh; and the
+    same with one agent's next_obs changed, one row fresh."""
+    yield "rollouts", rollout_ring().sample(1024, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    obs, next_obs = (levels(20)[rng.integers(0, 21, size=(64, 4, 24))] for _ in range(2))
+    done = rng.random(64) < 0.1
+    obs[done] = next_obs[done] = 0.0
+    fields = (rng.integers(0, 4, size=(64, 4)), rng.normal(size=(64, 4)))
+    yield "random", dqn.Transitions(obs, fields[0], fields[1], next_obs, done)
+    yield "none fresh", dqn.Transitions(obs, *fields, obs.copy(), np.zeros(64, bool))
+    one = obs.copy()
+    one[17, 2] = levels(20)[rng.integers(0, 21, size=24)]
+    yield "one fresh", dqn.Transitions(obs, *fields, one, np.zeros(64, bool))
+
+
+def test_double_dqn_targets_match_full_forward_oracle():
+    """Online's argmax of a row whose next_obs equals its obs is read from the
+    cached forward of obs, and only the other rows get a forward of their own:
+    the targets must be the oracle's bit for bit, and the returned Q-values
+    those of a plain forward of obs. The fresh forward runs on exactly the
+    fresh rows, and not at all when there are none."""
+    online, target = (Mlp(24, 4, 128, rng=np.random.default_rng(s)) for s in (2, 3))
+    fresh_counts = {}
+    for name, batch in target_batches():
+        obs, next_obs = (a.reshape(-1, 24) for a in (batch.obs, batch.next_obs))
+        n = len(obs)
+        want = oracle_double_dqn_targets(batch, online, target, gamma=0.9)
+        rows = []
+        online.forward = lambda x, **kw: rows.append(len(x)) or Mlp.forward(online, x, **kw)
+        try:
+            y, q = dqn.compute_double_dqn_targets(batch, online, target, gamma=0.9)
+        finally:
+            del online.forward
+        assert same_bits(y, want), name
+        assert same_bits(q, online.forward(obs)), name
+        m = int(((next_obs != obs).any(axis=1) | np.repeat(batch.done, 4)).sum())
+        assert rows == ([n, m, n] if m else [n, n]), name
+        fresh_counts[name] = m / n
+    assert 0.1 < fresh_counts.pop("rollouts") < 0.3
+    assert fresh_counts == {"random": 1.0, "none fresh": 0.0, "one fresh": 1 / 256}
 
 
 # ---------------------------------------------------------- training schedule

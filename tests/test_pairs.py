@@ -192,3 +192,35 @@ def test_a_series_with_no_complete_pair_has_no_metric():
     assert summary["metrics"] == {}
     assert summary["verdict"] == {"all_correct": False, "within_bounds": False,
                                   "claim": "peak_rss_mb", "claim_holds": False}
+
+
+def test_no_run_at_all_is_neither_correct_nor_a_gain():
+    summary = pairs.summarize([], END_TO_END, claim="intervals_per_s")
+    assert summary["metrics"] == {}
+    assert summary["verdict"] == {"all_correct": False, "within_bounds": False,
+                                  "claim": "intervals_per_s", "claim_holds": False}
+
+
+@pytest.mark.parametrize("bad, message", [
+    (["--workload", "train-defualt"], "no workload of BENCHMARK.json"),
+    (["--pairs", "0"], "--pairs must be at least 1"),
+    (["--pairs", "-2"], "--pairs must be at least 1"),
+    (["--seconds", "-1"], "--seconds must be non-negative"),
+    (["--seconds", "nan"], "--seconds must be non-negative"),
+])
+def test_bad_arguments_are_refused_before_any_extraction(monkeypatch, tmp_path, capsys,
+                                                         bad, message):
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(pairs, "extract", no_work)
+    monkeypatch.setattr(pairs, "run_bench", no_work)
+    monkeypatch.setattr(pairs, "run_tier1", no_work)
+    args = {"--workload": "train-default", "--pairs": "2", "--seconds": "1"}
+    args.update(zip(bad[::2], bad[1::2]))
+    argv = [x for item in args.items() for x in item]
+    with pytest.raises(SystemExit) as exit_info:
+        pairs.main([*argv, "--parent", "p", "--out", str(tmp_path / "BENCH.json")])
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "BENCH.json").exists()
