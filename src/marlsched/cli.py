@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import sys
@@ -18,7 +17,7 @@ from .baselines import BASELINES
 from .dqn import DqnPolicy, TrainerConfig
 from .env import ConfigError, EnvConfig, read_config
 from .harness import BaselinePolicy, ValidationSet
-from .nn import ShapeMismatch, load_checkpoint
+from .nn import load_checkpoint
 
 DEFAULT_Q_LEVELS = 20
 
@@ -34,8 +33,8 @@ def load_configs(path: str | None):
     """(EnvConfig, TrainerConfig) from a config file; the defaults without one."""
     if path is None:
         return EnvConfig(), TrainerConfig()
-    with open(path, encoding="utf-8") as f:
-        cfg = read_config(ConfigFile, json.load(f))
+    with open(path, "rb") as f:
+        cfg = read_config(ConfigFile, f.read(), f"config {path}")
     return cfg.env, cfg.trainer
 
 
@@ -259,9 +258,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args, *load_configs(args.config))
-    except (ConfigError, ShapeMismatch, OSError, json.JSONDecodeError, UnicodeDecodeError,
-            harness.InsufficientCandidates, normalize.DegenerateDataset,
-            topology.PlacementInfeasible) as e:
+    except (ConfigError, OSError, harness.InsufficientCandidates,
+            normalize.DegenerateDataset, topology.PlacementInfeasible) as e:
         _usage_error(str(e))
     return 0
 

@@ -34,14 +34,21 @@ class EpisodeFinished(RuntimeError):
 
 
 def read_config(cls, raw, where: str | None = None):
-    """A cls from a JSON object: the reader of every JSON file read back but the
-    checkpoint header, which load_checkpoint reads.
-
-    A field without a default is required, and each value is read as its
-    field's annotated type by _read_value. An object whose class has a
-    validate() is returned only once that passed, so nested objects are in
-    range too. ConfigError names unknown or missing keys, or the Class.field.
+    """A cls from a JSON object, or from the UTF-8 JSON bytes of the file where names:
+    the reader of every file read back. A field without a default is required,
+    and each value is read as its field's annotated type by _read_value. An
+    object whose class has a validate() is returned only once that passed, so
+    nested objects are in range too. ConfigError names unknown or missing keys,
+    the Class.field, or the file and byte offset of bytes that are not UTF-8 JSON.
     """
+    if isinstance(raw, bytes):
+        try:
+            raw, where = json.loads(raw.decode("utf-8")), None
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{where} is not UTF-8: {e.reason} at byte {e.start}") from None
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"{where} is not JSON: {e.msg} at byte "
+                              f"{len(e.doc[:e.pos].encode())}") from None
     where = where or cls.__name__
     if not isinstance(raw, dict):
         raise ConfigError(f"{where} must be a JSON object, got {raw!r}")
@@ -63,7 +70,7 @@ def read_config(cls, raw, where: str | None = None):
 def _read_value(hint, value, name: str):
     """value as a hint: exactly that JSON type, but an int stands for a float, a
     float must be finite, a dataclass reads an object through read_config, and
-    list[X] and dict[str, X] read each item as an X."""
+    list[X] and dict[str, X] read each item as an X (a bare dict, any object)."""
     want = typing.get_origin(hint) or hint
     if is_dataclass(want):
         return read_config(want, value, name)
@@ -76,7 +83,7 @@ def _read_value(hint, value, name: str):
     if want is list:
         (item,) = typing.get_args(hint)
         value = [_read_value(item, v, f"{name}[{i}]") for i, v in enumerate(value)]
-    elif want is dict:
+    elif want is dict and hint is not dict:
         _, item = typing.get_args(hint)             # JSON keys are strings
         value = {k: _read_value(item, v, f"{name}[{k!r}]") for k, v in value.items()}
     return value

@@ -172,8 +172,8 @@ class ValidationSet:
 
     @classmethod
     def load(cls, path) -> "ValidationSet":
-        with open(path, encoding="utf-8") as f:
-            return read_config(cls, json.load(f))
+        with open(path, "rb") as f:
+            return read_config(cls, f.read(), f"validation set {path}")
 
 
 def build_validation_set(env_config: EnvConfig, target_count: int,

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .env import ConfigError, read_config, require
 
-class ShapeMismatch(ValueError):
-    pass
+
+class ShapeMismatch(ConfigError):
+    """A checkpoint or an input whose shape the network cannot use."""
 
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
@@ -169,66 +172,60 @@ def adam_update(net: Mlp, grads: dict, state: AdamState, l2_coeff: float = 0.0) 
 
 # ---------------------------------------------------------------- checkpoints
 
+@dataclass
+class CheckpointHeader:
+    """A checkpoint's first line, before the flat parameters it describes."""
+    in_dim: int
+    out_dim: int
+    hidden: int
+    activation: str
+    step: int
+    param_order: list[str]
+    shapes: dict[str, list[int]]
+    extra: dict = field(default_factory=dict)
+
+    def validate(self) -> None:
+        """Raise ConfigError unless widths are >= 1, step is >= 0, and the network is
+        tanh with parameters in PARAM_NAMES order, shaped as the widths need."""
+        require(self, ">= 1", "in_dim", "out_dim", "hidden")
+        require(self, ">= 0", "step")
+        i, h, o = self.in_dim, self.hidden, self.out_dim
+        need = {"w1": [i, h], "b1": [h], "w2": [h, h], "b2": [h], "w3": [h, o], "b3": [o]}
+        got = (self.activation, self.param_order, self.shapes)
+        if got != ("tanh", list(PARAM_NAMES), need):
+            raise ConfigError(f"CheckpointHeader: these widths need a tanh network with "
+                              f"parameters {list(PARAM_NAMES)} shaped {need}, got {got}")
+
+
 def save_checkpoint(path, net: Mlp, step: int = 0, extra: dict | None = None) -> None:
-    """JSON header line followed by the flat little-endian float64 parameters."""
-    header = {
-        "in_dim": net.in_dim, "out_dim": net.out_dim, "hidden": net.hidden,
-        "activation": "tanh", "step": step,
-        "param_order": list(PARAM_NAMES),
-        "shapes": {k: list(net.params[k].shape) for k in PARAM_NAMES},
-    }
-    if extra:
-        header["extra"] = extra
+    """CheckpointHeader as a JSON line, then the flat little-endian float64 parameters."""
+    header = CheckpointHeader(net.in_dim, net.out_dim, net.hidden, "tanh", step,
+                              list(PARAM_NAMES),
+                              {k: list(net.params[k].shape) for k in PARAM_NAMES}, extra or {})
     with open(path, "wb") as f:
-        f.write(json.dumps(header).encode("utf-8") + b"\n")
+        f.write(json.dumps(asdict(header)).encode("utf-8") + b"\n")
         for k in PARAM_NAMES:
             f.write(net.params[k].astype("<f8").tobytes())
 
 
 def load_checkpoint(path):
-    """Read a save_checkpoint file back into (net, header).
-
-    Raises ShapeMismatch when the header is not a UTF-8 JSON object, lacks a
-    field or has one save_checkpoint never writes, has widths that are not
-    positive ints or a step that is not a non-negative int, names an activation
-    other than tanh or a param_order other than PARAM_NAMES (the order the
-    bytes are read in), or shapes other than its widths need, or when the
-    parameter bytes disagree with them.
-    """
+    """(net, CheckpointHeader) from a save_checkpoint file. ShapeMismatch when read_config
+    refuses its header line, or its parameter bytes disagree with it or are not finite."""
     with open(path, "rb") as f:
         line, blob = f.readline(), f.read()
     try:
-        text = line.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise ShapeMismatch(f"checkpoint header is not UTF-8: {e}") from None
-    header = json.loads(text)
-    if not isinstance(header, dict):
-        raise ShapeMismatch(f"checkpoint header must be a JSON object, got {header!r}")
-    fields = ("in_dim", "out_dim", "hidden", "activation", "step", "param_order", "shapes")
-    missing = [k for k in fields if k not in header]
-    if missing:
-        raise ShapeMismatch(f"checkpoint header lacks {', '.join(missing)}")
-    unknown = sorted(set(header) - {*fields, "extra"})
-    if unknown:
-        raise ShapeMismatch(f"checkpoint header has unknown {', '.join(unknown)}")
-    for k in ("in_dim", "out_dim", "hidden"):
-        if type(header[k]) is not int or header[k] < 1:
-            raise ShapeMismatch(f"{k} must be a positive int, got {header[k]!r}")
-    if type(header["step"]) is not int or header["step"] < 0:
-        raise ShapeMismatch(f"step must be a non-negative int, got {header['step']!r}")
-    if header["activation"] != "tanh":
-        raise ShapeMismatch(f"activation {header['activation']!r} is not 'tanh'")
-    net = Mlp(header["in_dim"], header["out_dim"], header["hidden"])
-    if header["param_order"] != list(PARAM_NAMES):
-        raise ShapeMismatch(f"parameters {header['param_order']} are not {list(PARAM_NAMES)}")
-    shapes = {k: list(net.params[k].shape) for k in PARAM_NAMES}
-    if header["shapes"] != shapes:
-        raise ShapeMismatch(f"shapes {header['shapes']}; the header's widths need {shapes}")
-    if len(blob) != 8 * net.num_params():
-        raise ShapeMismatch(f"{len(blob)} parameter bytes; the header's shapes "
-                            f"need {8 * net.num_params()}")
+        header = read_config(CheckpointHeader, line, f"checkpoint {path}")
+    except ConfigError as e:
+        raise ShapeMismatch(str(e)) from None
+    sizes = [math.prod(header.shapes[k]) for k in PARAM_NAMES]
+    if len(blob) != 8 * sum(sizes):
+        raise ShapeMismatch(f"{len(blob)} parameter bytes; its shapes need {8 * sum(sizes)}")
+    net = Mlp(header.in_dim, header.out_dim, header.hidden)
     flat = np.frombuffer(blob, dtype="<f8")
-    ends = np.cumsum([net.params[k].size for k in PARAM_NAMES])
-    for k, part in zip(PARAM_NAMES, np.split(flat, ends[:-1])):
-        net.params[k] = part.reshape(net.params[k].shape).copy()
+    for k, part in zip(PARAM_NAMES, np.split(flat, np.cumsum(sizes)[:-1])):
+        bad = np.flatnonzero(~np.isfinite(part))
+        if bad.size:
+            raise ShapeMismatch(f"checkpoint {path}: {k} holds {part[bad[0]]} at flat index "
+                                f"{bad[0]}; parameters must be finite")
+        net.params[k] = part.reshape(header.shapes[k]).copy()
     return net, header

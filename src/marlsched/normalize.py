@@ -173,12 +173,12 @@ def save_stats(path, mapper: PercentileMapper, normalizer: RewardNormalizer,
 def load_stats(path):
     """Read save_stats output back into (mapper, normalizer, config_fingerprint).
 
-    Raises ConfigError naming the field when read_config refuses the file: a
-    field missing or wrongly typed, a number non-finite, thresholds included,
-    or a value StatsFile.validate refuses.
+    Raises ConfigError when read_config refuses the file: bytes that are not
+    UTF-8 JSON, or, naming the field, one missing or wrongly typed, a number
+    non-finite, thresholds included, or a value StatsFile.validate refuses.
     """
-    with open(path, encoding="utf-8") as f:
-        stats = read_config(StatsFile, json.load(f), f"norm stats {path}")
+    with open(path, "rb") as f:
+        stats = read_config(StatsFile, f.read(), f"norm stats {path}")
     mapper = PercentileMapper(np.asarray(stats.weight_thresholds),
                               np.asarray(stats.sinr_db_thresholds))
     return mapper, RewardNormalizer(stats.mu_rew, stats.sigma_rew), stats.config_fingerprint

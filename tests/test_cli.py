@@ -3,15 +3,19 @@ import csv
 import json
 import re
 from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from marlsched import dqn, harness
+from hypothesis import given, settings, strategies as st
+
+from marlsched import dqn, harness, normalize
 from marlsched.baselines import BASELINES
 from marlsched.cli import build_parser, load_configs, main
 from marlsched.dqn import EpochRecord, TrainerConfig
 from marlsched.env import ConfigError, EnvConfig, NetworkEnv
+from marlsched.harness import ValidationSet
 from marlsched.nn import Mlp, ShapeMismatch, load_checkpoint, save_checkpoint
 from marlsched.normalize import DegenerateDataset
 from marlsched.topology import PlacementInfeasible
@@ -87,7 +91,7 @@ def test_train_then_evaluate_and_analyze(tiny_cfg_path, norm_stats_path,
     ckpt = run_dir / "epoch_0001.ckpt"
     assert ckpt.exists()
     net, header = load_checkpoint(ckpt)
-    assert header["extra"]["epoch"] == 1
+    assert header.extra["epoch"] == 1
     assert net.in_dim == 24 and net.out_dim == 4
 
     main(["evaluate", "--config", tiny_cfg_path, "--checkpoint", str(ckpt),
@@ -517,7 +521,7 @@ REFUSED = {
     "--env-set": [('{"seeds": [1]}', "ConfigError", "lacks env_config, reference")],
     "--checkpoint": [('{"in_dim": 24, "out_dim": 4, "hidden": 8.0, "activation": "tanh", '
                       '"step": 0, "param_order": [], "shapes": {}}\n', "ShapeMismatch",
-                      "hidden must be a positive int, got 8.0")],
+                      "CheckpointHeader.hidden must be int, got 8.0")],
 }
 
 
@@ -535,25 +539,27 @@ def test_file_errors_exit_2_in_one_line(flag, error, tiny_cfg_path, norm_stats_p
                                         monkeypatch):
     """A missing file, a file that is not JSON, one that is not UTF-8 and one its
     reader refuses each give one "marlsched: error:" line and exit 2, for every
-    file flag; a checkpoint's header is refused as its own shape error."""
+    file flag; the first three name the file's path, and a checkpoint is refused
+    as its own shape error."""
     (text, refused_as, message), *more_refused = REFUSED[flag]
     more_refused = more_refused if error == "refused" else []
     bad = tmp_path / "bad"
+    kind = {"--config": "config", "--norm-stats": "norm stats", "--val-set": "validation set",
+            "--env-set": "validation set", "--checkpoint": "checkpoint"}[flag]
     if error == "JSONDecodeError":
         bad.write_text("{\n")
-        message = "Expecting property name"
+        message = (f"{kind} {bad} is not JSON: Expecting property name enclosed in "
+                   "double quotes at byte 2")
     elif error == "non-UTF-8":
         bad.write_bytes(b"\xff\xfe{}\n")
-        message = "can't decode byte 0xff in position 0"
-        if flag == "--checkpoint":
-            error, message = "ShapeMismatch", "checkpoint header is not UTF-8"
-        else:
-            error = "UnicodeDecodeError"
+        message = f"{kind} {bad} is not UTF-8: invalid start byte at byte 0"
     elif error == "refused":
         bad.write_text(text)
         error = refused_as
     else:
         message = f"No such file or directory: '{bad}'"
+    if error in ("JSONDecodeError", "non-UTF-8"):
+        error = "ShapeMismatch" if flag == "--checkpoint" else "ConfigError"
     files = {"--config": tiny_cfg_path, "--norm-stats": norm_stats_path,
              "--val-set": val_set_path, "--env-set": val_set_path,
              "--checkpoint": checkpoint_path, flag: str(bad)}
@@ -566,9 +572,7 @@ def test_file_errors_exit_2_in_one_line(flag, error, tiny_cfg_path, norm_stats_p
                              "--checkpoint", files["--checkpoint"]],
                "--checkpoint": ["evaluate", *stats, "--num-envs", "1",
                                 "--checkpoint", files["--checkpoint"]]}[flag]
-    readers = {"OSError": OSError, "JSONDecodeError": json.JSONDecodeError,
-               "UnicodeDecodeError": UnicodeDecodeError, "ConfigError": ConfigError,
-               "ShapeMismatch": ShapeMismatch}
+    readers = {"OSError": OSError, "ConfigError": ConfigError, "ShapeMismatch": ShapeMismatch}
 
     def no_rollout(*args, **kwargs):
         raise AssertionError("rolled out past a bad file")
@@ -587,3 +591,31 @@ def test_file_errors_exit_2_in_one_line(flag, error, tiny_cfg_path, norm_stats_p
     for text, refused_as, message in more_refused:
         bad.write_text(text)
         exits_2_in_one_line(refused_as, message)
+
+
+# each boundary file kind: the fixture holding a valid one, its reader, and the
+# error that reader refuses a file with
+READERS = {"config": ("tiny_cfg_path", load_configs, ConfigError),
+           "norm stats": ("norm_stats_path", normalize.load_stats, ConfigError),
+           "validation set": ("val_set_path", ValidationSet.load, ConfigError),
+           "checkpoint": ("checkpoint_path", load_checkpoint, ShapeMismatch)}
+
+
+@pytest.mark.parametrize("kind", READERS)
+def test_damaged_files_are_read_or_refused_by_their_reader(kind, request, tmp_path_factory):
+    """A valid file cut at any byte, or with any one byte overwritten, is read or
+    refused with its reader's own error; no decode or other error escapes."""
+    fixture, reader, refusal = READERS[kind]
+    good = Path(request.getfixturevalue(fixture)).read_bytes()
+    path = tmp_path_factory.mktemp("damaged") / "file"
+
+    @settings(max_examples=100, deadline=None)
+    @given(at=st.integers(0, len(good) - 1), byte=st.none() | st.integers(0, 255))
+    def read_damaged(at, byte):
+        path.write_bytes(good[:at] if byte is None else good[:at] + bytes([byte]) + good[at + 1:])
+        try:
+            reader(str(path))
+        except refusal:
+            pass
+
+    read_damaged()

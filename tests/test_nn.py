@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from marlsched import nn
 from marlsched.nn import (
     AdamState, Mlp, PARAM_NAMES, ShapeMismatch, adam_update, load_checkpoint,
     save_checkpoint,
@@ -268,8 +269,8 @@ def test_checkpoint_roundtrip(tmp_path):
     path = tmp_path / "net.ckpt"
     save_checkpoint(path, net, step=123, extra={"note": "x"})
     loaded, header = load_checkpoint(path)
-    assert header["step"] == 123
-    assert header["extra"] == {"note": "x"}
+    assert header.step == 123
+    assert header.extra == {"note": "x"}
     x = np.random.default_rng(29).normal(size=(5, 5))
     assert np.array_equal(net.forward(x), loaded.forward(x))
     for k in PARAM_NAMES:
@@ -302,9 +303,9 @@ def _rewrite_checkpoint(path, edit_header=None, tail=b"", cut=0):
     ({"edit_header": lambda h: h.update(hidden=True)}, "hidden"),
     ({"edit_header": lambda h: h.update(shapes=[])}, "shapes"),
     ({"edit_header": lambda h: h.pop("step")}, "lacks step"),
-    ({"edit_header": lambda h: h.update(step="five")}, "step must be a non-negative int"),
-    ({"edit_header": lambda h: h.update(step=-1)}, "step must be a non-negative int"),
-    ({"edit_header": lambda h: h.update(step_typo=5)}, "unknown step_typo"),
+    ({"edit_header": lambda h: h.update(step="five")}, "CheckpointHeader.step must be int"),
+    ({"edit_header": lambda h: h.update(step=-1)}, "CheckpointHeader.step must be >= 0"),
+    ({"edit_header": lambda h: h.update(step_typo=5)}, "unknown CheckpointHeader keys: step_typo"),
 ], ids=["trailing-bytes", "truncated", "in_dim", "out_dim", "param-order",
         "activation", "no-shapes", "param-order-reversed", "float-hidden",
         "negative-in_dim", "string-in_dim", "bool-hidden", "shapes-list",
@@ -321,5 +322,52 @@ def test_checkpoint_rejects_malformed_files(tmp_path, edit, names):
 def test_checkpoint_header_must_be_an_object(tmp_path, header):
     path = tmp_path / "net.ckpt"
     path.write_bytes(header + b"\n")
-    with pytest.raises(ShapeMismatch, match="header must be a JSON object"):
+    with pytest.raises(ShapeMismatch, match="CheckpointHeader must be a JSON object"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_header_line_is_unchanged(tmp_path):
+    """The header keeps its keys, their order and its spacing, so files written before
+    CheckpointHeader and after it are the same bytes; one written without extra loads."""
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(path, Mlp(4, 3, hidden=8, rng=np.random.default_rng(0)), step=7,
+                    extra={"epoch": 2, "score": 1.5})
+    assert path.read_bytes().split(b"\n")[0] == (
+        b'{"in_dim": 4, "out_dim": 3, "hidden": 8, "activation": "tanh", "step": 7, '
+        b'"param_order": ["w1", "b1", "w2", "b2", "w3", "b3"], "shapes": {"w1": [4, 8], '
+        b'"b1": [8], "w2": [8, 8], "b2": [8], "w3": [8, 3], "b3": [3]}, '
+        b'"extra": {"epoch": 2, "score": 1.5}}')
+    _rewrite_checkpoint(path, edit_header=lambda h: h.pop("extra"))
+    _, header = load_checkpoint(path)
+    assert header.extra == {} and header.step == 7
+
+
+def test_checkpoint_counts_parameter_bytes_before_building_the_network(tmp_path, monkeypatch):
+    """A header whose widths and shapes agree but whose parameters are short is refused
+    before Mlp draws hidden**2 initial weights."""
+    h = 2 ** 20
+    header = {"in_dim": 4, "out_dim": 3, "hidden": h, "activation": "tanh", "step": 0,
+              "param_order": list(PARAM_NAMES),
+              "shapes": {"w1": [4, h], "b1": [h], "w2": [h, h], "b2": [h], "w3": [h, 3],
+                         "b3": [3]}}
+    path = tmp_path / "net.ckpt"
+    path.write_bytes(json.dumps(header).encode() + b"\n" + b"\x00" * 8)
+
+    def no_network(*args, **kwargs):
+        raise AssertionError("built the network before counting the parameter bytes")
+
+    monkeypatch.setattr(nn, "Mlp", no_network)
+    need = 8 * (h * h + 9 * h + 3)
+    with pytest.raises(ShapeMismatch, match=f"^8 parameter bytes; its shapes need {need}$"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name, index, value", [("w1", 5, np.nan), ("b3", 2, np.inf)])
+def test_checkpoint_refuses_non_finite_parameters(tmp_path, name, index, value):
+    """A NaN weight would make every greedy action 0; the file is refused, naming where."""
+    net = Mlp(4, 3, hidden=8, rng=np.random.default_rng(0))
+    net.params[name].flat[index] = value
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(path, net)
+    with pytest.raises(ShapeMismatch, match=rf"{name} holds {value} at flat index {index};"):
         load_checkpoint(path)
