@@ -327,8 +327,8 @@ def test_checkpoint_header_must_be_an_object(tmp_path, header):
 
 
 def test_checkpoint_header_line_is_unchanged(tmp_path):
-    """The header keeps its keys, their order and its spacing, so files written before
-    CheckpointHeader and after it are the same bytes; one written without extra loads."""
+    """The header line's keys, their order and its spacing are pinned, so a saved file's
+    bytes do not drift; a header without extra loads with extra {}."""
     path = tmp_path / "net.ckpt"
     save_checkpoint(path, Mlp(4, 3, hidden=8, rng=np.random.default_rng(0)), step=7,
                     extra={"epoch": 2, "score": 1.5})
